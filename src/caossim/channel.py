@@ -12,7 +12,8 @@ degree of concurrency reproduces the same decoded image bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +35,10 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"noise {f.name} must be finite, got {value}")
         if min(self.awgn_sigma, self.mains_amplitude, self.pink_sigma, self.dark_offset) < 0:
             raise ValueError("noise magnitudes must be nonnegative")
 

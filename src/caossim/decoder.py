@@ -1,11 +1,11 @@
 """Recover pixel irradiances from photodetector sample streams.
 
-FM/FDMA slots are decoded in the frequency domain: one radix-2 FFT per
-slot, then the carrier-bin magnitude divided by Q times the exact
-fundamental coefficient of a 50%-duty square wave with that carrier's
-samples-per-period count.  CDMA streams are decoded by bipolar Walsh
-correlation of the per-bit means; the zero-mean code rows annihilate the
-DC term introduced by on/off optical modulation.
+FM/FDMA slots are decoded in the frequency domain: one FFT per slot
+(numpy's, on a power-of-two Q), then the carrier-bin magnitude divided by
+Q times the exact fundamental coefficient of a 50%-duty square wave with
+that carrier's samples-per-period count.  CDMA streams are decoded by
+bipolar Walsh correlation of the per-bit means; the zero-mean code rows
+annihilate the DC term introduced by on/off optical modulation.
 
 Only magnitudes are used at carrier bins.  CDMA estimates may come out
 slightly negative under noise and are reported as-is so that SNR
@@ -15,7 +15,6 @@ statistics stay unbiased; clamping is left to display code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,40 +64,8 @@ class DecodedImage:
         return self.estimates.shape
 
 
-@lru_cache(maxsize=32)
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    rev.setflags(write=False)
-    return rev
-
-
-@lru_cache(maxsize=64)
-def _twiddles(half: int) -> np.ndarray:
-    tw = np.exp(-1j * np.pi * np.arange(half) / half)
-    tw.setflags(write=False)
-    return tw
-
-
-def _fft_core(x: np.ndarray) -> np.ndarray:
-    """Iterative decimation-in-time radix-2 transform of a power-of-two vector."""
-    n = x.shape[0]
-    y = np.asarray(x, dtype=np.complex128)[_bit_reversal(n)]
-    half = 1
-    while half < n:
-        v = y.reshape(-1, 2, half)
-        odd = v[:, 1, :] * _twiddles(half)
-        v[:, 1, :] = v[:, 0, :] - odd
-        v[:, 0, :] += odd
-        half *= 2
-    return y
-
-
 def fft_radix2(samples: SampledSignal) -> Spectrum:
-    """Radix-2 FFT of one slot.
+    """Full-length DFT of one slot (numpy's FFT).
 
     The stream length must be a power of two; padding is rejected because
     it would break the whole-cycle property the channel design relies on.
@@ -107,7 +74,7 @@ def fft_radix2(samples: SampledSignal) -> Spectrum:
     if n < 2 or n & (n - 1):
         raise ValueError(f"stream length {n} is not a power of two")
     return Spectrum(
-        coeffs=_fft_core(samples.samples),
+        coeffs=np.fft.fft(samples.samples),
         fs=samples.fs,
         delta_f=samples.fs / n,
     )
@@ -116,11 +83,10 @@ def fft_radix2(samples: SampledSignal) -> Spectrum:
 def recover_channel_irradiance(
     spectrum: Spectrum, f_j: float, plan: FrequencyPlan
 ) -> float:
-    """Irradiance estimate |X[b_j]| / (Q * a1(N_j)) for a plan carrier.
+    """recover_at_frequency for a plan carrier with an even whole N = fs/f_j.
 
-    a1(N) = 1/(N sin(pi/N)) is the exact fundamental coefficient of a unit
-    50%-duty square wave with N samples per period, so a clean unit carrier
-    decodes to exactly 1.
+    There a1(N) = 1/(N sin(pi/N)) is the exact fundamental coefficient of a
+    unit 50%-duty square wave, so a clean unit carrier decodes to exactly 1.
     """
     if f_j not in plan.channels:
         raise ValueError(f"{f_j} Hz is not a plan channel")
@@ -128,13 +94,11 @@ def recover_channel_irradiance(
     n = round(n_float)
     if abs(n_float - n) > 1e-9 * n_float or n % 2:
         raise ValueError(f"fs/f = {n_float} must be an even integer")
-    q = spectrum.coeffs.shape[0]
-    b = round(f_j / spectrum.delta_f)
-    return float(abs(spectrum.coeffs[b]) / (q * fundamental_coefficient(n)))
+    return recover_at_frequency(spectrum, f_j)
 
 
 def recover_at_frequency(spectrum: Spectrum, f: float) -> float:
-    """Nearest-bin estimate for an arbitrary carrier (demonstration path).
+    """Nearest-bin estimate |X[b]| / (Q * a1(fs/f)) for any carrier.
 
     Uses the generalized fundamental coefficient with a real-valued
     samples-per-period count; carriers off the bin grid decode with the

@@ -4,12 +4,15 @@ A scenario pins everything a run needs (mode, grid, target, carrier plan
 or code parameters, noise, ADC, seed), so repeated runs are byte-identical
 and every experiment ships as a small version-controlled preset.  Parsing
 resolves all defaults; a resolved scenario serializes back to the same
-document it parses from.
+document it parses from, and an input key that the resolved document does
+not contain (a misspelling, or a setting the mode or target kind ignores)
+is rejected.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -51,6 +54,10 @@ class PlanSpec:
     frequencies: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise ScenarioError(f"plan T must be a finite positive duration, got {self.T}")
+        if self.p < 1:
+            raise ScenarioError(f"plan p must be >= 1, got {self.p}")
         if self.frequencies:
             if self.m is not None or self.P is not None:
                 raise ScenarioError("give either (m, P) or frequencies, not both")
@@ -306,7 +313,7 @@ def scenario_from_dict(d: dict[str, Any]) -> Scenario:
         )
         adc_d = d.get("adc", {})
         full_scale = adc_d.get("full_scale")
-        return Scenario(
+        scenario = Scenario(
             mode=mode,
             rows=int(grid.get("rows", 1)),
             cols=int(grid.get("cols", 1)),
@@ -331,10 +338,24 @@ def scenario_from_dict(d: dict[str, Any]) -> Scenario:
             span_nm=tuple(float(v) for v in d.get("span_nm", (412.0, 732.0))),
             n_columns=int(d.get("n_columns", 52)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"malformed scenario: {exc}") from exc
+    _reject_unknown_keys(d, scenario.to_dict())
+    return scenario
+
+
+def _reject_unknown_keys(
+    given: dict[str, Any], resolved: dict[str, Any], path: str = ""
+) -> None:
+    """Fail on any key of the input that the resolved scenario does not serialize."""
+    for key, value in given.items():
+        where = path + key
+        if key not in resolved:
+            raise ScenarioError(f"unknown or unused scenario key {where!r}")
+        if isinstance(value, dict) and isinstance(resolved[key], dict):
+            _reject_unknown_keys(value, resolved[key], where + ".")
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -39,8 +39,8 @@ __all__ = [
 class SamplingWindow:
     """One acquisition slot: duration T, sample rate fs, Q = fs*T samples.
 
-    Q must be a power of two (radix-2 spectral processing) and the spectral
-    resolution is delta_f = 1/T = fs/Q.
+    Q must be a power of two, so that every plan carrier fs/2^k fits whole
+    cycles into the slot, and the spectral resolution is delta_f = 1/T = fs/Q.
     """
 
     fs: float

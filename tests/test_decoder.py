@@ -121,6 +121,16 @@ class TestDecodeSlot:
         assert sorted(est) == [0, 1, 2, 3, 4]
         assert all(abs(v - 0.5) <= 1e-9 for v in est.values())
 
+    def test_free_readout_equals_plan_readout_on_valid_ladder(self):
+        plan = design_plan(T=1.0, p=16, m=7, P=8)
+        rng = np.random.default_rng(21)
+        scene = Scene(rng.random((1, 8)))
+        slot = schedule_fdma_tdma(8, plan).slots[0]
+        stream = add_noise(
+            encode_slot(scene, slot, plan.window()), NoiseConfig(awgn_sigma=0.01, seed=4), 0
+        )
+        assert decode_slot_free(stream, slot) == decode_slot(stream, slot, plan)
+
     def test_invalid_plan_crosstalks_on_40db_scene(self):
         # bright pixel off the bin grid leaks into the valid channel's bin
         plan = plan_from_frequencies([1170.3, 2048.0], T=0.25, p=14)

@@ -1,5 +1,6 @@
 """Scenario parsing, preset integrity and runner behavior."""
 
+import copy
 import json
 
 import numpy as np
@@ -21,6 +22,13 @@ TINY_FDMA = {
     "noise": {},
     "adc": {"enabled": False},
     "seed": 0,
+}
+
+TINY_CDMA = {
+    "mode": "cdma",
+    "grid": {"rows": 1, "cols": 2},
+    "target": {"kind": "uniform", "level": 1.0},
+    "cdma": {"code_length": 4},
 }
 
 
@@ -61,6 +69,48 @@ class TestScenarioParsing:
             "cdma": {"code_length": 4},
         }
         with pytest.raises(ScenarioError, match="pixel count"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            (None, "sed"),
+            ("grid", "rowz"),
+            ("adc", "enable"),
+            ("noise", "awgn_sigm"),
+            ("plan", "PP"),
+            ("cdma", "code_len"),
+            ("target", "levle"),
+            ("target", "patch_radius"),  # valid key, unused by an explicit target
+        ],
+    )
+    def test_unknown_key_rejected_by_path(self, section, key):
+        doc = copy.deepcopy(TINY_CDMA if section == "cdma" else TINY_FDMA)
+        where = doc if section is None else doc[section]
+        where[key] = 1
+        path = key if section is None else f"{section}.{key}"
+        with pytest.raises(ScenarioError, match=f"'{path}'"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("section", ["grid", "noise", "adc"])
+    def test_section_that_is_not_an_object_rejected(self, section):
+        with pytest.raises(ScenarioError, match="malformed scenario"):
+            scenario_from_dict(dict(TINY_FDMA, **{section: []}))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", ["awgn_sigma", "mains_freq", "dark_offset"])
+    def test_non_finite_noise_rejected_at_parse(self, key, value):
+        doc = dict(TINY_FDMA, noise={key: value})
+        with pytest.raises(ScenarioError, match=f"{key} must be finite"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("T", -1.0), ("T", 0.0), ("T", float("nan")), ("T", float("inf")), ("p", 0)],
+    )
+    def test_bad_window_named_at_parse(self, key, value):
+        doc = dict(TINY_FDMA, plan=dict(TINY_FDMA["plan"], **{key: value}))
+        with pytest.raises(ScenarioError, match=f"plan {key} must be"):
             scenario_from_dict(doc)
 
     def test_unknown_preset(self):
