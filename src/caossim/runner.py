@@ -117,13 +117,7 @@ def build_scene(target: TargetSpec, grid: CaosGrid) -> Scene:
     if target.kind == "uniform":
         return Scene(np.full((grid.rows, grid.cols), target.level))
     if target.kind == "explicit":
-        arr = np.array(target.values, dtype=np.float64)
-        if arr.shape != (grid.rows, grid.cols):
-            raise ScenarioError(
-                f"explicit target shape {arr.shape} does not match grid "
-                f"{(grid.rows, grid.cols)}"
-            )
-        return Scene(arr)
+        return Scene(target.values)
     if target.kind == "hdr-patches":
         return make_hdr_patch_target(
             grid,
@@ -389,12 +383,7 @@ def run(scenario: Scenario, outdir: str | Path | None = None) -> RunReport:
     if scenario.mode == "optics-check":
         report = run_optics_check(scenario)
     else:
-        grid = CaosGrid(
-            rows=scenario.rows,
-            cols=scenario.cols,
-            pixel_mirrors=scenario.pixel_mirrors,
-            mirror_pitch_um=scenario.mirror_pitch_um,
-        )
+        grid = scenario.grid
         if scenario.mode == "cdma":
             report = _run_cdma(scenario, grid)
         else:

@@ -2,41 +2,66 @@
 
 A scenario pins everything a run needs (mode, grid, target, carrier plan
 or code parameters, noise, ADC, seed), so repeated runs are byte-identical
-and every experiment ships as a small version-controlled preset.  Parsing
-resolves all defaults; a resolved scenario serializes back to the same
-document it parses from, and an input key that the resolved document does
-not contain (a misspelling, or a setting the mode or target kind ignores)
-is rejected.
+and every experiment ships as a small version-controlled preset.
+
+The dataclasses are the schema: parsing and serialising walk their fields
+and type hints; the tables below give only the document layout.  Parsing is
+strict (bool: true/false; int: a JSON integer; float: any finite number;
+tuple: a list of the right length; null only where a field may be None) and
+runs every range check, including those of the grid, ADC and CDMA objects a
+run builds.  A key that the resolved document lacks (a misspelling, or a
+setting the mode or target kind ignores) is rejected.  Errors name the dotted
+key path, e.g. 'grid.cols'.  A resolved scenario serialises back to the same
+document it parses from.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .channel import AdcConfig, NoiseConfig
+from .encoder import CdmaConfig, WalshAssignment
+from .scene_optics import CaosGrid
 
 __all__ = [
-    "ScenarioError",
-    "PlanSpec",
-    "TargetSpec",
-    "CdmaSpec",
-    "Scenario",
-    "load_scenario",
-    "preset_names",
-    "load_preset",
+    "ScenarioError", "PlanSpec", "TargetSpec", "CdmaSpec", "Scenario",
+    "load_scenario", "preset_names", "load_preset",
 ]
 
 MODES = ("cdma", "fm-tdma", "fdma-tdma", "optics-check")
-TARGET_KINDS = ("uniform", "explicit", "hdr-patches", "spectral-line", "image-file")
 
 DEFAULT_ANCHORS = ((732.0, 0.0), (399.0, 51.0))
 # the abstract-style short-end anchor; both calibrations are exposed
 ALT_ANCHORS = ((732.0, 0.0), (412.0, 51.0))
+
+# Document layout: the top-level keys of every scenario, then those of an optics check;
+# a simulation adds grid, adc, target, noise, plan/cdma if given, anchors for spectral lines
+COMMON_KEYS = ("mode", "seed", "permissive", "write_spectra", "log_display", "intermode_scale",
+               "output_dir")
+OPTICS_KEYS = ("anchors", "span_nm", "n_columns")
+# (section, key) of the Scenario fields that the document nests in a section
+# (grid.<k> is field <k>, adc.<k> is adc_<k>); no other class has these names
+NESTED = {name: (section, name.removeprefix(section + "_")) for section, names in (
+    ("grid", ("rows", "cols", "pixel_mirrors", "mirror_pitch_um")),
+    ("adc", ("adc_enabled", "adc_bits", "adc_full_scale")),
+) for name in names}
+# the keys each target kind reads besides "kind"; a list or path among them must be non-empty
+TARGET_KEYS = {
+    "uniform": ("level",),
+    "explicit": ("values",),
+    "hdr-patches": ("attenuations_db", "layout", "patch_radius", "background"),
+    "spectral-line": ("bands", "start_row", "row_step", "source_temp_k"),
+    "image-file": ("path",),
+}
 
 
 class ScenarioError(ValueError):
@@ -65,13 +90,7 @@ class PlanSpec:
             raise ScenarioError("plan needs (m, P) or an explicit frequency list")
 
     def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"T": self.T, "p": self.p}
-        if self.frequencies:
-            d["frequencies"] = list(self.frequencies)
-        else:
-            d["m"] = self.m
-            d["P"] = self.P
-        return d
+        return _dump(self, ("T", "p", *(("frequencies",) if self.frequencies else ("m", "P"))))
 
 
 @dataclass(frozen=True)
@@ -80,7 +99,7 @@ class TargetSpec:
     level: float = 1.0
     values: tuple[tuple[float, ...], ...] = ()
     attenuations_db: tuple[float, ...] = ()
-    layout: tuple[int, int] = (1, 1)
+    layout: tuple[int, int] | None = None  # None = one row holding every patch
     patch_radius: float = 2.0
     background: float = 0.0
     bands: tuple[tuple[float, float], ...] = ()
@@ -90,31 +109,16 @@ class TargetSpec:
     path: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in TARGET_KINDS:
+        if self.kind not in TARGET_KEYS:
             raise ScenarioError(f"unknown target kind {self.kind!r}")
+        if self.kind == "hdr-patches" and self.layout is None:
+            object.__setattr__(self, "layout", (1, len(self.attenuations_db)))
+        for key in TARGET_KEYS[self.kind]:
+            if getattr(self, key) in ((), ""):
+                raise ScenarioError(f"target kind {self.kind!r} needs a non-empty 'target.{key}'")
 
     def to_dict(self) -> dict[str, Any]:
-        if self.kind == "uniform":
-            return {"kind": self.kind, "level": self.level}
-        if self.kind == "explicit":
-            return {"kind": self.kind, "values": [list(r) for r in self.values]}
-        if self.kind == "hdr-patches":
-            return {
-                "kind": self.kind,
-                "attenuations_db": list(self.attenuations_db),
-                "layout": list(self.layout),
-                "patch_radius": self.patch_radius,
-                "background": self.background,
-            }
-        if self.kind == "spectral-line":
-            return {
-                "kind": self.kind,
-                "bands": [list(b) for b in self.bands],
-                "start_row": self.start_row,
-                "row_step": self.row_step,
-                "source_temp_k": self.source_temp_k,
-            }
-        return {"kind": self.kind, "path": self.path}
+        return _dump(self, ("kind", *TARGET_KEYS[self.kind]))
 
 
 @dataclass(frozen=True)
@@ -124,11 +128,7 @@ class CdmaSpec:
     samples_per_bit: int = 100
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "code_length": self.code_length,
-            "bit_rate": self.bit_rate,
-            "samples_per_bit": self.samples_per_bit,
-        }
+        return _dump(self, (f.name for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -161,194 +161,128 @@ class Scenario:
             raise ScenarioError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.mode == "optics-check":
             return
-        if self.rows < 1 or self.cols < 1:
-            raise ScenarioError("grid must be at least 1x1")
         if self.target is None:
             raise ScenarioError("simulation scenarios need a target")
         if self.mode == "cdma":
             if self.cdma is None:
                 raise ScenarioError("cdma mode needs a cdma section")
             if self.cdma.code_length < self.rows * self.cols + 1:
-                raise ScenarioError(
-                    "code_length must be at least the pixel count plus one"
-                )
-        else:
-            if self.plan is None:
-                raise ScenarioError(f"{self.mode} mode needs a plan section")
-            if self.mode == "fm-tdma":
-                n = len(self.plan.frequencies) if self.plan.frequencies else self.plan.P
-                if n != 1:
-                    raise ScenarioError("fm-tdma uses exactly one carrier")
+                raise ScenarioError("code_length must be at least the pixel count plus one")
+        elif self.plan is None:
+            raise ScenarioError(f"{self.mode} mode needs a plan section")
+        elif self.mode == "fm-tdma":
+            n = len(self.plan.frequencies) if self.plan.frequencies else self.plan.P
+            if n != 1:
+                raise ScenarioError("fm-tdma uses exactly one carrier")
         if self.target.kind == "spectral-line" and self.mode != "cdma":
             raise ScenarioError("the spectral-line target runs in cdma mode")
+        # the range checks of the objects a run builds from these settings
+        grid = self.grid
+        self.adc_config(auto_full_scale=1.0)  # a null full scale is resolved per run
+        if self.mode == "cdma":
+            CdmaConfig(self.cdma.bit_rate, self.cdma.samples_per_bit)
+            WalshAssignment.sequential(grid.num_pixels, self.cdma.code_length)
+        values = self.target.values
+        if self.target.kind == "explicit" and [len(r) for r in values] != [self.cols] * self.rows:
+            raise ScenarioError(f"'target.values' must be a {self.rows}x{self.cols} matrix")
+
+    @property
+    def grid(self) -> CaosGrid:
+        return CaosGrid(self.rows, self.cols, self.pixel_mirrors, self.mirror_pitch_um)
 
     def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "mode": self.mode,
-            "seed": self.seed,
-            "permissive": self.permissive,
-            "write_spectra": self.write_spectra,
-            "log_display": self.log_display,
-            "intermode_scale": self.intermode_scale,
-            "output_dir": self.output_dir,
-        }
         if self.mode == "optics-check":
-            d["anchors"] = [list(a) for a in self.anchors]
-            d["span_nm"] = list(self.span_nm)
-            d["n_columns"] = self.n_columns
-            return d
-        d["grid"] = {
-            "rows": self.rows,
-            "cols": self.cols,
-            "pixel_mirrors": self.pixel_mirrors,
-            "mirror_pitch_um": self.mirror_pitch_um,
-        }
-        d["target"] = self.target.to_dict()
+            return _dump(self, COMMON_KEYS + OPTICS_KEYS)
+        names = [*COMMON_KEYS, *NESTED, "target", "noise"]
+        names += [name for name in ("plan", "cdma") if getattr(self, name) is not None]
         if self.target.kind == "spectral-line":
-            d["anchors"] = [list(a) for a in self.anchors]
-        if self.plan is not None:
-            d["plan"] = self.plan.to_dict()
-        if self.cdma is not None:
-            d["cdma"] = self.cdma.to_dict()
-        n = self.noise
-        d["noise"] = {
-            "awgn_sigma": n.awgn_sigma,
-            "mains_amplitude": n.mains_amplitude,
-            "mains_freq": n.mains_freq,
-            "mains_phase": n.mains_phase,
-            "pink_enabled": n.pink_enabled,
-            "pink_exponent": n.pink_exponent,
-            "pink_sigma": n.pink_sigma,
-            "dark_offset": n.dark_offset,
-        }
-        d["adc"] = {
-            "enabled": self.adc_enabled,
-            "bits": self.adc_bits,
-            "full_scale": self.adc_full_scale,
-        }
-        return d
+            names.append("anchors")
+        return _dump(self, names)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def noise_config(self) -> NoiseConfig:
-        n = self.noise
-        return NoiseConfig(
-            awgn_sigma=n.awgn_sigma,
-            mains_amplitude=n.mains_amplitude,
-            mains_freq=n.mains_freq,
-            mains_phase=n.mains_phase,
-            pink_enabled=n.pink_enabled,
-            pink_exponent=n.pink_exponent,
-            pink_sigma=n.pink_sigma,
-            dark_offset=n.dark_offset,
-            seed=self.seed,
-        )
+        return dataclasses.replace(self.noise, seed=self.seed)
 
     def adc_config(self, auto_full_scale: float) -> AdcConfig:
         fs = self.adc_full_scale if self.adc_full_scale is not None else auto_full_scale
         return AdcConfig(bits=self.adc_bits, full_scale=fs, enabled=self.adc_enabled)
 
 
-def _parse_target(d: dict[str, Any]) -> TargetSpec:
-    kind = d.get("kind")
-    if kind == "uniform":
-        return TargetSpec(kind=kind, level=float(d.get("level", 1.0)))
-    if kind == "explicit":
-        values = tuple(tuple(float(v) for v in row) for row in d["values"])
-        return TargetSpec(kind=kind, values=values)
-    if kind == "hdr-patches":
-        return TargetSpec(
-            kind=kind,
-            attenuations_db=tuple(float(a) for a in d["attenuations_db"]),
-            layout=tuple(int(v) for v in d.get("layout", (1, len(d["attenuations_db"])))),
-            patch_radius=float(d.get("patch_radius", 2.0)),
-            background=float(d.get("background", 0.0)),
-        )
-    if kind == "spectral-line":
-        return TargetSpec(
-            kind=kind,
-            bands=tuple((float(c), float(b)) for c, b in d["bands"]),
-            start_row=int(d.get("start_row", 0)),
-            row_step=int(d.get("row_step", 1)),
-            source_temp_k=float(d.get("source_temp_k", 2850.0)),
-        )
-    if kind == "image-file":
-        return TargetSpec(kind=kind, path=str(d["path"]))
-    raise ScenarioError(f"unknown target kind {kind!r}")
+_type_hints = functools.cache(typing.get_type_hints)
+_WHAT = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+         dict: "a JSON object"}
+
+
+def _coerce(hint: Any, value: Any, path: str) -> Any:
+    """Check one JSON value against a field's type hint; return the field value."""
+    if dataclasses.is_dataclass(hint):
+        return _parse(hint, value, path + ".")
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _coerce(args[0], value, path)
+    what = _WHAT.get(hint)
+    if typing.get_origin(hint) is tuple:
+        variable = args[-1] is Ellipsis
+        if isinstance(value, list) and (variable or len(value) == len(args)):
+            args = args[:1] * len(value) if variable else args
+            return tuple(_coerce(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+        what = "a list" if variable else f"a list of {len(args)}"
+    elif hint is float and type(value) in (int, float):
+        if abs(value) <= sys.float_info.max:  # false for nan and inf
+            return float(value)
+        what = "finite"
+    elif type(value) is hint:
+        return value
+    # worded like the dataclasses' own checks ("plan T must be ..."), then the key path
+    words = path.replace(".", " ") or "scenario"
+    raise ScenarioError(f"malformed scenario: {words} must be {what}, got {value!r} (key {path!r})")
+
+
+def _parse(cls: type, d: Any, path: str) -> Any:
+    """Build dataclass `cls` from the document object `d` found at `path`."""
+    d, hints, kwargs = _coerce(dict, d, path.rstrip(".")), _type_hints(cls), {}
+    for f in fields(cls):
+        section, key = NESTED.get(f.name, (None, f.name))
+        src = d if section is None else _coerce(dict, d.get(section, {}), section)
+        where = path + key if section is None else f"{section}.{key}"
+        if key in src:
+            kwargs[f.name] = _coerce(hints[f.name], src[key], where)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ScenarioError(f"missing scenario key {where!r}")
+    return cls(**kwargs)
+
+
+def _dump(obj: Any, names: Iterable[str]) -> dict[str, Any]:
+    """The document object holding fields `names` of dataclass `obj`."""
+    out: dict[str, Any] = {}
+    for name in names:
+        section, key = NESTED.get(name, (None, name))
+        (out if section is None else out.setdefault(section, {}))[key] = _json(getattr(obj, name))
+    return out
+
+
+def _json(value: Any) -> Any:
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if isinstance(value, NoiseConfig):  # its seed is the scenario seed
+        return _dump(value, (f.name for f in fields(value) if f.name != "seed"))
+    return value.to_dict() if dataclasses.is_dataclass(value) else value
 
 
 def scenario_from_dict(d: dict[str, Any]) -> Scenario:
     try:
-        mode = d["mode"]
-        grid = d.get("grid", {})
-        plan_d = d.get("plan")
-        plan = None
-        if plan_d is not None:
-            plan = PlanSpec(
-                T=float(plan_d["T"]),
-                p=int(plan_d["p"]),
-                m=int(plan_d["m"]) if "m" in plan_d else None,
-                P=int(plan_d["P"]) if "P" in plan_d else None,
-                frequencies=tuple(float(f) for f in plan_d.get("frequencies", ())),
-            )
-        cdma_d = d.get("cdma")
-        cdma = None
-        if cdma_d is not None:
-            cdma = CdmaSpec(
-                code_length=int(cdma_d["code_length"]),
-                bit_rate=float(cdma_d.get("bit_rate", 1000.0)),
-                samples_per_bit=int(cdma_d.get("samples_per_bit", 100)),
-            )
-        noise_d = d.get("noise", {})
-        noise = NoiseConfig(
-            awgn_sigma=float(noise_d.get("awgn_sigma", 0.0)),
-            mains_amplitude=float(noise_d.get("mains_amplitude", 0.0)),
-            mains_freq=float(noise_d.get("mains_freq", 50.0)),
-            mains_phase=float(noise_d.get("mains_phase", 0.0)),
-            pink_enabled=bool(noise_d.get("pink_enabled", False)),
-            pink_exponent=float(noise_d.get("pink_exponent", 1.0)),
-            pink_sigma=float(noise_d.get("pink_sigma", 0.0)),
-            dark_offset=float(noise_d.get("dark_offset", 0.0)),
-        )
-        adc_d = d.get("adc", {})
-        full_scale = adc_d.get("full_scale")
-        scenario = Scenario(
-            mode=mode,
-            rows=int(grid.get("rows", 1)),
-            cols=int(grid.get("cols", 1)),
-            pixel_mirrors=int(grid.get("pixel_mirrors", 19)),
-            mirror_pitch_um=float(grid.get("mirror_pitch_um", 13.68)),
-            target=_parse_target(d["target"]) if "target" in d else None,
-            plan=plan,
-            cdma=cdma,
-            noise=noise,
-            adc_enabled=bool(adc_d.get("enabled", False)),
-            adc_bits=int(adc_d.get("bits", 16)),
-            adc_full_scale=None if full_scale is None else float(full_scale),
-            seed=int(d.get("seed", 0)),
-            permissive=bool(d.get("permissive", False)),
-            write_spectra=bool(d.get("write_spectra", False)),
-            log_display=bool(d.get("log_display", False)),
-            intermode_scale=float(d.get("intermode_scale", 1.0)),
-            output_dir=d.get("output_dir"),
-            anchors=tuple(
-                (float(w), float(c)) for w, c in d.get("anchors", DEFAULT_ANCHORS)
-            ),
-            span_nm=tuple(float(v) for v in d.get("span_nm", (412.0, 732.0))),
-            n_columns=int(d.get("n_columns", 52)),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
+        scenario = _parse(Scenario, d, "")
+    except ScenarioError:
+        raise
+    except ValueError as exc:  # a range check of NoiseConfig or a pipeline object
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     _reject_unknown_keys(d, scenario.to_dict())
     return scenario
 
 
-def _reject_unknown_keys(
-    given: dict[str, Any], resolved: dict[str, Any], path: str = ""
-) -> None:
+def _reject_unknown_keys(given: dict[str, Any], resolved: dict[str, Any], path: str = "") -> None:
     """Fail on any key of the input that the resolved scenario does not serialize."""
     for key, value in given.items():
         where = path + key
@@ -371,7 +305,5 @@ def preset_names() -> list[str]:
 def load_preset(name: str) -> Scenario:
     ref = resources.files("caossim").joinpath("presets", f"{name}.json")
     if not ref.is_file():
-        raise ScenarioError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        )
+        raise ScenarioError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
     return scenario_from_dict(json.loads(ref.read_text(encoding="utf-8")))

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,115 @@ class TestScenarioParsing:
     def test_unknown_preset(self):
         with pytest.raises(ScenarioError, match="unknown preset"):
             load_preset("nope")
+
+
+def _with(doc, path, value):
+    """Copy of `doc` with the dotted key `path` set to `value`."""
+    doc = copy.deepcopy(doc)
+    *sections, key = path.split(".")
+    where = doc
+    for section in sections:
+        where = where.setdefault(section, {})
+    where[key] = value
+    return doc
+
+
+def _leaf_paths(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def _rejected_naming(doc, path):
+    with pytest.raises(ScenarioError, match=re.escape(repr(path))):
+        scenario_from_dict(doc)
+
+
+# JSON values of the wrong type for a leaf whose resolved value has the given type
+WRONG_TYPE = {
+    bool: [1, "true"],
+    int: [1.5, True, "1"],
+    float: [True, "1.0"],
+    str: [1, ["x"]],
+    list: ["x", {"a": 1}],
+    type(None): [True, []],
+}
+
+
+class TestStrictSchema:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "doc, path, make, named",
+        [
+            (TINY_FDMA, "intermode_scale", lambda v: v, "intermode_scale"),
+            (TINY_FDMA, "adc.full_scale", lambda v: v, "adc.full_scale"),
+            (TINY_CDMA, "cdma.bit_rate", lambda v: v, "cdma.bit_rate"),
+            (TINY_CDMA, "target.level", lambda v: v, "target.level"),
+            (TINY_FDMA, "target.values", lambda v: [[1.0, v, 0.25, 0.125]], "target.values[0][1]"),
+            ({"mode": "optics-check"}, "span_nm", lambda v: [412.0, v], "span_nm[1]"),
+        ],
+    )
+    def test_non_finite_float_rejected_at_parse(self, doc, path, make, named, value):
+        message = f"must be finite, got {value!r} (key {named!r})"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            scenario_from_dict(_with(doc, path, make(value)))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("permissive", "false"),
+            ("log_display", 1),
+            ("grid.cols", 4.7),
+            ("seed", 1.9),
+            ("adc.bits", True),
+        ],
+    )
+    def test_wrong_json_type_rejected_by_path(self, path, value):
+        _rejected_naming(_with(TINY_FDMA, path, value), path)
+
+    @pytest.mark.parametrize(
+        "doc, path, value, match",
+        [
+            (TINY_FDMA, "grid.pixel_mirrors", 0, "grid dimensions"),
+            (TINY_FDMA, "adc.bits", 30, "bits must lie"),
+            (TINY_FDMA, "adc.full_scale", -1, "full_scale must be positive"),
+            (TINY_CDMA, "cdma.code_length", 6, "power of two"),
+            (TINY_CDMA, "cdma.samples_per_bit", 0, "samples_per_bit"),
+            (TINY_FDMA, "target.values", [[1.0, 0.5, 0.25], [0.125]], "target.values"),
+            (TINY_FDMA, "target.values", [[1.0, 0.5], [0.25, 0.125]], "target.values"),
+        ],
+    )
+    def test_out_of_range_rejected_at_parse(self, doc, path, value, match):
+        with pytest.raises(ScenarioError, match=match):
+            scenario_from_dict(_with(doc, path, value))
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (dict(TINY_FDMA, target={"kind": "explicit"}), "target.values"),
+            (dict(TINY_FDMA, target={"kind": "image-file"}), "target.path"),
+            (dict(TINY_CDMA, target={"kind": "hdr-patches"}), "target.attenuations_db"),
+            (dict(TINY_CDMA, target={"kind": "spectral-line"}), "target.bands"),
+            (dict(TINY_FDMA, plan={"p": 12, "m": 7, "P": 4}), "plan.T"),
+            (dict(TINY_CDMA, cdma={}), "cdma.code_length"),
+        ],
+    )
+    def test_missing_required_key_named(self, doc, path):
+        _rejected_naming(doc, path)
+
+    def test_hdr_layout_defaults_to_one_row_of_patches(self):
+        doc = dict(TINY_CDMA, target={"kind": "hdr-patches", "attenuations_db": [0.0, 20.0]})
+        assert scenario_from_dict(doc).target.layout == (1, 2)
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_every_resolved_key_is_typed_and_every_section_closed(self, name):
+        resolved = load_preset(name).to_dict()
+        for path, value in _leaf_paths(resolved):
+            for wrong in WRONG_TYPE[type(value)]:
+                _rejected_naming(_with(resolved, path, wrong), path)
+            _rejected_naming(_with(resolved, path + "x", value), path + "x")
 
 
 class TestRunnerCore:
