@@ -100,7 +100,9 @@ def add_noise(stream: SampledSignal, cfg: NoiseConfig, slot_index: int) -> Sampl
     if cfg.awgn_sigma or cfg.pink_enabled:
         rng = _slot_rng(cfg.seed, slot_index)
         if cfg.awgn_sigma:
-            out += cfg.awgn_sigma * rng.standard_normal(q)
+            z = rng.standard_normal(q)
+            z *= cfg.awgn_sigma
+            out += z
         if cfg.pink_enabled and cfg.pink_sigma:
             out += cfg.pink_sigma * _pink_noise(rng, q, stream.fs, cfg.pink_exponent)
     return SampledSignal(out, stream.fs)

@@ -1,11 +1,15 @@
 """Recover pixel irradiances from photodetector sample streams.
 
-FM/FDMA slots are decoded in the frequency domain: one FFT per slot
-(numpy's, on a power-of-two Q), then the carrier-bin magnitude divided by
-Q times the exact fundamental coefficient of a 50%-duty square wave with
-that carrier's samples-per-period count.  CDMA streams are decoded by
-bipolar Walsh correlation of the per-bit means; the zero-mean code rows
-annihilate the DC term introduced by on/off optical modulation.
+FM/FDMA slots are decoded in the frequency domain at the slot's carrier
+bins only.  The stream is folded by repeated halving down to the common
+period L of its carriers (the first decimation-in-frequency stages of a
+Q-point FFT), then one length-L real FFT yields every carrier bin; each
+magnitude is divided by Q times the exact fundamental coefficient of a
+50%-duty square wave with that carrier's samples-per-period count.  The
+full-slot FFT (``fft_radix2``) remains for writing spectra.  CDMA streams
+are decoded by bipolar Walsh correlation of the per-bit means; the
+zero-mean code rows annihilate the DC term introduced by on/off optical
+modulation.
 
 Only magnitudes are used at carrier bins.  CDMA estimates may come out
 slightly negative under noise and are reported as-is so that SNR
@@ -14,6 +18,7 @@ statistics stay unbiased; clamping is left to display code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -64,6 +69,32 @@ class DecodedImage:
         return self.estimates.shape
 
 
+def _check_power_of_two(n: int) -> None:
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"stream length {n} is not a power of two")
+
+
+def _check_plan_carrier(fs: float, f_j: float, plan: FrequencyPlan) -> None:
+    """f_j must be a plan channel with an even whole N = fs/f_j samples per period."""
+    if f_j not in plan.channels:
+        raise ValueError(f"{f_j} Hz is not a plan channel")
+    n_float = fs / f_j
+    n = round(n_float)
+    if abs(n_float - n) > 1e-9 * n_float or n % 2:
+        raise ValueError(f"fs/f = {n_float} must be an even integer")
+
+
+def _nearest_bin(f: float, delta_f: float, q: int) -> int:
+    b = int(round(f / delta_f))
+    if not 0 <= b <= q // 2:
+        raise ValueError("frequency outside the spectrum")
+    return b
+
+
+def _bin_estimate(coeff: complex, q: int, fs: float, f: float) -> float:
+    return float(abs(coeff) / (q * fundamental_coefficient(fs / f)))
+
+
 def fft_radix2(samples: SampledSignal) -> Spectrum:
     """Full-length DFT of one slot (numpy's FFT).
 
@@ -71,8 +102,7 @@ def fft_radix2(samples: SampledSignal) -> Spectrum:
     it would break the whole-cycle property the channel design relies on.
     """
     n = len(samples)
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"stream length {n} is not a power of two")
+    _check_power_of_two(n)
     return Spectrum(
         coeffs=np.fft.fft(samples.samples),
         fs=samples.fs,
@@ -88,12 +118,7 @@ def recover_channel_irradiance(
     There a1(N) = 1/(N sin(pi/N)) is the exact fundamental coefficient of a
     unit 50%-duty square wave, so a clean unit carrier decodes to exactly 1.
     """
-    if f_j not in plan.channels:
-        raise ValueError(f"{f_j} Hz is not a plan channel")
-    n_float = spectrum.fs / f_j
-    n = round(n_float)
-    if abs(n_float - n) > 1e-9 * n_float or n % 2:
-        raise ValueError(f"fs/f = {n_float} must be an even integer")
+    _check_plan_carrier(spectrum.fs, f_j, plan)
     return recover_at_frequency(spectrum, f_j)
 
 
@@ -105,10 +130,8 @@ def recover_at_frequency(spectrum: Spectrum, f: float) -> float:
     leakage errors the channel-selection rule exists to prevent.
     """
     q = spectrum.coeffs.shape[0]
-    b = int(round(f / spectrum.delta_f))
-    if not 0 <= b <= q // 2:
-        raise ValueError("frequency outside the spectrum")
-    return float(abs(spectrum.coeffs[b]) / (q * fundamental_coefficient(spectrum.fs / f)))
+    b = _nearest_bin(f, spectrum.delta_f, q)
+    return _bin_estimate(spectrum.coeffs[b], q, spectrum.fs, f)
 
 
 def decode_slot(
@@ -116,19 +139,40 @@ def decode_slot(
     slot: Sequence[tuple[int, float]],
     plan: FrequencyPlan,
 ) -> dict[int, float]:
-    """FFT the stream once and read every (pixel, carrier) of the slot."""
-    spectrum = fft_radix2(stream)
-    return {
-        pix: recover_channel_irradiance(spectrum, f, plan) for pix, f in slot
-    }
+    """Check every carrier of the slot against the plan, then read them all
+    with decode_slot_free."""
+    for _, f in slot:
+        _check_plan_carrier(stream.fs, f, plan)
+    return decode_slot_free(stream, slot)
 
 
 def decode_slot_free(
     stream: SampledSignal, slot: Sequence[tuple[int, float]]
 ) -> dict[int, float]:
-    """decode_slot without the plan-membership and whole-cycle requirements."""
-    spectrum = fft_radix2(stream)
-    return {pix: recover_at_frequency(spectrum, f) for pix, f in slot}
+    """recover_at_frequency at every (pixel, carrier) of the slot, without
+    the full-slot FFT and without decode_slot's plan checks.
+
+    With b_i the carriers' nearest bins, X[b_i] depends on the stream only
+    through its fold x_L[n] = sum_m x[n + m L] to L = Q / gcd(Q, b_1, ...),
+    where it is bin b_i L / Q of the length-L DFT.  Folding by halving keeps
+    the pairwise summation order of a decimation-in-frequency FFT.  On a
+    plan ladder L is the longest carrier period; a carrier on an odd bin,
+    as off-grid carriers often are, leaves L = Q.
+    """
+    q = len(stream)
+    _check_power_of_two(q)
+    delta_f = stream.fs / q
+    bins = [_nearest_bin(f, delta_f, q) for _, f in slot]
+    period = q // math.gcd(q, *bins)
+    x = stream.samples
+    while len(x) > period:
+        half = len(x) // 2
+        x = x[:half] + x[half:]
+    coeffs = np.fft.rfft(x)
+    return {
+        pix: _bin_estimate(coeffs[b * period // q], q, stream.fs, f)
+        for (pix, f), b in zip(slot, bins)
+    }
 
 
 def decode_cdma(

@@ -21,18 +21,31 @@ __all__ = [
     "write_pgm16",
     "read_pgm16",
     "log_display",
+    "write_columns_csv",
     "write_streams_csv",
 ]
 
 PGM_MAXVAL = 65535
+CSV_BLOCK_ROWS = 1024
+
+
+def _write_csv(path: str | Path, matrix: np.ndarray, header: str | None = None) -> None:
+    """Rows of float64 values in repr form (exact round trip), one line each.
+
+    Rows become Python floats a block at a time: a whole 32769-row spectrum
+    at once would hold megabytes of float objects.
+    """
+    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    with open(path, "w", encoding="ascii") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for start in range(0, m.shape[0], CSV_BLOCK_ROWS):
+            for row in m[start : start + CSV_BLOCK_ROWS].tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
-    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    with open(path, "w", encoding="ascii") as fh:
-        for row in m:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    _write_csv(path, matrix)
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
@@ -99,12 +112,14 @@ def log_display(matrix: np.ndarray, floor_decades: float = 8.0) -> np.ndarray:
     return logd / np.log10(peak / floor)
 
 
+def write_columns_csv(path: str | Path, columns: np.ndarray) -> None:
+    """A Q x S matrix with one column per slot, under a slot_<i> header."""
+    header = ",".join(f"slot_{i}" for i in range(columns.shape[1]))
+    _write_csv(path, columns, header)
+
+
 def write_streams_csv(path: str | Path, streams: Sequence[SampledSignal]) -> None:
     """Slot streams side by side, one column per slot."""
     if not streams:
         raise ValueError("no streams to write")
-    cols = np.column_stack([s.samples for s in streams])
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(f"slot_{i}" for i in range(cols.shape[1])) + "\n")
-        for row in cols:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_columns_csv(path, np.column_stack([s.samples for s in streams]))

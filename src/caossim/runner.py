@@ -415,11 +415,6 @@ def _write_outputs(run_report: RunReport) -> None:
                 out / f"decoded{tag}_log.pgm", fileio.log_display(display)
             )
     if run_report.spectra is not None:
-        with open(out / "spectra.csv", "w", encoding="ascii") as fh:
-            fh.write(
-                ",".join(f"slot_{i}" for i in range(run_report.spectra.shape[1])) + "\n"
-            )
-            for row in run_report.spectra:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fileio.write_columns_csv(out / "spectra.csv", run_report.spectra)
     if run_report.patch is not None:
         (out / "patch_report.csv").write_text(run_report.patch.to_csv(), encoding="ascii")

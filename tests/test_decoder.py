@@ -1,8 +1,14 @@
 """Spectral and correlation decoding: oracles and round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import caossim.decoder
+import caossim.runner
 from caossim.channel import NoiseConfig, add_noise
 from caossim.decoder import (
     assemble_image,
@@ -10,6 +16,7 @@ from caossim.decoder import (
     decode_slot,
     decode_slot_free,
     fft_radix2,
+    recover_at_frequency,
     recover_channel_irradiance,
 )
 from caossim.encoder import (
@@ -21,8 +28,10 @@ from caossim.encoder import (
     schedule_fdma_tdma,
 )
 from caossim.freq_plan import design_plan, plan_from_frequencies
+from caossim.runner import run
+from caossim.scenario import load_preset
 from caossim.scene_optics import CaosGrid, Scene
-from caossim.waveform import SampledSignal
+from caossim.waveform import SampledSignal, fundamental_coefficient
 
 
 def _direct_dft(x):
@@ -141,6 +150,87 @@ class TestDecodeSlot:
         est = decode_slot_free(stream, slot)
         errs = [abs(est[0] - 1.0) / 1.0, abs(est[1] - 0.01) / 0.01]
         assert max(errs) >= 0.01
+
+
+@st.composite
+def _slot_streams(draw):
+    """A nonnegative stream and 1-8 carriers: on-grid odd and even bins, Q/2,
+    and off-grid frequencies."""
+    q = 2 ** draw(st.integers(4, 14))
+    delta_f = 4.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random(q) * draw(st.sampled_from([1e-7, 1.0, 1e3]))
+    if draw(st.booleans()):
+        x[rng.random(q) < 0.5] = 0.0
+    freqs = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["odd", "even", "nyquist", "off-grid"]))
+        if kind == "odd":
+            b = 2 * draw(st.integers(0, q // 4 - 1)) + 1
+        elif kind == "even":
+            b = 2 * draw(st.integers(1, q // 4))
+        elif kind == "nyquist":
+            b = q // 2
+        else:
+            b = draw(st.floats(0.6, q / 2 - 0.6)) + draw(st.floats(-0.45, 0.45))
+        freqs.append(b * delta_f)
+    return SampledSignal(x, q * delta_f), tuple(enumerate(freqs))
+
+
+class TestCarrierReadout:
+    """The fold + short-FFT readout against the full-slot FFT it replaces."""
+
+    @given(_slot_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_full_fft_readout(self, case):
+        stream, slot = case
+        q = len(stream)
+        spectrum = fft_radix2(stream)
+        got = decode_slot_free(stream, slot)
+        assert sorted(got) == [pix for pix, _ in slot]
+        for pix, f in slot:
+            want = recover_at_frequency(spectrum, f)
+            tol = 1e-12 * np.abs(stream.samples).sum() / (q * fundamental_coefficient(stream.fs / f))
+            assert abs(got[pix] - want) <= tol, (q, f)
+
+    def test_table5_precision_no_worse_than_full_fft(self):
+        # the 1e-7 channel sets acceptance 1's 140 dB dynamic range, where
+        # a readout that sums in another order loses digits
+        scenario = load_preset("table5")
+        plan = design_plan(scenario.plan.T, scenario.plan.p, scenario.plan.m, scenario.plan.P)
+        values = np.array(scenario.target.values)
+        design = values.ravel()
+        slot = schedule_fdma_tdma(design.size, plan).slots[0]
+        stream = encode_slot(Scene(values), slot, plan.window())
+        got = decode_slot(stream, slot, plan)
+        spectrum = fft_radix2(stream)
+        for pix, f in slot:
+            err = abs(got[pix] - design[pix]) / design[pix]
+            fft_err = abs(recover_channel_irradiance(spectrum, f, plan) - design[pix]) / design[pix]
+            # where the full FFT is exact, allow the last bit
+            assert err <= max(2.0 * fft_err, np.finfo(float).eps), (f, err, fft_err)
+        assert abs(got[7] - 1e-7) / 1e-7 <= 1e-9
+
+    def test_bad_carriers_and_lengths_rejected(self):
+        plan = design_plan(T=1.0, p=12, m=7, P=2)
+        stream = SampledSignal(np.zeros(4096), plan.fs)
+        with pytest.raises(ValueError, match="not a plan channel"):
+            decode_slot(stream, ((0, plan.channels[0]), (1, 32.0)), plan)
+        with pytest.raises(ValueError, match="power of two"):
+            decode_slot_free(SampledSignal(np.zeros(100), 100.0), ((0, 25.0),))
+        with pytest.raises(ValueError, match="outside the spectrum"):
+            decode_slot_free(stream, ((0, plan.fs),))
+
+    @pytest.mark.parametrize("preset", ["table5", "fig9-invalid", "hdr66-fdma"])
+    def test_tdma_run_without_spectra_never_runs_a_full_fft(self, preset, monkeypatch):
+        def forbidden(stream):
+            raise AssertionError("full-slot FFT called")
+
+        monkeypatch.setattr(caossim.runner, "fft_radix2", forbidden)
+        monkeypatch.setattr(caossim.decoder, "fft_radix2", forbidden)
+        report = run(dataclasses.replace(load_preset(preset), write_spectra=False))
+        assert report.spectra is None
+        assert np.all(np.isfinite(report.image.estimates))
 
 
 class TestDecodeCdma:

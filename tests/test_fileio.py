@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from caossim.fileio import (
+    CSV_BLOCK_ROWS,
     log_display,
     read_matrix_csv,
     read_pgm16,
     write_matrix_csv,
+    write_columns_csv,
     write_pgm16,
     write_streams_csv,
 )
@@ -70,3 +72,18 @@ def test_streams_csv(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "slot_0,slot_1,slot_2"
     assert text[1] == "0.0,1.0,2.0"
+
+
+def test_csv_rows_across_blocks_match_per_value_repr(tmp_path):
+    # rows are converted a block at a time; the text must not depend on it
+    rng = np.random.default_rng(3)
+    m = np.abs(rng.standard_normal((2 * CSV_BLOCK_ROWS + 5, 3))) * 1e-7
+    m[5, 1] = 0.0
+    path = tmp_path / "cols.csv"
+    write_columns_csv(path, m)
+    want = "slot_0,slot_1,slot_2\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in m
+    )
+    assert path.read_text() == want
+    write_matrix_csv(tmp_path / "m.csv", m)
+    assert np.array_equal(read_matrix_csv(tmp_path / "m.csv"), m)
