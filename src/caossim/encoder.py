@@ -10,12 +10,18 @@ mirrors:
 * FDMA-TDMA: P pixels per slot on distinct plan carriers, summed on the
   detector.
 
+Every TDMA slot drives the same carriers on the same frame clock; only the
+pixel amplitudes change from slot to slot.  Each carrier is therefore
+synthesised once per (frequency, window, strict) as a boolean mask of its
+high samples, and a slot adds each pixel's amplitude where its mask is set.
+
 Pixels outside the active slot are parked toward the complementary
 detector and contribute nothing to the primary stream.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -166,18 +172,39 @@ def encode_slot(
 ) -> SampledSignal:
     """Superposition of the slot's irradiance-weighted square carriers.
 
+    Each carrier is synthesised once per (frequency, window, strict) and
+    reused by every later slot; zero-irradiance pixels are skipped.
     strict=False samples misconfigured carriers with partial cycles instead
     of rejecting them (crosstalk demonstrations).
     """
     flat = scene.irradiance.ravel()
     out = np.zeros(window.Q)
-    synth = synth_square if strict else sample_square_free
     for pix, freq in slot:
         amp = flat[pix]
         if amp == 0.0:
             continue
-        out += synth(SquareWaveSpec(frequency=freq, amplitude=amp), window).samples
+        # out starts at +0.0 and amp >= 0, so skipping the low samples equals adding 0.0
+        np.add(out, amp, out=out, where=_carrier_mask(freq, window, strict))
     return SampledSignal(out, window.fs)
+
+
+@functools.lru_cache(maxsize=64)
+def _carrier_mask(freq: float, window: SamplingWindow, strict: bool) -> np.ndarray:
+    """Read-only mask of the high samples of a unit carrier over one window.
+
+    The square wave itself is defined only in waveform.py: this calls
+    synth_square (strict) or sample_square_free once per (freq, window,
+    strict) and keeps Q bytes.  A carrier set that strict mode accepts (a
+    power-of-two ladder with at least 4 samples per period) on Q = 2**p
+    samples has at most p - 1 carriers, so 64 entries hold every carrier of
+    such a plan; the cache holds at most 64 * Q bytes of the largest
+    window used (4 MiB at Q = 2**16).  A permissive explicit list of more
+    than 64 carriers falls back to one synthesis per carrier per slot.
+    """
+    synth = synth_square if strict else sample_square_free
+    mask = synth(SquareWaveSpec(frequency=freq), window).samples != 0.0
+    mask.flags.writeable = False
+    return mask
 
 
 def _check_window_matches_plan(window: SamplingWindow, plan: FrequencyPlan) -> None:

@@ -128,9 +128,14 @@ def build_scene(target: TargetSpec, grid: CaosGrid) -> Scene:
         )
     if target.kind == "image-file":
         path = Path(target.path)
-        if path.suffix == ".pgm":
-            return Scene(fileio.read_pgm16(path))
-        return Scene(fileio.read_matrix_csv(path))
+        read = fileio.read_pgm16 if path.suffix == ".pgm" else fileio.read_matrix_csv
+        scene = Scene(read(path))
+        if scene.shape != (grid.rows, grid.cols):
+            raise ScenarioError(
+                f"'target.path' {target.path} holds a {scene.shape[0]}x{scene.shape[1]}"
+                f" image, but the grid is {grid.rows}x{grid.cols}"
+            )
+        return scene
     raise ScenarioError(f"target kind {target.kind!r} has no direct scene form")
 
 
@@ -218,8 +223,7 @@ def _spectral_line_scenes(
     config = OpticsConfig()
     anchors = [SpectralAnchor(w, c) for w, c in scenario.anchors]
     out = []
-    for i, (center, bw) in enumerate(target.bands):
-        row = target.start_row + i * target.row_step
+    for (center, bw), row in zip(target.bands, target.band_rows):
         scene = make_spectral_line_scene(
             grid, row, center, bw, config, anchors, target.source_temp_k
         )

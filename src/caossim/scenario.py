@@ -9,9 +9,9 @@ and type hints; the tables below give only the document layout.  Parsing is
 strict (bool: true/false; int: a JSON integer; float: any finite number;
 tuple: a list of the right length; null only where a field may be None) and
 runs every range check, including those of the grid, ADC and CDMA objects a
-run builds.  A key that the resolved document lacks (a misspelling, or a
-setting the mode or target kind ignores) is rejected.  Errors name the dotted
-key path, e.g. 'grid.cols'.  A resolved scenario serialises back to the same
+run builds and the fit of the target to the grid.  A key that the resolved
+document lacks (a misspelling, or a setting the mode or target kind ignores)
+is rejected.  Errors name the dotted key path, e.g. 'grid.cols'.  A resolved scenario serialises back to the same
 document it parses from.
 """
 
@@ -30,7 +30,7 @@ from typing import Any, Iterable
 
 from .channel import AdcConfig, NoiseConfig
 from .encoder import CdmaConfig, WalshAssignment
-from .scene_optics import CaosGrid
+from .scene_optics import CaosGrid, hdr_patch_masks
 
 __all__ = [
     "ScenarioError", "PlanSpec", "TargetSpec", "CdmaSpec", "Scenario",
@@ -117,6 +117,11 @@ class TargetSpec:
             if getattr(self, key) in ((), ""):
                 raise ScenarioError(f"target kind {self.kind!r} needs a non-empty 'target.{key}'")
 
+    @property
+    def band_rows(self) -> tuple[int, ...]:
+        """The grid row of each spectral-line band, in band order."""
+        return tuple(self.start_row + i * self.row_step for i in range(len(self.bands)))
+
     def to_dict(self) -> dict[str, Any]:
         return _dump(self, ("kind", *TARGET_KEYS[self.kind]))
 
@@ -182,9 +187,28 @@ class Scenario:
         if self.mode == "cdma":
             CdmaConfig(self.cdma.bit_rate, self.cdma.samples_per_bit)
             WalshAssignment.sequential(grid.num_pixels, self.cdma.code_length)
-        values = self.target.values
-        if self.target.kind == "explicit" and [len(r) for r in values] != [self.cols] * self.rows:
-            raise ScenarioError(f"'target.values' must be a {self.rows}x{self.cols} matrix")
+        self._check_target_geometry(grid)
+
+    def _check_target_geometry(self, grid: CaosGrid) -> None:
+        """The target must fit the grid; an image file is checked when it is read."""
+        target, shape = self.target, f"{self.rows}x{self.cols}"
+        if target.kind == "explicit" and [len(r) for r in target.values] != [self.cols] * self.rows:
+            raise ScenarioError(f"'target.values' must be a {shape} matrix")
+        if target.kind == "hdr-patches":
+            try:
+                hdr_patch_masks(grid, target.layout, len(target.attenuations_db),
+                                target.patch_radius)
+            except ValueError as exc:
+                raise ScenarioError(
+                    f"'target.layout' and 'target.patch_radius' do not fit the {shape} grid: {exc}"
+                ) from exc
+        if target.kind == "spectral-line":
+            outside = [r for r in target.band_rows if not 0 <= r < self.rows]
+            if outside:
+                raise ScenarioError(
+                    f"'target.start_row' and 'target.row_step' put band rows {outside}"
+                    f" outside the {self.rows} grid rows"
+                )
 
     @property
     def grid(self) -> CaosGrid:

@@ -238,10 +238,27 @@ def make_hdr_patch_target(
     """
     if background < 0:
         raise ValueError("background must be nonnegative")
-    centers = _patch_centers(grid, layout, len(attenuations_db))
+    masks = hdr_patch_masks(grid, layout, len(attenuations_db), patch_radius)
     img = np.full((grid.rows, grid.cols), background, dtype=np.float64)
+    for att, mask in zip(attenuations_db, masks):
+        img[mask] = 10.0 ** (-att / 20.0)
+    return Scene(img)
+
+
+def hdr_patch_masks(
+    grid: CaosGrid, layout: tuple[int, int], count: int, patch_radius: float
+) -> list[np.ndarray]:
+    """Boolean masks of the patches make_hdr_patch_target lays down.
+
+    Raises ValueError when the radius is not positive, the layout cannot
+    hold `count` patches, a patch does not fit inside the grid or covers no
+    pixel, or two patches overlap.
+    """
+    if not patch_radius > 0:
+        raise ValueError("patch_radius must be positive")
+    masks = []
     covered = np.zeros((grid.rows, grid.cols), dtype=bool)
-    for att, center in zip(attenuations_db, centers):
+    for center in _patch_centers(grid, layout, count):
         if (
             center[0] - patch_radius < -0.5
             or center[0] + patch_radius > grid.rows - 0.5
@@ -250,21 +267,13 @@ def make_hdr_patch_target(
         ):
             raise ValueError("patch does not fit inside the grid")
         mask = _patch_mask(grid, center, patch_radius)
+        if not mask.any():
+            raise ValueError("patch covers no pixel")
         if np.any(covered & mask):
             raise ValueError("patches overlap")
         covered |= mask
-        img[mask] = 10.0 ** (-att / 20.0)
-    return Scene(img)
-
-
-def hdr_patch_masks(
-    grid: CaosGrid, layout: tuple[int, int], count: int, patch_radius: float
-) -> list[np.ndarray]:
-    """Boolean masks of the patches make_hdr_patch_target lays down."""
-    return [
-        _patch_mask(grid, c, patch_radius)
-        for c in _patch_centers(grid, layout, count)
-    ]
+        masks.append(mask)
+    return masks
 
 
 def planck_weight(lambda_nm: float, temp_k: float) -> float:

@@ -102,7 +102,25 @@ def test_malformed_scenario_is_validation_failure(tmp_path, capsys):
 
 
 def test_pipeline_precondition_failure_is_clean_exit_1(tmp_path, capsys):
-    # parses fine, but the patch cannot fit inside the grid
+    # parses fine, but only the run reads the image file, whose shape is not the grid's
+    image = tmp_path / "small.csv"
+    image.write_text("1,0.5\n0.25,0\n")
+    doc = {
+        "mode": "fdma-tdma",
+        "grid": {"rows": 3, "cols": 3},
+        "target": {"kind": "image-file", "path": str(image)},
+        "plan": {"T": 1.0, "p": 10, "m": 7, "P": 1},
+        "seed": 0,
+    }
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "scenario rejected" in err and "Traceback" not in err
+    assert str(image) in err and "2x2 image" in err and "grid is 3x3" in err
+
+
+def test_target_that_cannot_fit_is_invalid_scenario(tmp_path, capsys):
     doc = {
         "mode": "fdma-tdma",
         "grid": {"rows": 3, "cols": 3},
@@ -115,7 +133,7 @@ def test_pipeline_precondition_failure_is_clean_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["simulate", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "scenario rejected" in err and "Traceback" not in err
+    assert "invalid scenario" in err and "'target.patch_radius'" in err
 
 
 def test_reproduce_list(capsys):

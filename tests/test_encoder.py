@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caossim.encoder
+from caossim import load_preset, run
 from caossim.encoder import (
     CdmaConfig,
     TdmaSchedule,
@@ -21,7 +23,7 @@ from caossim.encoder import (
 )
 from caossim.freq_plan import design_plan
 from caossim.scene_optics import CaosGrid, Scene
-from caossim.waveform import SamplingWindow
+from caossim.waveform import SamplingWindow, SquareWaveSpec, sample_square_free, synth_square
 
 
 class TestWalshMatrix:
@@ -212,3 +214,72 @@ class TestComplementaryStream:
         stream = encode_slot(scene, [], window)
         comp = complementary_stream(stream, scene, [])
         assert set(np.unique(comp.samples)) == {1.0}
+
+
+AMPLITUDES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5e-324, 1e-300, 1e-12]),
+    st.floats(0.0, 1.0),
+    st.floats(1e6, 1e300),
+)
+
+
+def _summed_carriers(amps, freqs, window, synth):
+    return sum(synth(SquareWaveSpec(f, a), window).samples for a, f in zip(amps, freqs))
+
+
+class TestCarrierMaskCache:
+    @given(
+        p=st.integers(8, 12),
+        m=st.integers(1, 3),
+        amps=st.lists(AMPLITUDES, min_size=1, max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_strict_slot_equals_summed_synthesis(self, p, m, amps):
+        plan = design_plan(T=1.0, p=p, m=m, P=len(amps))
+        window = plan.window()
+        slot = list(enumerate(plan.channels))
+        stream = encode_slot(Scene(np.array([amps])), slot, window)
+        expected = _summed_carriers(amps, plan.channels, window, synth_square)
+        assert np.array_equal(stream.samples, expected)
+
+    @given(
+        freqs=st.lists(st.floats(0.5, 512.0), min_size=1, max_size=4, unique=True),
+        amps=st.lists(AMPLITUDES, min_size=4, max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_permissive_slot_equals_summed_synthesis(self, freqs, amps):
+        window = SamplingWindow.design(T=0.25, p=10)  # fs = 4096, Nyquist 2048 Hz
+        amps = amps[: len(freqs)]
+        slot = list(enumerate(freqs))
+        stream = encode_slot(Scene(np.array([amps])), slot, window, strict=False)
+        expected = _summed_carriers(amps, freqs, window, sample_square_free)
+        assert np.array_equal(stream.samples, expected)
+
+    def test_each_carrier_synthesised_once_per_window(self, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapper(spec, window):
+                calls.append((spec.frequency, window, fn.__name__))
+                return fn(spec, window)
+            return wrapper
+
+        monkeypatch.setattr(caossim.encoder, "synth_square", counting(synth_square))
+        monkeypatch.setattr(caossim.encoder, "sample_square_free", counting(sample_square_free))
+        caossim.encoder._carrier_mask.cache_clear()
+        try:
+            for name in ("fig9-valid", "fig9-invalid"):
+                run(load_preset(name))
+        finally:
+            caossim.encoder._carrier_mask.cache_clear()
+        assert {fn for _, _, fn in calls} == {"synth_square", "sample_square_free"}
+        assert len(calls) == len(set(calls)) <= 7 + 7
+
+    def test_cached_mask_is_read_only(self):
+        window = SamplingWindow.design(T=1.0, p=8)
+        mask = caossim.encoder._carrier_mask(16.0, window, True)
+        assert mask.dtype == bool and mask.shape == (window.Q,) and mask.sum() == window.Q // 2
+        assert caossim.encoder._carrier_mask(16.0, window, True) is mask
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = False

@@ -216,8 +216,36 @@ class TestStrictSchema:
         _rejected_naming(doc, path)
 
     def test_hdr_layout_defaults_to_one_row_of_patches(self):
-        doc = dict(TINY_CDMA, target={"kind": "hdr-patches", "attenuations_db": [0.0, 20.0]})
+        doc = dict(TINY_CDMA, grid={"rows": 5, "cols": 10}, cdma={"code_length": 64},
+                   target={"kind": "hdr-patches", "attenuations_db": [0.0, 20.0]})
         assert scenario_from_dict(doc).target.layout == (1, 2)
+
+    @pytest.mark.parametrize(
+        "grid, target, match",
+        [
+            ((3, 3), {"layout": [1, 1], "patch_radius": 5.0}, "does not fit"),
+            ((3, 3), {"attenuations_db": [0.0, 20.0], "layout": [1, 1]}, "cannot hold"),
+            ((3, 5), {"attenuations_db": [0.0, 20.0], "layout": [1, 2], "patch_radius": 1.25},
+             "overlap"),
+            ((2, 2), {"layout": [1, 1], "patch_radius": -2.0}, "must be positive"),
+            ((2, 2), {"layout": [1, 1], "patch_radius": 0.3}, "covers no pixel"),
+        ],
+    )
+    def test_hdr_patches_that_cannot_fit_rejected_at_parse(self, grid, target, match):
+        doc = dict(TINY_FDMA, grid={"rows": grid[0], "cols": grid[1]},
+                   target={"kind": "hdr-patches", "attenuations_db": [0.0], **target})
+        with pytest.raises(ScenarioError, match=match) as info:
+            scenario_from_dict(doc)
+        assert "'target.layout'" in str(info.value) and "'target.patch_radius'" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "key, value", [("start_row", 500), ("start_row", -1), ("row_step", 6), ("row_step", -1)]
+    )
+    def test_spectral_line_rows_outside_grid_rejected_at_parse(self, key, value):
+        doc = _with(load_preset("spectral-line").to_dict(), f"target.{key}", value)
+        with pytest.raises(ScenarioError, match="outside the 38 grid rows") as info:
+            scenario_from_dict(doc)
+        assert "'target.start_row'" in str(info.value) and "'target.row_step'" in str(info.value)
 
     @pytest.mark.parametrize("name", preset_names())
     def test_every_resolved_key_is_typed_and_every_section_closed(self, name):
@@ -425,3 +453,21 @@ class TestImageFileTarget:
         }
         report = run(scenario_from_dict(doc))
         np.testing.assert_allclose(report.image.estimates, read_pgm16(path), rtol=1e-9)
+
+    @pytest.mark.parametrize("mode", ["fdma-tdma", "cdma"])
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 2), (3, 4)])
+    def test_image_not_matching_grid_rejected_by_path(self, tmp_path, shape, mode):
+        from caossim.fileio import write_matrix_csv
+
+        path = tmp_path / "scene.csv"
+        write_matrix_csv(path, np.ones(shape))
+        doc = {
+            "mode": mode,
+            "grid": {"rows": 3, "cols": 3},
+            "target": {"kind": "image-file", "path": str(path)},
+            **({"cdma": {"code_length": 16}} if mode == "cdma" else
+               {"plan": {"T": 1.0, "p": 10, "m": 7, "P": 1}}),
+        }
+        message = f"'target.path' {path} holds a {shape[0]}x{shape[1]} image, but the grid is 3x3"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            run(scenario_from_dict(doc))
