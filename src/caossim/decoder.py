@@ -6,10 +6,12 @@ period L of its carriers (the first decimation-in-frequency stages of a
 Q-point FFT), then one length-L real FFT yields every carrier bin; each
 magnitude is divided by Q times the exact fundamental coefficient of a
 50%-duty square wave with that carrier's samples-per-period count.  The
-full-slot FFT (``fft_radix2``) remains for writing spectra.  CDMA streams
-are decoded by bipolar Walsh correlation of the per-bit means; the
-zero-mean code rows annihilate the DC term introduced by on/off optical
-modulation.
+full-slot FFT (``fft_radix2``) remains as the reference spectrum API.
+CDMA streams are decoded by bipolar Walsh correlation of the per-bit
+means; the zero-mean code rows annihilate the DC term introduced by on/off
+optical modulation.  One fast Walsh-Hadamard transform of the L means
+correlates them with every code row at once (O(L log L) time, O(L)
+memory); the dense ``walsh_matrix`` is never built.
 
 Only magnitudes are used at carrier bins.  CDMA estimates may come out
 slightly negative under noise and are reported as-is so that SNR
@@ -24,7 +26,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoder import CdmaConfig, TdmaSchedule, WalshAssignment, walsh_matrix
+from .encoder import (
+    CdmaConfig,
+    TdmaSchedule,
+    WalshAssignment,
+    _code_rows,
+    fwht,
+    walsh_matrix,  # not called here; perfbench/tracing.py wraps this name
+)
 from .freq_plan import FrequencyPlan
 from .scene_optics import CaosGrid
 from .waveform import SampledSignal, fundamental_coefficient
@@ -184,17 +193,16 @@ def decode_cdma(
     """Bipolar Walsh correlation of the per-bit sample means.
 
     Pixel estimate = (2/L) sum_b mean_b * c_k[b]; exact for a noiseless
-    round trip.
+    round trip.  The correlations with all L code rows are fwht(means), so
+    the L x L code matrix is never built.
     """
     L = assignment.code_length
     expected = L * cfg.samples_per_bit
     if len(stream) != expected:
         raise ValueError(f"stream length {len(stream)} != L*samples_per_bit = {expected}")
     means = stream.samples.reshape(L, cfg.samples_per_bit).mean(axis=1)
-    h = walsh_matrix(L).astype(np.float64)
-    npix = grid.num_pixels
-    rows = np.array([assignment.pixel_to_row[i] for i in range(npix)])
-    estimates = (2.0 / L) * (h[rows] @ means)
+    rows = _code_rows(assignment, grid.num_pixels)
+    estimates = (2.0 / L) * fwht(means)[rows]
     return DecodedImage(
         estimates=estimates.reshape(grid.rows, grid.cols),
         mode="cdma",

@@ -6,6 +6,10 @@ mirrors:
 * CDMA: every pixel modulated at once by its own Walsh (Hadamard-row)
   code, one code bit per mirror frame.  The +-1 code maps to on/off
   light, so the emitted level per bit is sum_i I_i * (c_i + 1) / 2.
+  The code rows are never formed: the sum over pixels of I_i * c_i is one
+  fast Walsh-Hadamard transform (``fwht``) of the irradiances placed at
+  their code rows, O(L log L) time and O(L) memory.  ``walsh_matrix``
+  builds the dense L x L matrix and is kept only as the reference oracle.
 * FM-TDMA: one pixel per slot, square-modulated at a single carrier.
 * FDMA-TDMA: P pixels per slot on distinct plan carriers, summed on the
   detector.
@@ -44,6 +48,7 @@ __all__ = [
     "TdmaSchedule",
     "SampledSignal",
     "walsh_matrix",
+    "fwht",
     "encode_cdma",
     "schedule_fdma_tdma",
     "encode_slot",
@@ -53,18 +58,46 @@ __all__ = [
 ]
 
 
+def _check_code_length(L: int) -> None:
+    if L < 1 or L & (L - 1):
+        raise ValueError(f"code length must be a power of two, got {L}")
+
+
 def walsh_matrix(L: int) -> np.ndarray:
     """L x L Sylvester–Hadamard matrix of +-1 (int8), L a power of two.
 
     H_1 = [1]; H_2n = [[H_n, H_n], [H_n, -H_n]].  Rows are mutually
-    orthogonal: H @ H.T = L * I.
+    orthogonal: H @ H.T = L * I.  O(L^2) memory (4 GiB at L = 2**16): the
+    encoder and decoder use ``fwht`` instead, and this dense form is the
+    reference it is tested against.
     """
-    if L < 1 or L & (L - 1):
-        raise ValueError(f"code length must be a power of two, got {L}")
+    _check_code_length(L)
     h = np.array([[1]], dtype=np.int8)
     while h.shape[0] < L:
         h = np.block([[h, h], [h, -h]])
     return h
+
+
+def fwht(x: np.ndarray) -> np.ndarray:
+    """walsh_matrix(L) @ x for a length-L vector, as a new float64 array.
+
+    Fast Walsh–Hadamard transform in natural (Sylvester) order: log2(L)
+    butterfly levels, each viewing the vector as (L / 2h, 2, h) blocks and
+    replacing every pair (a, b) by (a + b, a - b).  O(L log L) time and O(L)
+    memory.  H is symmetric and H @ H = L * I, so fwht(fwht(x)) = L * x.
+    """
+    y = np.array(x, dtype=np.float64)
+    if y.ndim != 1:
+        raise ValueError("fwht takes a 1-D vector")
+    _check_code_length(y.size)
+    h = 1
+    while h < y.size:
+        pairs = y.reshape(-1, 2, h)
+        a, b = pairs[:, 0].copy(), pairs[:, 1]
+        pairs[:, 0] += b
+        np.subtract(a, b, out=b)
+        h *= 2
+    return y
 
 
 @dataclass(frozen=True)
@@ -94,6 +127,16 @@ class WalshAssignment:
         return cls(code_length, {i: i + 1 for i in range(n_pixels)})
 
 
+def _code_rows(assignment: WalshAssignment, npix: int) -> np.ndarray:
+    """Code row of each pixel 0..npix-1 in raster order; every pixel needs one."""
+    # row 0 is never assigned, so it marks a pixel without a code row
+    rows = [assignment.pixel_to_row.get(i, 0) for i in range(npix)]
+    missing = [i for i, r in enumerate(rows) if r == 0]
+    if missing:
+        raise ValueError(f"pixels without a code row: {missing[:5]}...")
+    return np.array(rows, dtype=np.intp)
+
+
 @dataclass(frozen=True)
 class CdmaConfig:
     bit_rate: float
@@ -111,15 +154,19 @@ class CdmaConfig:
 def encode_cdma(
     scene: Scene, assignment: WalshAssignment, cfg: CdmaConfig
 ) -> SampledSignal:
-    """Sum of code-gated pixel irradiances, held samples_per_bit per bit."""
+    """Sum of code-gated pixel irradiances, held samples_per_bit per bit.
+
+    Level of bit b = sum_i I_i (H[r_i, b] + 1) / 2 = (sum I + (H c)[b]) / 2,
+    where c holds each pixel's irradiance at its code row r_i; H c is one
+    fwht, so the L x L code matrix is never built.
+    """
     flat = scene.irradiance.ravel()
-    missing = [i for i in range(flat.size) if i not in assignment.pixel_to_row]
-    if missing:
-        raise ValueError(f"pixels without a code row: {missing[:5]}...")
-    h = walsh_matrix(assignment.code_length)
-    rows = np.array([assignment.pixel_to_row[i] for i in range(flat.size)])
-    onoff = (h[rows].astype(np.float64) + 1.0) / 2.0
-    levels = flat @ onoff
+    rows = _code_rows(assignment, flat.size)
+    coded = np.zeros(assignment.code_length)
+    coded[rows] = flat
+    levels = fwht(coded)
+    levels += flat.sum()
+    levels *= 0.5
     return SampledSignal(np.repeat(levels, cfg.samples_per_bit), cfg.fs)
 
 

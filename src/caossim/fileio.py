@@ -32,16 +32,16 @@ CSV_BLOCK_ROWS = 1024
 def _write_csv(path: str | Path, matrix: np.ndarray, header: str | None = None) -> None:
     """Rows of float64 values in repr form (exact round trip), one line each.
 
-    Rows become Python floats a block at a time: a whole 32769-row spectrum
-    at once would hold megabytes of float objects.
+    Rows become Python floats, and lines one string, a block at a time: a
+    whole 32769-row spectrum at once would hold megabytes of float objects.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     with open(path, "w", encoding="ascii") as fh:
         if header is not None:
             fh.write(header + "\n")
         for start in range(0, m.shape[0], CSV_BLOCK_ROWS):
-            for row in m[start : start + CSV_BLOCK_ROWS].tolist():
-                fh.write(",".join(map(repr, row)) + "\n")
+            rows = m[start : start + CSV_BLOCK_ROWS].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:

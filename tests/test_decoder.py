@@ -1,6 +1,7 @@
 """Spectral and correlation decoding: oracles and round trips."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caossim.decoder
+import caossim.encoder
 import caossim.runner
-from caossim.channel import NoiseConfig, add_noise
+from caossim.channel import NoiseConfig, add_noise, quantize
 from caossim.decoder import (
     assemble_image,
     decode_cdma,
@@ -26,6 +28,7 @@ from caossim.encoder import (
     encode_fm_tdma,
     encode_slot,
     schedule_fdma_tdma,
+    walsh_matrix,
 )
 from caossim.freq_plan import design_plan, plan_from_frequencies
 from caossim.runner import run
@@ -232,6 +235,22 @@ class TestCarrierReadout:
         assert report.spectra is None
         assert np.all(np.isfinite(report.image.estimates))
 
+    @pytest.mark.parametrize("preset", ["table5", "fig6"])
+    def test_spectra_columns_are_the_full_fft_magnitudes(self, preset, monkeypatch):
+        streams = []
+
+        def keep_stream(stream, cfg):
+            out = quantize(stream, cfg)
+            streams.append(out[0])
+            return out
+
+        monkeypatch.setattr(caossim.runner, "quantize", keep_stream)
+        report = run(load_preset(preset))
+        assert report.spectra.shape[1] == len(streams) > 0
+        for column, stream in zip(report.spectra.T, streams):
+            full = np.abs(fft_radix2(stream).coeffs[: len(stream) // 2 + 1])
+            assert np.abs(column - full).max() <= 1e-12 * full.max()
+
 
 class TestDecodeCdma:
     def test_round_trip_random_scene(self):
@@ -273,6 +292,59 @@ class TestDecodeCdma:
         noisy = add_noise(stream, NoiseConfig(awgn_sigma=0.5, seed=3), 0)
         img = decode_cdma(noisy, assign, cfg, grid)
         assert (img.estimates < 0).any()  # zero scene plus noise swings negative
+
+    def test_missing_code_row_named(self):
+        assign = WalshAssignment(8, {0: 1})
+        with pytest.raises(ValueError, match=r"pixels without a code row: \[1\]"):
+            decode_cdma(
+                SampledSignal(np.zeros(8), 1000.0), assign, CdmaConfig(1000.0, 1), CaosGrid(1, 2)
+            )
+
+    @given(st.integers(1, 9), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_correlation(self, k, data):
+        L = 2**k
+        npix = data.draw(st.integers(1, L - 1))
+        rows = data.draw(st.permutations(range(1, L)))[:npix]
+        spb = data.draw(st.integers(1, 3))
+        samples = np.array(
+            data.draw(st.lists(st.floats(-1e6, 1e6), min_size=L * spb, max_size=L * spb))
+        )
+        assign = WalshAssignment(L, dict(enumerate(rows)))
+        cfg = CdmaConfig(1000.0, spb)
+        img = decode_cdma(SampledSignal(samples, cfg.fs), assign, cfg, CaosGrid(1, npix))
+        means = samples.reshape(L, spb).mean(axis=1)
+        dense = (2.0 / L) * (walsh_matrix(L)[rows].astype(np.float64) @ means)
+        err = np.abs(img.estimates.ravel() - dense).max()
+        assert err <= 1e-12 * max(np.abs(means).sum(), 1e-300)
+        assert img.channel_map.ravel().tolist() == [float(r) for r in rows]
+
+    def test_round_trip_at_65536_bits_in_linear_memory(self):
+        # the dense code matrix alone would be 4 GiB at this length
+        grid = CaosGrid(255, 256)
+        scene = Scene(np.random.default_rng(11).random((255, 256)))
+        assign = WalshAssignment.sequential(grid.num_pixels, 65536)
+        cfg = CdmaConfig(bit_rate=65536.0, samples_per_bit=1)
+        tracemalloc.start()
+        try:
+            img = decode_cdma(encode_cdma(scene, assign, cfg), assign, cfg, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.abs(img.estimates - scene.irradiance).max() <= 1e-10 * scene.irradiance.max()
+        assert peak < 16 * 2**20
+
+    def test_spectral_line_run_never_builds_walsh_matrix(self, monkeypatch):
+        def forbidden(L):
+            raise AssertionError("dense Walsh matrix built")
+
+        monkeypatch.setattr(caossim.encoder, "walsh_matrix", forbidden)
+        monkeypatch.setattr(caossim.decoder, "walsh_matrix", forbidden)
+        report = run(load_preset("spectral-line"))
+        assert len(report.images) == 7
+        for scene, image in zip(report.scenes, report.images):
+            peak = scene.irradiance.max()
+            assert np.abs(image.estimates - scene.irradiance).max() <= 1e-12 * peak
 
     def test_provenance(self):
         grid = CaosGrid(1, 2)

@@ -18,6 +18,7 @@ from caossim.encoder import (
     encode_fdma_tdma,
     encode_fm_tdma,
     encode_slot,
+    fwht,
     schedule_fdma_tdma,
     walsh_matrix,
 )
@@ -47,6 +48,53 @@ class TestWalshMatrix:
     def test_row_zero_reserved(self):
         with pytest.raises(ValueError, match="reserved"):
             WalshAssignment(8, {0: 0})
+
+
+def _dense_walsh_product(x):
+    """walsh_matrix(L) @ x, cast to float64 256 rows at a time (the oracle)."""
+    h = walsh_matrix(len(x))
+    return np.concatenate([h[i : i + 256].astype(np.float64) @ x for i in range(0, len(x), 256)])
+
+
+class TestFwht:
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda k: st.lists(
+                st.floats(-1e6, 1e6, allow_nan=False), min_size=2**k, max_size=2**k
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_walsh_product(self, values):
+        x = np.array(values)
+        err = np.abs(fwht(x) - _dense_walsh_product(x)).max()
+        assert err <= 1e-12 * np.abs(x).sum()
+
+    @given(
+        st.integers(0, 10).flatmap(
+            lambda k: st.lists(st.integers(-1000, 1000), min_size=2**k, max_size=2**k)
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_involution_up_to_length_is_exact(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert np.array_equal(fwht(fwht(x)), len(x) * x)
+
+    def test_input_left_untouched_and_result_float64(self):
+        x = np.arange(8, dtype=np.int64)
+        y = fwht(x)
+        assert y.dtype == np.float64
+        assert np.array_equal(x, np.arange(8))
+        assert np.array_equal(y, walsh_matrix(8) @ np.arange(8))
+
+    @pytest.mark.parametrize("n", [0, 3, 48])
+    def test_non_power_of_two_rejected(self, n):
+        with pytest.raises(ValueError, match="power of two"):
+            fwht(np.zeros(n))
+
+    def test_matrix_input_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            fwht(np.zeros((4, 4)))
 
 
 class TestEncodeCdma:
@@ -79,6 +127,18 @@ class TestEncodeCdma:
         flat = scene.irradiance.ravel()
         expected = sum(flat[i] * (h[i + 1] + 1) / 2.0 for i in range(4))
         assert np.allclose(stream.samples, expected, rtol=0, atol=1e-15)
+
+    @given(st.integers(1, 9), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_levels_match_dense_code_matrix(self, k, data):
+        L = 2**k
+        npix = data.draw(st.integers(1, L - 1))
+        rows = data.draw(st.permutations(range(1, L)))[:npix]
+        flat = np.array(data.draw(st.lists(st.floats(0, 1e6), min_size=npix, max_size=npix)))
+        assign = WalshAssignment(L, dict(enumerate(rows)))
+        stream = encode_cdma(Scene(flat.reshape(1, npix)), assign, CdmaConfig(1000.0, 1))
+        onoff = (walsh_matrix(L)[rows].astype(np.float64) + 1.0) / 2.0
+        assert np.abs(stream.samples - flat @ onoff).max() <= 1e-12 * max(flat.sum(), 1e-300)
 
 
 class TestSchedule:
