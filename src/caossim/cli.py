@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .freq_plan import available_slots, design_plan, validate_plan
@@ -25,11 +26,21 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return value
+
+
 def _parse_float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad frequency list {text!r}") from exc
+        return [_positive_float(v) for v in text.split(",") if v.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"bad frequency list {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,15 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
     plan_sub = plan.add_subparsers(dest="plan_command", required=True)
 
     gen = plan_sub.add_parser("generate", help="design a power-of-two carrier ladder")
-    gen.add_argument("--T", type=float, required=True, help="slot duration, s")
+    gen.add_argument("--T", type=_positive_float, required=True, help="slot duration, s")
     gen.add_argument("--p", type=int, required=True, help="sample-count exponent (Q = 2^p)")
     gen.add_argument("--m", type=int, required=True, help="base exponent (f1 = 2^(m-1) * delta_f)")
     gen.add_argument("--P", type=int, required=True, help="number of channels")
     gen.add_argument("--json", action="store_true", help="print machine-readable plan")
 
     val = plan_sub.add_parser("validate", help="audit an explicit frequency set")
-    val.add_argument("--df", type=float, required=True, help="spectral resolution, Hz")
-    val.add_argument("--fs", type=float, default=65536.0, help="sample rate, Sps")
+    val.add_argument("--df", type=_positive_float, required=True, help="spectral resolution, Hz")
+    val.add_argument("--fs", type=_positive_float, default=65536.0, help="sample rate, Sps")
     val.add_argument(
         "-f", "--frequencies", type=_parse_float_list, required=True,
         help="comma-separated carrier list, Hz",
@@ -59,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--max-harmonic", type=int, default=63)
 
     slots = plan_sub.add_parser("slots", help="available even-multiple carrier slots")
-    slots.add_argument("--fa", type=float, required=True, help="base carrier, Hz")
+    slots.add_argument("--fa", type=_positive_float, required=True, help="base carrier, Hz")
     slots.add_argument("--used", type=_parse_float_list, required=True)
     slots.add_argument("--horizon", type=int, default=8, help="largest multiple of fa")
 
@@ -84,11 +95,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if args.plan_command == "generate":
         plan = design_plan(args.T, args.p, args.m, args.P)
         if args.json:
-            print(json.dumps({
-                "delta_f": plan.delta_f, "T": plan.T, "fs": plan.fs, "Q": plan.Q,
-                "p": plan.p, "m": plan.m,
-                "channels": list(plan.channels), "bins": list(plan.bins),
-            }, indent=2, sort_keys=True))
+            print(json.dumps(dataclasses.asdict(plan), indent=2, sort_keys=True))
         else:
             print(f"delta_f={plan.delta_f:g} Hz  fs={plan.fs:g} Sps  Q={plan.Q}  T={plan.T:g} s")
             print("channels (Hz): " + ", ".join(f"{f:g}" for f in plan.channels))
@@ -163,7 +170,11 @@ def _execute(scenario, args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "plan":
-        return _cmd_plan(args)
+        try:
+            return _cmd_plan(args)
+        except (ValueError, OverflowError) as exc:  # a setting the plan functions reject
+            print(f"plan {args.plan_command}: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     if args.command == "simulate":
         return _cmd_simulate(args)
     if args.command == "reproduce":

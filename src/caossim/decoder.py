@@ -36,7 +36,7 @@ from .encoder import (
 )
 from .freq_plan import FrequencyPlan
 from .scene_optics import CaosGrid
-from .waveform import SampledSignal, fundamental_coefficient
+from .waveform import SampledSignal, fundamental_coefficient, whole_number
 
 __all__ = [
     "Spectrum",
@@ -87,10 +87,9 @@ def _check_plan_carrier(fs: float, f_j: float, plan: FrequencyPlan) -> None:
     """f_j must be a plan channel with an even whole N = fs/f_j samples per period."""
     if f_j not in plan.channels:
         raise ValueError(f"{f_j} Hz is not a plan channel")
-    n_float = fs / f_j
-    n = round(n_float)
-    if abs(n_float - n) > 1e-9 * n_float or n % 2:
-        raise ValueError(f"fs/f = {n_float} must be an even integer")
+    n = whole_number(fs / f_j)
+    if n is None or n % 2:
+        raise ValueError(f"fs/f = {fs / f_j} must be an even integer")
 
 
 def _nearest_bin(f: float, delta_f: float, q: int) -> int:

@@ -3,9 +3,11 @@
 A slot carries P carriers at once, so every carrier must sit exactly on a
 spectrum bin and no carrier may coincide with an odd harmonic of another
 (alias folds included).  Both constraints are met by the power-of-two
-ladder f_j = 2**(j-1) * f_1 with f_1 = 2**(m-1) * delta_f: odd harmonics
-of a ladder member fold only onto odd multiples of that member, never
-onto a distinct power-of-two channel.
+ladder f_j = 2**(j-1) * f_1 with f_1 = 2**(m-1) * delta_f in a window of
+fs = 2**p * delta_f: every member is fs/2**k (k >= 2), so it has a whole,
+even number of samples per period and zero even harmonics, and its odd
+harmonics fold only onto odd multiples of itself, never onto a distinct
+power-of-two channel.
 
 ``design_plan`` builds such a ladder; ``validate_plan`` audits an
 arbitrary frequency set and reports every violation it finds.
@@ -13,12 +15,11 @@ arbitrary frequency set and reports every violation it finds.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .waveform import SamplingWindow, fold_to_bin
+from .waveform import SamplingWindow, fold_to_bin, whole_number
 
 __all__ = [
     "MainsGuardWarning",
@@ -188,15 +189,9 @@ def plan_from_frequencies(
     )
 
 
-def _is_multiple(f: float, delta_f: float) -> bool:
-    ratio = f / delta_f
-    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)
-
-
-def _is_power_of_two_ratio(f: float, base: float) -> bool:
-    ratio = f / base
-    k = round(math.log2(ratio)) if ratio > 0 else -1
-    return k >= 0 and math.isclose(ratio, 2.0**k, rel_tol=1e-9)
+def _on_ladder(n: int | None) -> bool:
+    """n = fs/f samples per period is a whole power of two >= 4."""
+    return n is not None and n >= 4 and n & (n - 1) == 0
 
 
 def validate_plan(
@@ -207,12 +202,12 @@ def validate_plan(
 ) -> ValidationReport:
     """Audit a carrier set against the whole-cycle and no-collision rules.
 
-    Flags, per frequency: (a) not an integer multiple of delta_f, (b) not a
-    power-of-two multiple of the smallest bin-exact member, (c) coinciding,
-    after alias folding about fs, with an odd harmonic h >= 3 of another
-    bin-exact member.  A collision is charged to the channel whose bin is
-    hit.  Findings are sorted by frequency, so the report is independent of
-    input order.  A report is always produced.
+    Flags, per frequency: (a) not an integer multiple of delta_f, (b) fs/f
+    is not a whole power of two >= 4, (c) coinciding, after alias folding
+    about fs, with an odd harmonic h >= 3 of another bin-exact member.  A
+    collision is charged to the channel whose bin is hit.  Findings are
+    sorted by frequency, so the report is independent of input order.  A
+    report is always produced.
     """
     if not frequencies:
         raise ValueError("frequency list must be nonempty")
@@ -220,26 +215,21 @@ def validate_plan(
     if any(f <= 0 for f in freqs):
         raise ValueError("frequencies must be positive")
 
-    not_multiple = tuple(sorted(f for f in freqs if not _is_multiple(f, delta_f)))
-    exact = [f for f in freqs if _is_multiple(f, delta_f)]
+    exact = [f for f in freqs if whole_number(f / delta_f) is not None]
+    not_multiple = tuple(sorted(f for f in freqs if f not in exact))
 
-    ladder_breaks: list[float] = []
+    ladder_breaks = sorted(f for f in exact if not _on_ladder(whole_number(fs / f)))
+    bins = {f: fold_to_bin(f, fs, delta_f) for f in exact}
     collisions: list[HarmonicCollision] = []
-    if exact:
-        base = min(exact)
-        ladder_breaks = sorted(
-            f for f in exact if not _is_power_of_two_ratio(f, base)
-        )
-        bins = {f: fold_to_bin(f, fs, delta_f) for f in exact}
-        for victim in exact:
-            for source in exact:
-                if source == victim:
-                    continue
-                for h in range(3, max_harmonic + 1, 2):
-                    if fold_to_bin(h * source, fs, delta_f) == bins[victim]:
-                        collisions.append(HarmonicCollision(victim, source, h))
-                        break
-        collisions.sort()
+    for victim in exact:
+        for source in exact:
+            if source == victim:
+                continue
+            for h in range(3, max_harmonic + 1, 2):
+                if fold_to_bin(h * source, fs, delta_f) == bins[victim]:
+                    collisions.append(HarmonicCollision(victim, source, h))
+                    break
+    collisions.sort()
 
     mains = tuple(sorted(f for f in freqs if f <= MAINS_GUARD_HZ))
     return ValidationReport(
@@ -264,10 +254,10 @@ def available_slots(
         raise ValueError("used list must be nonempty")
     used_mult = []
     for u in used:
-        m = u / f_a
-        if abs(m - round(m)) > 1e-9:
+        m = whole_number(u / f_a)
+        if m is None:
             raise ValueError(f"used frequency {u} is not a multiple of f_a = {f_a}")
-        used_mult.append(round(m))
+        used_mult.append(m)
 
     out: list[float] = []
     for k in range(2, horizon + 1, 2):
@@ -285,8 +275,7 @@ def bin_of(f: float, delta_f: float) -> int:
     """Spectrum bin index f/delta_f (DC is bin 0); the ratio must be exact."""
     if f < 0:
         raise ValueError("frequency must be nonnegative")
-    ratio = f / delta_f
-    b = round(ratio)
-    if abs(ratio - b) > 1e-9 * max(1.0, ratio):
+    b = whole_number(f / delta_f)
+    if b is None:
         raise ValueError(f"{f} Hz is not an integer multiple of {delta_f} Hz")
     return b

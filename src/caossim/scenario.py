@@ -8,11 +8,12 @@ The dataclasses are the schema: parsing and serialising walk their fields
 and type hints; the tables below give only the document layout.  Parsing is
 strict (bool: true/false; int: a JSON integer; float: any finite number;
 tuple: a list of the right length; null only where a field may be None) and
-runs every range check, including those of the grid, ADC and CDMA objects a
-run builds and the fit of the target to the grid.  A key that the resolved
-document lacks (a misspelling, or a setting the mode or target kind ignores)
-is rejected.  Errors name the dotted key path, e.g. 'grid.cols'.  A resolved scenario serialises back to the same
-document it parses from.
+runs every range check, including those of the grid, ADC, CDMA and
+carrier-plan objects a run builds and the fit of the target to the grid.
+A key that the resolved document lacks (a misspelling, or a setting the
+mode or target kind ignores) is rejected.  Errors name the dotted key path,
+e.g. 'grid.cols'.  A resolved scenario serialises back to the same document
+it parses from.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import math
 import sys
 import typing
+import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -30,6 +32,7 @@ from typing import Any, Iterable
 
 from .channel import AdcConfig, NoiseConfig
 from .encoder import CdmaConfig, WalshAssignment
+from .freq_plan import MainsGuardWarning, design_plan, plan_from_frequencies
 from .scene_optics import CaosGrid, hdr_patch_masks
 
 __all__ = [
@@ -83,6 +86,11 @@ class PlanSpec:
             raise ScenarioError(f"plan T must be a finite positive duration, got {self.T}")
         if self.p < 1:
             raise ScenarioError(f"plan p must be >= 1, got {self.p}")
+        if not all(f > 0 for f in self.frequencies):
+            raise ScenarioError(
+                f"plan frequencies must be positive, got {list(self.frequencies)}"
+                " (key 'plan.frequencies')"
+            )
         if self.frequencies:
             if self.m is not None or self.P is not None:
                 raise ScenarioError("give either (m, P) or frequencies, not both")
@@ -187,7 +195,23 @@ class Scenario:
         if self.mode == "cdma":
             CdmaConfig(self.cdma.bit_rate, self.cdma.samples_per_bit)
             WalshAssignment.sequential(grid.num_pixels, self.cdma.code_length)
+        else:
+            self._check_plan()
         self._check_target_geometry(grid)
+
+    def _check_plan(self) -> None:
+        """Build the carrier plan as the run will; a low carrier warns in the run, not here."""
+        spec = self.plan
+        keys = "'plan.frequencies'" if spec.frequencies else "'plan.p', 'plan.m' and 'plan.P'"
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", MainsGuardWarning)
+                if spec.frequencies:
+                    plan_from_frequencies(spec.frequencies, spec.T, spec.p)
+                else:
+                    design_plan(spec.T, spec.p, spec.m, spec.P)
+        except (ValueError, OverflowError) as exc:
+            raise ScenarioError(f"{keys} do not make a carrier plan: {exc}") from exc
 
     def _check_target_geometry(self, grid: CaosGrid) -> None:
         """The target must fit the grid; an image file is checked when it is read."""

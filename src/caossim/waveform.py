@@ -32,6 +32,7 @@ __all__ = [
     "fundamental_coefficient",
     "fold_to_bin",
     "folded_harmonic_bins",
+    "whole_number",
 ]
 
 
@@ -106,6 +107,19 @@ class SampledSignal:
         return self.samples.shape[0]
 
 
+def whole_number(x: float) -> int | None:
+    """round(x) when x lies within 1e-9 * max(1, |x|) of it, else None.
+
+    The one tolerance for "a whole number of samples per period, cycles per
+    window or bins": synthesis, readout and the plan audit all judge a
+    carrier with it, so they cannot disagree.  Non-finite x is never whole.
+    """
+    if not math.isfinite(x):
+        return None
+    n = round(x)
+    return n if abs(x - n) <= 1e-9 * max(1.0, abs(x)) else None
+
+
 def samples_per_period(frequency: float, window: SamplingWindow) -> int:
     """Integer number of samples in one carrier period, or raise.
 
@@ -115,8 +129,8 @@ def samples_per_period(frequency: float, window: SamplingWindow) -> int:
     integer number of cycles inside the window.
     """
     n_float = window.fs / frequency
-    n = round(n_float)
-    if abs(n_float - n) > 1e-9 * n_float:
+    n = whole_number(n_float)
+    if n is None:
         raise ValueError(
             f"fs/f = {n_float} is not an integer; partial periods are rejected"
         )
@@ -124,8 +138,7 @@ def samples_per_period(frequency: float, window: SamplingWindow) -> int:
         raise ValueError(f"need at least 4 samples per period, got {n}")
     if frequency > window.fs / 2:
         raise ValueError("frequency above Nyquist")
-    cycles = frequency / window.delta_f
-    if abs(cycles - round(cycles)) > 1e-9 * max(1.0, cycles):
+    if whole_number(frequency / window.delta_f) is None:
         raise ValueError(
             f"frequency {frequency} Hz is not an integer multiple of "
             f"delta_f = {window.delta_f} Hz"
@@ -231,8 +244,7 @@ def folded_harmonic_bins(
     The fundamental (h=1) is included.  Harmonics beyond h = N-1 alias
     onto bins already in the set, so max_harmonic = N-1 is exhaustive.
     """
-    cycles = f / window.delta_f
-    if abs(cycles - round(cycles)) > 1e-9 * max(1.0, cycles):
+    if whole_number(f / window.delta_f) is None:
         raise ValueError("f must be an integer multiple of delta_f")
     return {
         fold_to_bin(h * f, window.fs, window.delta_f)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from caossim.cli import main
 
 
@@ -37,6 +39,31 @@ def test_plan_validate_passes_valid_set(capsys):
     code = main(["plan", "validate", "--df", "4", "-f", "128,256,512,1024,2048,4096,8192"])
     assert code == 0
     assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["plan", "validate", "--df", "4", "-f", "nan"], 2),
+        (["plan", "validate", "--df", "0", "-f", "4"], 2),
+        (["plan", "validate", "--df", "4", "--fs", "inf", "-f", "4"], 2),
+        (["plan", "slots", "--fa", "0", "--used", "64"], 2),
+        (["plan", "slots", "--fa", "64", "--used", "64,-128"], 2),
+        (["plan", "generate", "--T", "-1", "--p", "6", "--m", "1", "--P", "1"], 2),
+        (["plan", "generate", "--T", "1", "--p", "6", "--m", "10", "--P", "1"], 1),
+        (["plan", "generate", "--T", "1", "--p", "6", "--m", "2000", "--P", "1"], 1),
+        (["plan", "slots", "--fa", "64", "--used", "64,100"], 1),
+    ],
+)
+def test_bad_plan_settings_exit_without_traceback(argv, code, capsys):
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert captured.out == ""
+    assert captured.err.strip() and "Traceback" not in captured.err
 
 
 def test_plan_slots(capsys):

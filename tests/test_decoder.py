@@ -235,6 +235,27 @@ class TestCarrierReadout:
         assert report.spectra is None
         assert np.all(np.isfinite(report.image.estimates))
 
+    @pytest.mark.parametrize(
+        "preset, shape", [("table5", None), ("fig9-valid", None), ("hdr66-fdma", (10, 15))]
+    )
+    def test_strict_run_reads_every_slot_without_decode_slot(self, preset, shape, monkeypatch):
+        scenario = load_preset(preset)
+        if shape is not None:
+            scenario = dataclasses.replace(scenario, rows=shape[0], cols=shape[1])
+        expected = run(scenario)
+
+        def forbidden(stream, slot, plan):
+            raise AssertionError("decode_slot called by a run")
+
+        monkeypatch.setattr(caossim.runner, "decode_slot", forbidden)
+        got = run(scenario)
+        assert np.array_equal(got.image.estimates, expected.image.estimates)
+        assert got.metrics_text == expected.metrics_text
+        assert got.clip_count == expected.clip_count
+        assert (got.spectra is None) == (expected.spectra is None)
+        if expected.spectra is not None:
+            assert np.array_equal(got.spectra, expected.spectra)
+
     @pytest.mark.parametrize("preset", ["table5", "fig6"])
     def test_spectra_columns_are_the_full_fft_magnitudes(self, preset, monkeypatch):
         streams = []

@@ -106,6 +106,25 @@ class TestValidatePlan:
         rep = validate_plan([7.3], delta_f=2.0, fs=1024.0)
         assert not rep.passed and rep.frequencies == (7.3,)
 
+    def test_off_ladder_member_is_blamed(self):
+        report = validate_plan([96.0, 128.0], delta_f=1.0, fs=65536.0)
+        assert report.not_power_of_two_ladder == (96.0,)
+        assert report.flagged_indices() == (0,)
+
+    @pytest.mark.parametrize(
+        "freqs, fs",
+        [
+            ([3.0, 6.0], 64.0),  # relative ladder, fs/f not whole
+            ([16.0, 32.0], 64.0),  # fs/32 has 2 samples per period
+            ([100.0], 1024.0),
+            ([1000.0, 2000.0], 60000.0),  # Q = fs/delta_f not a power of two
+        ],
+    )
+    def test_carrier_not_fs_over_power_of_two_flagged(self, freqs, fs):
+        report = validate_plan(freqs, delta_f=1.0, fs=fs)
+        assert not report.passed
+        assert report.not_power_of_two_ladder
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             validate_plan([], 1.0, 1024.0)

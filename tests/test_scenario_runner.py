@@ -3,10 +3,15 @@
 import copy
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import caossim.runner
+from caossim.freq_plan import MainsGuardWarning, validate_plan
 from caossim.runner import PlanRejectedError, run
 from caossim.scenario import (
     ScenarioError,
@@ -14,6 +19,7 @@ from caossim.scenario import (
     preset_names,
     scenario_from_dict,
 )
+from caossim.waveform import SamplingWindow
 
 TINY_FDMA = {
     "mode": "fdma-tdma",
@@ -113,6 +119,30 @@ class TestScenarioParsing:
         doc = dict(TINY_FDMA, plan=dict(TINY_FDMA["plan"], **{key: value}))
         with pytest.raises(ScenarioError, match=f"plan {key} must be"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "plan, key",
+        [
+            ({"T": 1.0, "p": 6, "m": 10, "P": 1}, "plan.m"),  # fastest carrier above fs/4
+            ({"T": 1.0, "p": 12, "m": 0, "P": 4}, "plan.m"),
+            ({"T": 1.0, "p": 12, "m": 7, "P": 0}, "plan.P"),
+            ({"T": 1.0, "p": 12, "frequencies": [-4.0, 8.0]}, "plan.frequencies"),
+            ({"T": 1.0, "p": 12, "frequencies": [0.0]}, "plan.frequencies"),
+            ({"T": 1.0, "p": 12, "frequencies": [4.0, 4.0]}, "plan.frequencies"),
+        ],
+    )
+    def test_plan_that_cannot_be_built_rejected_at_parse(self, plan, key):
+        with pytest.raises(ScenarioError, match=re.escape(repr(key))):
+            scenario_from_dict(dict(TINY_FDMA, plan=plan))
+
+    def test_low_carrier_warns_once_in_the_run_not_at_parse(self):
+        doc = dict(TINY_FDMA, plan={"T": 1.0, "p": 12, "m": 1, "P": 4})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scenario = scenario_from_dict(doc)
+        with pytest.warns(MainsGuardWarning) as record:
+            run(scenario)
+        assert [w.category for w in record] == [MainsGuardWarning]
 
     def test_unknown_preset(self):
         with pytest.raises(ScenarioError, match="unknown preset"):
@@ -361,6 +391,45 @@ class TestRunnerCore:
         assert report.patch is not None
         assert all(np.isinf(e.min_snr) for e in report.patch.entries)
         assert report.patch.measured_dr_db == pytest.approx(20.0, abs=1e-6)
+
+
+@st.composite
+def _carrier_sets(draw):
+    """(T, p) of a window and 1-4 distinct carriers, each k * delta_f or fs / 2**j."""
+    T = draw(st.sampled_from([1.0, 0.25, 0.3]))
+    p = draw(st.integers(4, 12))
+    window = SamplingWindow.design(T, p)
+    carrier = st.one_of(
+        st.integers(1, window.Q).map(lambda k: k * window.delta_f),
+        st.integers(0, p).map(lambda j: window.fs / 2**j),
+    )
+    return T, p, draw(st.lists(carrier, min_size=1, max_size=4, unique=True))
+
+
+class TestAuditJudgesStrictRun:
+    @settings(max_examples=150, deadline=None)
+    @given(_carrier_sets())
+    def test_audit_passes_exactly_when_strict_run_completes(self, case):
+        T, p, freqs = case
+        scenario = scenario_from_dict({
+            "mode": "fdma-tdma",
+            "grid": {"rows": 1, "cols": len(freqs)},
+            "target": {"kind": "uniform", "level": 1.0},
+            "plan": {"T": T, "p": p, "frequencies": freqs},
+        })
+        window = SamplingWindow.design(T, p)
+        if validate_plan(freqs, window.delta_f, window.fs).passed:
+            report = run(scenario)
+            np.testing.assert_allclose(report.image.estimates, 1.0, rtol=0, atol=1e-9)
+            return
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a slot was encoded before the audit verdict")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(caossim.runner, "encode_slot", forbidden)
+            with pytest.raises(PlanRejectedError):
+                run(scenario)
 
 
 class TestPresetBehaviors:

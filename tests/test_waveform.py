@@ -19,6 +19,7 @@ from caossim.waveform import (
     fundamental_coefficient,
     sample_square_free,
     synth_square,
+    whole_number,
 )
 
 WINDOW_64K = SamplingWindow.design(T=1.0, p=16)
@@ -40,6 +41,32 @@ class TestSamplingWindow:
     def test_inconsistent_q_rejected(self):
         with pytest.raises(ValueError):
             SamplingWindow(fs=64.0, T=1.0, Q=128, delta_f=1.0)
+
+
+class TestWholeNumber:
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            (4.0, 4),
+            (-3.0, -3),
+            (0.0, 0),
+            (1e6 + 0.999e-3, 1000000),  # relative 1e-9 above 1
+            (1e6 + 1.001e-3, None),
+            (-1e6 - 0.999e-3, -1000000),
+            (1.0 + 0.9e-9, 1),
+            (1.0 + 1.1e-9, None),
+            (0.9e-9, 0),  # absolute 1e-9 below 1
+            (1.1e-9, None),
+            (0.5, None),
+            (float("nan"), None),
+            (float("inf"), None),
+            (float("-inf"), None),
+        ],
+    )
+    def test_boundaries(self, x, expected):
+        got = whole_number(x)
+        assert got == expected
+        assert expected is None or type(got) is int
 
 
 class TestSynthSquare:
