@@ -172,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "plan":
         try:
             return _cmd_plan(args)
-        except (ValueError, OverflowError) as exc:  # a setting the plan functions reject
+        except ValueError as exc:  # a setting the plan functions reject
             print(f"plan {args.plan_command}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
     if args.command == "simulate":

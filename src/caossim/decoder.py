@@ -36,7 +36,7 @@ from .encoder import (
 )
 from .freq_plan import FrequencyPlan
 from .scene_optics import CaosGrid
-from .waveform import SampledSignal, fundamental_coefficient, whole_number
+from .waveform import SampledSignal, fundamental_coefficient, nearest_bin, whole_number
 
 __all__ = [
     "Spectrum",
@@ -92,13 +92,6 @@ def _check_plan_carrier(fs: float, f_j: float, plan: FrequencyPlan) -> None:
         raise ValueError(f"fs/f = {fs / f_j} must be an even integer")
 
 
-def _nearest_bin(f: float, delta_f: float, q: int) -> int:
-    b = int(round(f / delta_f))
-    if not 0 <= b <= q // 2:
-        raise ValueError("frequency outside the spectrum")
-    return b
-
-
 def _bin_estimate(coeff: complex, q: int, fs: float, f: float) -> float:
     return float(abs(coeff) / (q * fundamental_coefficient(fs / f)))
 
@@ -138,7 +131,7 @@ def recover_at_frequency(spectrum: Spectrum, f: float) -> float:
     leakage errors the channel-selection rule exists to prevent.
     """
     q = spectrum.coeffs.shape[0]
-    b = _nearest_bin(f, spectrum.delta_f, q)
+    b = nearest_bin(f, spectrum.delta_f, q)
     return _bin_estimate(spectrum.coeffs[b], q, spectrum.fs, f)
 
 
@@ -170,7 +163,7 @@ def decode_slot_free(
     q = len(stream)
     _check_power_of_two(q)
     delta_f = stream.fs / q
-    bins = [_nearest_bin(f, delta_f, q) for _, f in slot]
+    bins = [nearest_bin(f, delta_f, q) for _, f in slot]
     period = q // math.gcd(q, *bins)
     x = stream.samples
     while len(x) > period:

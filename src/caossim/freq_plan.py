@@ -9,6 +9,10 @@ even number of samples per period and zero even harmonics, and its odd
 harmonics fold only onto odd multiples of itself, never onto a distinct
 power-of-two channel.
 
+Bins are integers: a frequency becomes a bin once (``whole_number`` where it
+must be exact, ``nearest_bin`` for a plan's placements), and every fold and
+collision test after that is integer arithmetic on bins and Q.
+
 ``design_plan`` builds such a ladder; ``validate_plan`` audits an
 arbitrary frequency set and reports every violation it finds.
 """
@@ -19,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .waveform import SamplingWindow, fold_to_bin, whole_number
+from .waveform import SamplingWindow, fold_bin, nearest_bin, whole_number
 
 __all__ = [
     "MainsGuardWarning",
@@ -132,20 +136,19 @@ def design_plan(T: float, p: int, m: int, P: int) -> FrequencyPlan:
 
     delta_f = 1/T, fs = 2**p * delta_f, f_1 = 2**(m-1) * delta_f and
     f_j = 2**(j-1) * f_1.  The fastest carrier must keep at least four
-    samples per period (f_P <= fs/4).
+    samples per period (f_P <= fs/4, i.e. m + P <= p).
     """
     if P < 1:
         raise ValueError("P must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
     window = SamplingWindow.design(T, p)
-    f1 = 2.0 ** (m - 1) * window.delta_f
-    channels = tuple(f1 * 2.0 ** (j - 1) for j in range(1, P + 1))
-    if channels[-1] > window.fs / 4:
+    if m + P > p:
         raise ValueError(
-            f"fastest carrier {channels[-1]} Hz exceeds fs/4 = {window.fs / 4} Hz "
+            f"fastest carrier 2**{m + P - 2} * delta_f exceeds fs/4 = 2**{p - 2} * delta_f "
             "(fewer than 4 samples per period)"
         )
+    f1 = 2.0 ** (m - 1) * window.delta_f
     if f1 <= MAINS_GUARD_HZ:
         warnings.warn(
             f"lowest carrier {f1} Hz is at or below the {MAINS_GUARD_HZ:g} Hz mains "
@@ -153,17 +156,7 @@ def design_plan(T: float, p: int, m: int, P: int) -> FrequencyPlan:
             MainsGuardWarning,
             stacklevel=2,
         )
-    bins = tuple(bin_of(f, window.delta_f) for f in channels)
-    return FrequencyPlan(
-        delta_f=window.delta_f,
-        T=T,
-        fs=window.fs,
-        Q=window.Q,
-        p=p,
-        m=m,
-        channels=channels,
-        bins=bins,
-    )
+    return _plan(window, p, m, tuple(f1 * 2.0 ** (j - 1) for j in range(1, P + 1)))
 
 
 def plan_from_frequencies(
@@ -172,21 +165,16 @@ def plan_from_frequencies(
     """Wrap an explicit (not necessarily valid) frequency list in a plan.
 
     Bins are nearest-bin placements so that misconfigured carriers can
-    still be scheduled and decoded for crosstalk demonstrations.
+    still be scheduled and decoded for crosstalk demonstrations; a carrier
+    above fs/2 has no bin and is rejected.
     """
-    window = SamplingWindow.design(T, p)
-    channels = tuple(float(f) for f in frequencies)
-    bins = tuple(int(round(f / window.delta_f)) for f in channels)
-    return FrequencyPlan(
-        delta_f=window.delta_f,
-        T=T,
-        fs=window.fs,
-        Q=window.Q,
-        p=p,
-        m=None,
-        channels=channels,
-        bins=bins,
-    )
+    return _plan(SamplingWindow.design(T, p), p, None, tuple(float(f) for f in frequencies))
+
+
+def _plan(w: SamplingWindow, p: int, m: int | None, channels: tuple[float, ...]) -> FrequencyPlan:
+    """The plan of `channels` in window `w`, each placed on its nearest bin."""
+    bins = tuple(nearest_bin(f, w.delta_f, w.Q) for f in channels)
+    return FrequencyPlan(w.delta_f, w.T, w.fs, w.Q, p, m, channels, bins)
 
 
 def _on_ladder(n: int | None) -> bool:
@@ -204,31 +192,35 @@ def validate_plan(
 
     Flags, per frequency: (a) not an integer multiple of delta_f, (b) fs/f
     is not a whole power of two >= 4, (c) coinciding, after alias folding
-    about fs, with an odd harmonic h >= 3 of another bin-exact member.  A
-    collision is charged to the channel whose bin is hit.  Findings are
-    sorted by frequency, so the report is independent of input order.  A
-    report is always produced.
+    about fs, with an odd harmonic h >= 1 (h = 1: the same bin) of another
+    bin-exact member.  A collision is charged to the channel whose bin is
+    hit, with the lowest such h.  Findings are sorted by frequency, so the
+    report is independent of input order.  A report is always produced,
+    unless fs is not a whole multiple of delta_f (ValueError).
     """
     if not frequencies:
         raise ValueError("frequency list must be nonempty")
     freqs = tuple(float(f) for f in frequencies)
     if any(f <= 0 for f in freqs):
         raise ValueError("frequencies must be positive")
+    q = whole_number(fs / delta_f)
+    if q is None:
+        raise ValueError(f"fs / delta_f = {fs / delta_f:g} is not a whole number of bins")
 
-    exact = [f for f in freqs if whole_number(f / delta_f) is not None]
-    not_multiple = tuple(sorted(f for f in freqs if f not in exact))
+    # the folded bin of each bin-exact member, keyed by input position
+    exact = {i: whole_number(f / delta_f) for i, f in enumerate(freqs)}
+    bins = {i: fold_bin(b, q) for i, b in exact.items() if b is not None}
+    not_multiple = tuple(sorted(f for i, f in enumerate(freqs) if i not in bins))
 
-    ladder_breaks = sorted(f for f in exact if not _on_ladder(whole_number(fs / f)))
-    bins = {f: fold_to_bin(f, fs, delta_f) for f in exact}
+    ladder_breaks = sorted(freqs[i] for i in bins if not _on_ladder(whole_number(fs / freqs[i])))
     collisions: list[HarmonicCollision] = []
-    for victim in exact:
-        for source in exact:
-            if source == victim:
-                continue
-            for h in range(3, max_harmonic + 1, 2):
-                if fold_to_bin(h * source, fs, delta_f) == bins[victim]:
-                    collisions.append(HarmonicCollision(victim, source, h))
-                    break
+    for source, b in bins.items():
+        # folded bin -> the lowest odd harmonic of source on it (lower h written last)
+        lowest = {fold_bin(h * b, q): h for h in reversed(range(1, max_harmonic + 1, 2))}
+        collisions += [
+            HarmonicCollision(freqs[victim], freqs[source], lowest[bv])
+            for victim, bv in bins.items() if victim != source and bv in lowest
+        ]
     collisions.sort()
 
     mains = tuple(sorted(f for f in freqs if f <= MAINS_GUARD_HZ))

@@ -241,10 +241,10 @@ def _run_cdma(scenario: Scenario, grid: CaosGrid) -> RunReport:
     run_report = RunReport(scenario=scenario)
     for i, (band, scene) in enumerate(band_scenes):
         stream = encode_cdma(scene, assignment, cfg)
-        stream = add_noise(stream, noise_cfg, slot_index=i)
         adc_cfg = scenario.adc_config(
             auto_full_scale=FULL_SCALE_HEADROOM * max(float(stream.samples.max()), 1e-12)
         )
+        stream = add_noise(stream, noise_cfg, slot_index=i)
         stream, clipped = quantize(stream, adc_cfg)
         run_report.clip_count += clipped
         image = decode_cdma(stream, assignment, cfg, grid)

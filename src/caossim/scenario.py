@@ -34,6 +34,7 @@ from .channel import AdcConfig, NoiseConfig
 from .encoder import CdmaConfig, WalshAssignment
 from .freq_plan import MainsGuardWarning, design_plan, plan_from_frequencies
 from .scene_optics import CaosGrid, hdr_patch_masks
+from .waveform import SamplingWindow
 
 __all__ = [
     "ScenarioError", "PlanSpec", "TargetSpec", "CdmaSpec", "Scenario",
@@ -202,6 +203,10 @@ class Scenario:
     def _check_plan(self) -> None:
         """Build the carrier plan as the run will; a low carrier warns in the run, not here."""
         spec = self.plan
+        try:
+            SamplingWindow.design(spec.T, spec.p)
+        except ValueError as exc:
+            raise ScenarioError(f"'plan.T' and 'plan.p' do not make a window: {exc}") from exc
         keys = "'plan.frequencies'" if spec.frequencies else "'plan.p', 'plan.m' and 'plan.P'"
         try:
             with warnings.catch_warnings():
@@ -210,7 +215,7 @@ class Scenario:
                     plan_from_frequencies(spec.frequencies, spec.T, spec.p)
                 else:
                     design_plan(spec.T, spec.p, spec.m, spec.P)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ScenarioError(f"{keys} do not make a carrier plan: {exc}") from exc
 
     def _check_target_geometry(self, grid: CaosGrid) -> None:

@@ -30,8 +30,10 @@ __all__ = [
     "fourier_coeff_direct",
     "fourier_coeff_closed",
     "fundamental_coefficient",
+    "fold_bin",
     "fold_to_bin",
     "folded_harmonic_bins",
+    "nearest_bin",
     "whole_number",
 ]
 
@@ -62,8 +64,13 @@ class SamplingWindow:
         """Window with Q = 2**p samples over T seconds (fs = 2**p / T)."""
         if p < 1:
             raise ValueError("p must be >= 1")
-        q = 1 << p
-        return cls(fs=q / T, T=T, Q=q, delta_f=1.0 / T)
+        try:
+            fs = math.ldexp(1.0, p) / T
+        except OverflowError:
+            fs = math.inf
+        if not math.isfinite(fs):
+            raise ValueError(f"p = {p} and T = {T} s give fs = 2**p / T beyond a float")
+        return cls(fs=fs, T=T, Q=1 << p, delta_f=1.0 / T)
 
 
 @dataclass(frozen=True)
@@ -224,16 +231,19 @@ def fundamental_coefficient(n_per_period: float) -> float:
     return 1.0 / (n_per_period * math.sin(math.pi / n_per_period))
 
 
+def fold_bin(b: int, q: int) -> int:
+    """Bin where integer bin b lands after aliasing about q bins (fs), in 0..q/2."""
+    r = b % q
+    return min(r, q - r)
+
+
 def fold_to_bin(frequency: float, fs: float, delta_f: float) -> int:
-    """Spectrum bin where a tone lands after aliasing, in [0, Q/2]."""
-    r = math.fmod(frequency, fs)
-    if r > fs / 2:
-        r = fs - r
-    b = r / delta_f
-    bi = round(b)
-    if abs(b - bi) > 1e-6:
-        raise ValueError(f"{frequency} Hz does not fold onto an exact bin")
-    return bi
+    """Integer bin where a tone lands after aliasing about fs, in 0..Q/2;
+    frequency and fs must be whole multiples of delta_f (whole_number)."""
+    b, q = whole_number(frequency / delta_f), whole_number(fs / delta_f)
+    if b is None or q is None:
+        raise ValueError(f"{frequency} Hz or fs = {fs} Hz is not a whole number of bins")
+    return fold_bin(b, q)
 
 
 def folded_harmonic_bins(
@@ -244,9 +254,15 @@ def folded_harmonic_bins(
     The fundamental (h=1) is included.  Harmonics beyond h = N-1 alias
     onto bins already in the set, so max_harmonic = N-1 is exhaustive.
     """
-    if whole_number(f / window.delta_f) is None:
+    b = whole_number(f / window.delta_f)
+    if b is None:
         raise ValueError("f must be an integer multiple of delta_f")
-    return {
-        fold_to_bin(h * f, window.fs, window.delta_f)
-        for h in range(1, max_harmonic + 1, 2)
-    }
+    return {fold_bin(h * b, window.Q) for h in range(1, max_harmonic + 1, 2)}
+
+
+def nearest_bin(f: float, delta_f: float, q: int) -> int:
+    """Index of the bin nearest f in a q-point spectrum; it must lie in 0..q/2."""
+    x = f / delta_f
+    if not (math.isfinite(x) and 0 <= round(x) <= q // 2):
+        raise ValueError(f"{f} Hz lies outside the spectrum 0..{q // 2 * delta_f:g} Hz")
+    return round(x)

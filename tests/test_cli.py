@@ -66,6 +66,27 @@ def test_bad_plan_settings_exit_without_traceback(argv, code, capsys):
     assert captured.err.strip() and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["plan", "generate", "--T", "1", "--p", "6", "--m", "2000", "--P", "1"], "fs/4"),
+        (["plan", "generate", "--T", "1", "--p", "2000", "--m", "7", "--P", "1"], "p = 2000"),
+        (["plan", "validate", "--df", "3", "--fs", "65536", "-f", "3"], "whole number of bins"),
+    ],
+)
+def test_rejected_plan_setting_is_named_on_one_line(argv, words, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and words in captured.err
+
+
+def test_plan_validate_flags_duplicate_carrier(capsys):
+    assert main(["plan", "validate", "--df", "1", "-f", "64,64"]) == 1
+    out = capsys.readouterr().out
+    assert "verdict: FAIL" in out and "collides with harmonic 1 of 64.0 Hz" in out
+
+
 def test_plan_slots(capsys):
     code = main(["plan", "slots", "--fa", "64", "--used", "64,128"])
     out = capsys.readouterr().out

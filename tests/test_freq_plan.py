@@ -1,18 +1,21 @@
 """Carrier-ladder design and audit."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caossim.freq_plan import (
     MainsGuardWarning,
+    HarmonicCollision,
     available_slots,
     bin_of,
     design_plan,
     plan_from_frequencies,
     validate_plan,
 )
-from caossim.waveform import folded_harmonic_bins
+from caossim.waveform import SamplingWindow, fold_bin, folded_harmonic_bins
 
 INVALID_SET = [1170.3, 1368.3, 1638.4, 2048.0, 2730.6, 4096.0, 8192.0]
 VALID_SET = [128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0]
@@ -40,6 +43,12 @@ class TestDesignPlan:
         assert plan.channels[-1] == 16384.0
         with pytest.raises(ValueError, match="fs/4"):
             design_plan(T=1.0, p=16, m=14, P=3)
+
+    def test_exponents_too_large_for_a_float_are_named(self):
+        with pytest.raises(ValueError, match="fs/4"):
+            design_plan(T=1.0, p=6, m=2000, P=1)
+        with pytest.raises(ValueError, match="p = 2000"):
+            design_plan(T=1.0, p=2000, m=7, P=1)
 
     def test_designed_plans_pass_validation(self):
         for (T, p, m, P) in [(1.0, 16, 7, 8), (0.25, 14, 6, 7), (1.0, 12, 7, 4), (2.0, 10, 8, 2)]:
@@ -129,6 +138,78 @@ class TestValidatePlan:
         with pytest.raises(ValueError):
             validate_plan([], 1.0, 1024.0)
 
+    def test_fs_not_a_whole_number_of_bins_rejected(self):
+        with pytest.raises(ValueError, match="whole number of bins"):
+            validate_plan([3.0], delta_f=3.0, fs=65536.0)
+
+    @pytest.mark.parametrize("freqs", [[64.0, 64.0], [64.0, 64.00000001]])
+    def test_same_bin_is_a_harmonic_1_collision(self, freqs):
+        report = validate_plan(freqs, delta_f=1.0, fs=65536.0)
+        assert not report.passed and report.flagged_indices() == (0, 1)
+        assert report.odd_harmonic_collision == tuple(sorted(
+            HarmonicCollision(freqs[i], freqs[1 - i], 1) for i in (0, 1)
+        ))
+
+    def test_same_folded_bin_is_a_harmonic_1_collision(self):
+        report = validate_plan([40000.0, 25536.0], delta_f=1.0, fs=65536.0)
+        assert HarmonicCollision(25536.0, 40000.0, 1) in report.odd_harmonic_collision
+
+    @pytest.mark.parametrize(
+        "freqs, ladder_breaks", [([30000.00002], (30000.00002,)), ([8192.000005, 4096.0], ())]
+    )
+    def test_bin_exact_carrier_off_the_float_grid_gets_a_report(self, freqs, ladder_breaks):
+        # whole_number puts each on a bin, although not to within 1e-6 of it
+        report = validate_plan(freqs, delta_f=1.0, fs=65536.0)
+        assert report.not_multiple_of_delta_f == () and not report.odd_harmonic_collision
+        assert report.not_power_of_two_ladder == ladder_breaks
+
+
+def _float_fold(frequency, fs, delta_f):
+    """The float fold of the earlier audit: fmod, reflect, round within 1e-6 of a bin."""
+    r = math.fmod(frequency, fs)
+    if r > fs / 2:
+        r = fs - r
+    b = r / delta_f
+    assert abs(b - round(b)) <= 1e-6
+    return round(b)
+
+
+def _float_collisions(freqs, delta_f, fs, max_harmonic):
+    """The earlier audit's O(n^2 H) scan over odd harmonics h >= 3."""
+    hits = []
+    for victim in freqs:
+        for source in freqs:
+            if source == victim:
+                continue
+            for h in range(3, max_harmonic + 1, 2):
+                if _float_fold(h * source, fs, delta_f) == _float_fold(victim, fs, delta_f):
+                    hits.append(HarmonicCollision(victim, source, h))
+                    break
+    return tuple(sorted(hits))
+
+
+@st.composite
+def _bin_carriers(draw):
+    """A window (Q = 2**4..2**12), 1-6 carriers k * delta_f on distinct folded bins and
+    a max_harmonic."""
+    T, p = draw(st.sampled_from([1.0, 0.25, 0.3])), draw(st.integers(4, 12))
+    window = SamplingWindow.design(T, p)
+    ks = draw(st.lists(st.integers(1, window.Q), min_size=1, max_size=6,
+                       unique_by=lambda k: fold_bin(k, window.Q)))
+    return window, [k * window.delta_f for k in ks], draw(st.integers(1, 129))
+
+
+class TestIntegerScanMatchesFloatFold:
+    @settings(max_examples=300, deadline=None)
+    @given(_bin_carriers())
+    def test_same_collisions_as_the_float_fold(self, case):
+        window, freqs, max_harmonic = case
+        report = validate_plan(freqs, window.delta_f, window.fs, max_harmonic)
+        assert all(c.harmonic >= 3 for c in report.odd_harmonic_collision)
+        assert report.odd_harmonic_collision == _float_collisions(
+            freqs, window.delta_f, window.fs, max_harmonic
+        )
+
 
 class TestAvailableSlots:
     def test_one_channel_used(self):
@@ -172,6 +253,11 @@ class TestBinOf:
 
 
 class TestPlanFromFrequencies:
+    def test_carrier_above_half_fs_has_no_bin(self):
+        with pytest.raises(ValueError, match="outside the spectrum"):
+            plan_from_frequencies([40000.0, 4096.0], T=1.0, p=16)
+        assert plan_from_frequencies([32768.0], T=1.0, p=16).bins == (32768,)
+
     def test_wraps_invalid_set_with_nearest_bins(self):
         plan = plan_from_frequencies(INVALID_SET, T=0.25, p=14)
         assert plan.m is None

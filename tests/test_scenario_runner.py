@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caossim.runner
+from caossim.encoder import CdmaConfig, WalshAssignment, encode_cdma
 from caossim.freq_plan import MainsGuardWarning, validate_plan
-from caossim.runner import PlanRejectedError, run
+from caossim.runner import FULL_SCALE_HEADROOM, PlanRejectedError, build_scene, run
 from caossim.scenario import (
     ScenarioError,
     load_preset,
@@ -129,6 +130,9 @@ class TestScenarioParsing:
             ({"T": 1.0, "p": 12, "frequencies": [-4.0, 8.0]}, "plan.frequencies"),
             ({"T": 1.0, "p": 12, "frequencies": [0.0]}, "plan.frequencies"),
             ({"T": 1.0, "p": 12, "frequencies": [4.0, 4.0]}, "plan.frequencies"),
+            ({"T": 1.0, "p": 16, "frequencies": [40000.0, 4096.0]}, "plan.frequencies"),  # > fs/2
+            ({"T": 1.0, "p": 2000, "frequencies": [4.0]}, "plan.p"),  # fs beyond a float
+            ({"T": 1e-320, "p": 16, "m": 7, "P": 1}, "plan.T"),
         ],
     )
     def test_plan_that_cannot_be_built_rejected_at_parse(self, plan, key):
@@ -411,13 +415,19 @@ class TestAuditJudgesStrictRun:
     @given(_carrier_sets())
     def test_audit_passes_exactly_when_strict_run_completes(self, case):
         T, p, freqs = case
-        scenario = scenario_from_dict({
+        doc = {
             "mode": "fdma-tdma",
             "grid": {"rows": 1, "cols": len(freqs)},
             "target": {"kind": "uniform", "level": 1.0},
             "plan": {"T": T, "p": p, "frequencies": freqs},
-        })
+        }
         window = SamplingWindow.design(T, p)
+        if any(round(f / window.delta_f) > window.Q // 2 for f in freqs):
+            # a carrier above fs/2 has no bin: rejected at parse, before any audit
+            with pytest.raises(ScenarioError, match="'plan.frequencies'"):
+                scenario_from_dict(doc)
+            return
+        scenario = scenario_from_dict(doc)
         if validate_plan(freqs, window.delta_f, window.fs).passed:
             report = run(scenario)
             np.testing.assert_allclose(report.image.estimates, 1.0, rtol=0, atol=1e-9)
@@ -430,6 +440,50 @@ class TestAuditJudgesStrictRun:
             mp.setattr(caossim.runner, "encode_slot", forbidden)
             with pytest.raises(PlanRejectedError):
                 run(scenario)
+
+
+def _explicit_plan(freqs, permissive=False):
+    return scenario_from_dict({
+        "mode": "fdma-tdma",
+        "grid": {"rows": 1, "cols": len(freqs)},
+        "target": {"kind": "uniform", "level": 1.0},
+        "plan": {"T": 1.0, "p": 16, "frequencies": freqs},
+        "permissive": permissive,
+    })
+
+
+class TestIntegerBins:
+    def test_two_carriers_on_one_bin_are_rejected_by_a_strict_run(self):
+        with pytest.raises(PlanRejectedError, match="collides with harmonic 1 of 64.0 Hz"):
+            run(_explicit_plan([64.0, 64.00000001]))
+
+    @pytest.mark.parametrize("freqs", [[30000.00002], [8192.000005, 4096.0]])
+    def test_bin_exact_carrier_off_the_float_grid_runs_permissively(self, freqs):
+        report = run(_explicit_plan(freqs, permissive=True))
+        assert report.validation is not None
+        assert np.all(np.isfinite(report.image.estimates))
+
+
+class TestCdmaAutoFullScale:
+    DOC = {
+        "mode": "cdma",
+        "grid": {"rows": 2, "cols": 3},
+        "target": {"kind": "explicit", "values": [[1.0, 0.5, 0.25], [0.8, 0.0, 0.1]]},
+        "cdma": {"code_length": 8, "samples_per_bit": 4},
+        "noise": {"awgn_sigma": 0.05},
+        "adc": {"enabled": True, "bits": 8},
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_auto_full_scale_is_headroom_times_noiseless_peak(self, seed):
+        auto = scenario_from_dict(dict(self.DOC, seed=seed))
+        grid = auto.grid
+        assignment = WalshAssignment.sequential(grid.num_pixels, 8)
+        cfg = CdmaConfig(bit_rate=auto.cdma.bit_rate, samples_per_bit=4)
+        peak = float(encode_cdma(build_scene(auto.target, grid), assignment, cfg).samples.max())
+        adc = dict(self.DOC["adc"], full_scale=FULL_SCALE_HEADROOM * peak)
+        explicit = scenario_from_dict(dict(self.DOC, seed=seed, adc=adc))
+        assert np.array_equal(run(auto).image.estimates, run(explicit).image.estimates)
 
 
 class TestPresetBehaviors:

@@ -12,11 +12,13 @@ import pytest
 from caossim.waveform import (
     SamplingWindow,
     SquareWaveSpec,
+    fold_bin,
     fold_to_bin,
     folded_harmonic_bins,
     fourier_coeff_closed,
     fourier_coeff_direct,
     fundamental_coefficient,
+    nearest_bin,
     sample_square_free,
     synth_square,
     whole_number,
@@ -33,6 +35,11 @@ class TestSamplingWindow:
     def test_design_quarter_second(self):
         w = SamplingWindow.design(T=0.25, p=14)
         assert w.fs == 65536.0 and w.Q == 16384 and w.delta_f == 4.0
+
+    @pytest.mark.parametrize("T, p", [(1.0, 2000), (1.0, 10**15), (1e-320, 20)])
+    def test_fs_beyond_a_float_names_p(self, T, p):
+        with pytest.raises(ValueError, match=f"p = {p}"):
+            SamplingWindow.design(T, p)
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
@@ -208,6 +215,25 @@ class TestFoldedHarmonicBins:
         assert fold_to_bin(40960.0, 65536.0, 1.0) == 24576
         assert fold_to_bin(57344.0, 65536.0, 1.0) == 8192
         assert fold_to_bin(70000.0, 65536.0, 1.0) == 4464
+
+    def test_fold_bin_reflects_about_half_of_q(self):
+        assert [fold_bin(b, 16) for b in (0, 3, 8, 9, 15, 16, 21, 45)] == [0, 3, 8, 7, 1, 0, 5, 3]
+
+    def test_fold_to_bin_takes_the_whole_number_tolerance(self):
+        # within whole_number's 1e-9 relative tolerance of bin 30000, so it is bin 30000
+        assert fold_to_bin(30000.00002, 65536.0, 1.0) == 30000
+        assert fold_to_bin(3 * 8192.000005, 65536.0, 1.0) == 24576
+        with pytest.raises(ValueError, match="whole number of bins"):
+            fold_to_bin(30000.5, 65536.0, 1.0)
+        with pytest.raises(ValueError, match="whole number of bins"):
+            fold_to_bin(3.0, 65536.0, 3.0)
+
+    def test_nearest_bin_range(self):
+        assert nearest_bin(1170.3, 4.0, 16384) == 293
+        assert nearest_bin(32768.0, 1.0, 65536) == 32768
+        for f in (32769.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="outside the spectrum"):
+                nearest_bin(f, 1.0, 65536)
 
     def test_synthesis_energy_confined_to_folded_bins(self):
         w = SamplingWindow.design(T=1.0, p=12)
