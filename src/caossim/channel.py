@@ -8,18 +8,31 @@ alone).  Magnitudes are scenario parameters.
 Randomness is counter-based: the Gaussian draws for a slot come from a
 Philox generator keyed by (seed, slot_index), so any processing order or
 degree of concurrency reproduces the same decoded image bit for bit.
+
+That keying lets a run draw ahead: inside ``draws_ahead`` a thread pool of
+W = min(4, usable CPUs) workers draws the stochastic terms of the next W
+slots while the calling thread encodes, impairs and decodes the current
+one, and ``add_noise`` takes a slot's terms from the pool instead of
+drawing them.  Only the draw leaves the calling thread; ``add_noise``
+itself, and everything around it, runs there in slot order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .waveform import SampledSignal
 
-__all__ = ["NoiseConfig", "AdcConfig", "add_noise", "quantize"]
+__all__ = ["NoiseConfig", "AdcConfig", "add_noise", "draws_ahead", "quantize"]
+
+MAX_DRAW_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -82,30 +95,138 @@ def _pink_noise(rng: np.random.Generator, q: int, fs: float, exponent: float) ->
     return out / std if std > 0 else out
 
 
+def _term_count(cfg: NoiseConfig) -> int:
+    """How many stochastic terms a slot draws: AWGN, pink, both or none."""
+    return bool(cfg.awgn_sigma) + bool(cfg.pink_enabled and cfg.pink_sigma)
+
+
+def _noise_terms(
+    cfg: NoiseConfig, q: int, fs: float, slot_index: int, out: list | None = None
+) -> list[np.ndarray]:
+    """A slot's scaled stochastic terms in draw order: AWGN first, then pink.
+
+    The AWGN draw is consumed before the pink draw, so disabling one never
+    shifts the other.  ``out`` holds one length-q float64 buffer per term
+    (``_term_count``) to fill; without it the buffers are allocated here.
+    """
+    if out is None:
+        out = [np.empty(q) for _ in range(_term_count(cfg))]
+    if not out:
+        return out
+    rng = _slot_rng(cfg.seed, slot_index)
+    terms = iter(out)
+    if cfg.awgn_sigma:
+        z = next(terms)
+        rng.standard_normal(q, out=z)
+        z *= cfg.awgn_sigma
+    if cfg.pink_enabled and cfg.pink_sigma:
+        np.multiply(_pink_noise(rng, q, fs, cfg.pink_exponent), cfg.pink_sigma, out=next(terms))
+    return out
+
+
 def add_noise(stream: SampledSignal, cfg: NoiseConfig, slot_index: int) -> SampledSignal:
     """Apply dark offset, mains tone and stochastic noise to one slot.
 
-    Pure function of (stream, cfg, slot_index): the AWGN draw is consumed
-    before the pink draw, so disabling one never shifts the other.
+    Pure function of (stream, cfg, slot_index); the input is never changed
+    and the result is a fresh array.  Inside ``draws_ahead`` the stochastic
+    terms may come from the pool, drawn exactly as ``_noise_terms`` draws
+    them here.
     """
-    out = stream.samples.copy()
-    q = out.shape[0]
-    if cfg.dark_offset:
-        out += cfg.dark_offset
-    if cfg.mains_amplitude:
-        n = np.arange(q)
-        out += cfg.mains_amplitude * np.sin(
-            2.0 * np.pi * cfg.mains_freq * n / stream.fs + cfg.mains_phase
-        )
-    if cfg.awgn_sigma or cfg.pink_enabled:
-        rng = _slot_rng(cfg.seed, slot_index)
-        if cfg.awgn_sigma:
-            z = rng.standard_normal(q)
-            z *= cfg.awgn_sigma
-            out += z
-        if cfg.pink_enabled and cfg.pink_sigma:
-            out += cfg.pink_sigma * _pink_noise(rng, q, stream.fs, cfg.pink_exponent)
+    x = stream.samples
+    q = x.shape[0]
+    if cfg.dark_offset or cfg.mains_amplitude:
+        x = x.copy()
+        if cfg.dark_offset:
+            x += cfg.dark_offset
+        if cfg.mains_amplitude:
+            n = np.arange(q)
+            x += cfg.mains_amplitude * np.sin(
+                2.0 * np.pi * cfg.mains_freq * n / stream.fs + cfg.mains_phase
+            )
+    ahead = _DRAWN.get()
+    terms = ahead.take(cfg, q, stream.fs, slot_index) if ahead is not None else None
+    if terms is None:
+        terms = _noise_terms(cfg, q, stream.fs, slot_index)
+    if not terms:
+        return SampledSignal(x.copy() if x is stream.samples else x, stream.fs)
+    # the first term takes the sum: z + x == x + z bit for bit
+    out = terms[0]
+    out += x
+    for term in terms[1:]:
+        out += term
     return SampledSignal(out, stream.fs)
+
+
+def _draw_workers() -> int:
+    """W: the CPUs this process may run on, at most MAX_DRAW_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(MAX_DRAW_WORKERS, cpus)
+
+
+class _DrawAhead:
+    """Slots' noise terms submitted to a pool up to ``width`` slots ahead of
+    the last slot taken; served only to the thread that opened the block."""
+
+    def __init__(self, pool, width: int, cfg: NoiseConfig, q: int, fs: float, n: int):
+        self.pool = pool
+        self.width = width
+        self.key = (cfg, q, fs)
+        self.n = n
+        self.owner = threading.get_ident()
+        self.pending: dict = {}
+        self.next = 0
+        self._submit_through(width - 1)
+
+    def _submit_through(self, last: int) -> None:
+        cfg, q, fs = self.key
+        while self.next < self.n and self.next <= last:
+            # buffers come from this thread's heap, not from a worker's arena
+            buffers = [np.empty(q) for _ in range(_term_count(cfg))]
+            self.pending[self.next] = self.pool.submit(
+                _noise_terms, cfg, q, fs, self.next, buffers
+            )
+            self.next += 1
+
+    def take(self, cfg: NoiseConfig, q: int, fs: float, slot_index: int) -> list | None:
+        if threading.get_ident() != self.owner or (cfg, q, fs) != self.key:
+            return None
+        future = self.pending.pop(slot_index, None)
+        if future is None:
+            return None
+        self._submit_through(slot_index + self.width)
+        return future.result()
+
+
+_DRAWN: ContextVar[_DrawAhead | None] = ContextVar("caossim_drawn_noise", default=None)
+
+
+@contextmanager
+def draws_ahead(cfg: NoiseConfig, q: int, fs: float, n: int):
+    """Draw the stochastic terms of slots 0..n-1 ahead on a thread pool.
+
+    While the caller works on slot i, W workers draw slots i+1..i+W (at most
+    W * terms * 8 * q bytes in flight).  ``add_noise(stream, cfg, i)`` on
+    this thread takes slot i's terms when (cfg, q, fs) match; any other
+    call draws inline.  Draws are keyed by (seed, slot), so the results are
+    bit-identical either way.  With W < 2, fewer than two slots or no
+    stochastic noise, no thread is started.  On exit, also by an exception,
+    the workers finish the draws in flight and are joined.
+    """
+    width = _draw_workers()
+    if width < 2 or n < 2 or not _term_count(cfg):
+        yield
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(width, thread_name_prefix="caossim-noise") as pool:
+        token = _DRAWN.set(_DrawAhead(pool, width, cfg, q, fs, n))
+        try:
+            yield
+        finally:
+            _DRAWN.reset(token)
 
 
 def quantize(stream: SampledSignal, cfg: AdcConfig) -> tuple[SampledSignal, int]:

@@ -34,14 +34,18 @@ def _write_csv(path: str | Path, matrix: np.ndarray, header: str | None = None) 
 
     Rows become Python floats, and lines one string, a block at a time: a
     whole 32769-row spectrum at once would hold megabytes of float objects.
+    A single column (one slot's spectrum) skips the per-row join.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     with open(path, "w", encoding="ascii") as fh:
         if header is not None:
             fh.write(header + "\n")
         for start in range(0, m.shape[0], CSV_BLOCK_ROWS):
-            rows = m[start : start + CSV_BLOCK_ROWS].tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+            block = m[start : start + CSV_BLOCK_ROWS]
+            if m.shape[1] == 1:
+                fh.write("\n".join(map(repr, block[:, 0].tolist())) + "\n")
+            else:
+                fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:

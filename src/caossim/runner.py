@@ -1,10 +1,13 @@
 """Scenario execution: synth -> encode -> channel -> decode -> metrics.
 
-Slots are processed one at a time (encode, impair, decode, discard) so
-long acquisitions never hold every stream in memory.  The counter-based
-noise keying makes the result independent of processing order, and all
-output files are written with stable formatting, so a rerun of the same
-scenario is byte-identical.
+Slots are processed one at a time, in slot order, on the calling thread
+(encode, impair, decode, discard), so long acquisitions never hold every
+stream in memory.  Only the noise draw runs ahead: inside
+``channel.draws_ahead`` a small thread pool draws the Gaussian terms of
+the next few slots (CDMA frames) while the current one is processed.  The
+counter-based noise keying makes the result independent of processing
+order and of that pool, and all output files are written with stable
+formatting, so a rerun of the same scenario is byte-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, metrics
-from .channel import add_noise, quantize
+from .channel import add_noise, draws_ahead, quantize
 from .decoder import (
     DecodedImage,
     assemble_image,
@@ -180,14 +183,15 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     estimates = []
     spectra_mags = [] if scenario.write_spectra else None
     clip_total = 0
-    for i, slot in enumerate(schedule.slots):
-        stream = encode_slot(scene, slot, window, strict=not scenario.permissive)
-        stream = add_noise(stream, noise_cfg, slot_index=i)
-        stream, clipped = quantize(stream, adc_cfg)
-        clip_total += clipped
-        if spectra_mags is not None:
-            spectra_mags.append(np.abs(np.fft.rfft(stream.samples)))
-        estimates.append(decode_slot_free(stream, slot))
+    with draws_ahead(noise_cfg, window.Q, window.fs, len(schedule.slots)):
+        for i, slot in enumerate(schedule.slots):
+            stream = encode_slot(scene, slot, window, strict=not scenario.permissive)
+            stream = add_noise(stream, noise_cfg, slot_index=i)
+            stream, clipped = quantize(stream, adc_cfg)
+            clip_total += clipped
+            if spectra_mags is not None:
+                spectra_mags.append(np.abs(np.fft.rfft(stream.samples)))
+            estimates.append(decode_slot_free(stream, slot))
 
     image = assemble_image(estimates, schedule, grid, mode=scenario.mode)
     if scenario.intermode_scale != 1.0:
@@ -239,21 +243,23 @@ def _run_cdma(scenario: Scenario, grid: CaosGrid) -> RunReport:
         band_scenes = [(None, build_scene(scenario.target, grid))]
 
     run_report = RunReport(scenario=scenario)
-    for i, (band, scene) in enumerate(band_scenes):
-        stream = encode_cdma(scene, assignment, cfg)
-        adc_cfg = scenario.adc_config(
-            auto_full_scale=FULL_SCALE_HEADROOM * max(float(stream.samples.max()), 1e-12)
-        )
-        stream = add_noise(stream, noise_cfg, slot_index=i)
-        stream, clipped = quantize(stream, adc_cfg)
-        run_report.clip_count += clipped
-        image = decode_cdma(stream, assignment, cfg, grid)
-        if scenario.intermode_scale != 1.0:
-            image.estimates = image.estimates * scenario.intermode_scale
-        run_report.scenes.append(scene)
-        run_report.images.append(image)
-        if band is not None:
-            run_report.stripes.append(_extract_stripe(image, band))
+    q = spec.code_length * spec.samples_per_bit
+    with draws_ahead(noise_cfg, q, cfg.fs, len(band_scenes)):
+        for i, (band, scene) in enumerate(band_scenes):
+            stream = encode_cdma(scene, assignment, cfg)
+            adc_cfg = scenario.adc_config(
+                auto_full_scale=FULL_SCALE_HEADROOM * max(float(stream.samples.max()), 1e-12)
+            )
+            stream = add_noise(stream, noise_cfg, slot_index=i)
+            stream, clipped = quantize(stream, adc_cfg)
+            run_report.clip_count += clipped
+            image = decode_cdma(stream, assignment, cfg, grid)
+            if scenario.intermode_scale != 1.0:
+                image.estimates = image.estimates * scenario.intermode_scale
+            run_report.scenes.append(scene)
+            run_report.images.append(image)
+            if band is not None:
+                run_report.stripes.append(_extract_stripe(image, band))
 
     run_report.encoding_time_s = spec.code_length / spec.bit_rate
     if scenario.target.kind == "hdr-patches":

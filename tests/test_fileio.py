@@ -87,3 +87,21 @@ def test_csv_rows_across_blocks_match_per_value_repr(tmp_path):
     assert path.read_text() == want
     write_matrix_csv(tmp_path / "m.csv", m)
     assert np.array_equal(read_matrix_csv(tmp_path / "m.csv"), m)
+
+
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 32769])
+def test_one_column_csv_matches_general_row_path(tmp_path, rows):
+    # one column is written value by value; the bytes must be the row path's
+    rng = np.random.default_rng(rows)
+    col = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+    special = [-0.0, 0.0, 5e-324, -2.2e-310, np.inf, -np.inf, np.nan, 1e308]
+    col[: len(special)] = special[:rows]
+    m = col.reshape(-1, 1)
+    general = "".join(",".join(map(repr, row)) + "\n" for row in m.tolist())
+    write_matrix_csv(tmp_path / "m.csv", m)
+    assert (tmp_path / "m.csv").read_text(encoding="ascii") == general
+    write_columns_csv(tmp_path / "c.csv", m)
+    assert (tmp_path / "c.csv").read_text(encoding="ascii") == "slot_0\n" + general
+    if rows:
+        back = read_matrix_csv(tmp_path / "m.csv")
+        assert back.tobytes() == m.tobytes()

@@ -10,6 +10,7 @@ loaded read-only by path; nothing is installed.
 import importlib.util
 import inspect
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -43,3 +44,36 @@ def test_traced_name_resolves_with_its_counter_signature(module, attr, span, cou
     ]
     # the tracer calls counter(counts, result, *args) with the call's arguments
     inspect.signature(counter).bind(None, None, *positional)
+
+
+def test_traced_run_with_draw_ahead_keeps_spans_on_the_calling_thread(monkeypatch):
+    # the tracer keeps one span stack: a traced call from a pool thread would
+    # break its nesting, and one after uninstall would count as stray
+    import caossim.channel
+    import caossim.runner
+    from caossim.scenario import scenario_from_dict
+
+    tracing = _load_tracing()
+    monkeypatch.setattr(caossim.channel, "_draw_workers", lambda: 2)
+    scenario = scenario_from_dict(
+        {
+            "mode": "fdma-tdma",
+            "grid": {"rows": 3, "cols": 5},
+            "plan": {"T": 1.0, "p": 10, "m": 5, "P": 2},
+            "target": {"kind": "uniform", "level": 0.5},
+            "noise": {"awgn_sigma": 0.05, "pink_enabled": True, "pink_sigma": 0.01},
+        }
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        start = perf_counter()
+        with tracer.span(tracing.ROOT, "noisy"):
+            caossim.runner.run(scenario)
+        wall = perf_counter() - start
+    finally:
+        tracer.uninstall()
+    assert tracer.nesting_errors(wall) == []
+    assert tracer.originals_restored()
+    assert tracer.stray_calls == 0
+    assert tracer.counts["channel.add_noise.calls"] == 8  # 15 pixels, 2 per slot
