@@ -33,7 +33,6 @@ from .freq_plan import (
     FrequencyPlan,
     ValidationReport,
     available_slots,
-    bin_of,
     design_plan,
     validate_plan,
 )

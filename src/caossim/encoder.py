@@ -175,7 +175,6 @@ class TdmaSchedule:
     """Slot-by-slot (pixel id, carrier Hz) assignments."""
 
     slots: tuple[tuple[tuple[int, float], ...], ...]
-    slot_duration: float
 
     def __post_init__(self) -> None:
         seen: set[int] = set()
@@ -208,7 +207,7 @@ def schedule_fdma_tdma(npix: int, plan: FrequencyPlan) -> TdmaSchedule:
         group = range(start, min(start + P, npix))
         slots.append(tuple((pix, channels[j]) for j, pix in enumerate(group)))
     assert len(slots) == math.ceil(npix / P)
-    return TdmaSchedule(slots=tuple(slots), slot_duration=plan.T)
+    return TdmaSchedule(slots=tuple(slots))
 
 
 def encode_slot(

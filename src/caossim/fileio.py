@@ -9,11 +9,8 @@ replaces the CSV data.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
-
-from .waveform import SampledSignal
 
 __all__ = [
     "write_matrix_csv",
@@ -22,10 +19,10 @@ __all__ = [
     "read_pgm16",
     "log_display",
     "write_columns_csv",
-    "write_streams_csv",
 ]
 
 PGM_MAXVAL = 65535
+LOG_FLOOR_DECADES = 8.0
 CSV_BLOCK_ROWS = 1024
 
 
@@ -102,8 +99,8 @@ def read_pgm16(path: str | Path) -> np.ndarray:
     return data.reshape(height, width).astype(np.float64)
 
 
-def log_display(matrix: np.ndarray, floor_decades: float = 8.0) -> np.ndarray:
-    """log10 rendering of a nonnegative image, clipped floor_decades below peak.
+def log_display(matrix: np.ndarray) -> np.ndarray:
+    """log10 rendering of a nonnegative image, clipped LOG_FLOOR_DECADES below peak.
 
     Output spans [0, 1]; the stored linear data is untouched.
     """
@@ -111,7 +108,7 @@ def log_display(matrix: np.ndarray, floor_decades: float = 8.0) -> np.ndarray:
     peak = m.max()
     if peak <= 0:
         return np.zeros_like(m)
-    floor = peak * 10.0**-floor_decades
+    floor = peak * 10.0**-LOG_FLOOR_DECADES
     logd = np.log10(np.clip(m, floor, None) / floor)
     return logd / np.log10(peak / floor)
 
@@ -120,10 +117,3 @@ def write_columns_csv(path: str | Path, columns: np.ndarray) -> None:
     """A Q x S matrix with one column per slot, under a slot_<i> header."""
     header = ",".join(f"slot_{i}" for i in range(columns.shape[1]))
     _write_csv(path, columns, header)
-
-
-def write_streams_csv(path: str | Path, streams: Sequence[SampledSignal]) -> None:
-    """Slot streams side by side, one column per slot."""
-    if not streams:
-        raise ValueError("no streams to write")
-    write_columns_csv(path, np.column_stack([s.samples for s in streams]))

@@ -34,7 +34,6 @@ __all__ = [
     "plan_from_frequencies",
     "validate_plan",
     "available_slots",
-    "bin_of",
 ]
 
 MAINS_GUARD_HZ = 50.0
@@ -196,8 +195,11 @@ def validate_plan(
     bin-exact member.  A collision is charged to the channel whose bin is
     hit, with the lowest such h.  Findings are sorted by frequency, so the
     report is independent of input order.  A report is always produced,
-    unless fs is not a whole multiple of delta_f (ValueError).
+    unless fs is not a whole multiple of delta_f or max_harmonic < 1, which
+    would skip even the same-bin test (ValueError).
     """
+    if max_harmonic < 1:
+        raise ValueError(f"max_harmonic must be >= 1, got {max_harmonic}")
     if not frequencies:
         raise ValueError("frequency list must be nonempty")
     freqs = tuple(float(f) for f in frequencies)
@@ -249,6 +251,8 @@ def available_slots(
         m = whole_number(u / f_a)
         if m is None:
             raise ValueError(f"used frequency {u} is not a multiple of f_a = {f_a}")
+        if m < 1:
+            raise ValueError(f"used frequency {u} is below f_a = {f_a}")
         used_mult.append(m)
 
     out: list[float] = []
@@ -261,13 +265,3 @@ def available_slots(
         if not blocked:
             out.append(k * f_a)
     return out
-
-
-def bin_of(f: float, delta_f: float) -> int:
-    """Spectrum bin index f/delta_f (DC is bin 0); the ratio must be exact."""
-    if f < 0:
-        raise ValueError("frequency must be nonnegative")
-    b = whole_number(f / delta_f)
-    if b is None:
-        raise ValueError(f"{f} Hz is not an integer multiple of {delta_f} Hz")
-    return b

@@ -1,9 +1,8 @@
 """Figures of merit: dynamic range, SNR, FFT processing gain, encode timing.
 
-SNR values are linear ratios (a dB helper is provided); "minimum SNR" of a
-patch is the minimum over its pixels of pixel / dark-region mean, which
-collapses a patch to a single robustness number while honoring the word
-minimum.
+SNR values are linear ratios; "minimum SNR" of a patch is the minimum over
+its pixels of pixel / dark-region mean, which collapses a patch to a single
+robustness number while honoring the word minimum.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "dynamic_range_db",
-    "snr_db",
     "measure_snr",
     "processing_gain_db",
     "processing_gain_notes",
@@ -35,10 +33,6 @@ def dynamic_range_db(i_max: float, i_min: float) -> float:
     if i_max < i_min:
         raise ValueError("i_max must be >= i_min")
     return 20.0 * math.log10(i_max / i_min)
-
-
-def snr_db(snr_linear: float) -> float:
-    return 10.0 * math.log10(snr_linear)
 
 
 def measure_snr(

@@ -132,7 +132,12 @@ def build_scene(target: TargetSpec, grid: CaosGrid) -> Scene:
     if target.kind == "image-file":
         path = Path(target.path)
         read = fileio.read_pgm16 if path.suffix == ".pgm" else fileio.read_matrix_csv
-        scene = Scene(read(path))
+        try:
+            scene = Scene(read(path))
+        except ValueError as exc:  # a file that cannot be opened stays an OSError
+            raise ScenarioError(
+                f"'target.path' {target.path} is not a usable image: {exc}"
+            ) from exc
         if scene.shape != (grid.rows, grid.cols):
             raise ScenarioError(
                 f"'target.path' {target.path} holds a {scene.shape[0]}x{scene.shape[1]}"

@@ -55,7 +55,7 @@ OPTICS_KEYS = ("anchors", "span_nm", "n_columns")
 # (section, key) of the Scenario fields that the document nests in a section
 # (grid.<k> is field <k>, adc.<k> is adc_<k>); no other class has these names
 NESTED = {name: (section, name.removeprefix(section + "_")) for section, names in (
-    ("grid", ("rows", "cols", "pixel_mirrors", "mirror_pitch_um")),
+    ("grid", ("rows", "cols")),
     ("adc", ("adc_enabled", "adc_bits", "adc_full_scale")),
 ) for name in names}
 # the keys each target kind reads besides "kind"; a list or path among them must be non-empty
@@ -125,6 +125,19 @@ class TargetSpec:
         for key in TARGET_KEYS[self.kind]:
             if getattr(self, key) in ((), ""):
                 raise ScenarioError(f"target kind {self.kind!r} needs a non-empty 'target.{key}'")
+        magnitudes = [("level", self.level), ("background", self.background)]
+        magnitudes += [(f"values[{i}][{j}]", v) for i, row in enumerate(self.values)
+                       for j, v in enumerate(row)]
+        for key, value in magnitudes:
+            if value < 0:
+                raise ScenarioError(
+                    f"target {key} must be nonnegative, got {value!r} (key 'target.{key}')"
+                )
+        if not self.source_temp_k > 0:
+            raise ScenarioError(
+                f"target source_temp_k must be positive, got {self.source_temp_k!r}"
+                " (key 'target.source_temp_k')"
+            )
 
     @property
     def band_rows(self) -> tuple[int, ...]:
@@ -150,8 +163,6 @@ class Scenario:
     mode: str
     rows: int = 1
     cols: int = 1
-    pixel_mirrors: int = 19
-    mirror_pitch_um: float = 13.68
     target: TargetSpec | None = None
     plan: PlanSpec | None = None
     cdma: CdmaSpec | None = None
@@ -173,6 +184,11 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ScenarioError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if not self.intermode_scale > 0:
+            raise ScenarioError(
+                f"intermode_scale must be positive, got {self.intermode_scale!r}"
+                " (key 'intermode_scale')"
+            )
         if self.mode == "optics-check":
             return
         if self.target is None:
@@ -241,7 +257,7 @@ class Scenario:
 
     @property
     def grid(self) -> CaosGrid:
-        return CaosGrid(self.rows, self.cols, self.pixel_mirrors, self.mirror_pitch_um)
+        return CaosGrid(self.rows, self.cols)
 
     def to_dict(self) -> dict[str, Any]:
         if self.mode == "optics-check":

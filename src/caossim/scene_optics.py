@@ -51,19 +51,20 @@ _SPEED_C = 2.99792458e8
 _BOLTZMANN_K = 1.380649e-23
 
 DEFAULT_SOURCE_TEMP_K = 2850.0
+# relative tolerance of the slit-relay focal-length equalities
+LENS_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class CaosGrid:
-    """Addressable pixel grid: rows x cols blocks of pixel_mirrors^2 mirrors."""
+    """Addressable pixel grid: rows x cols pixels, each a block of micromirrors
+    switched as one (scenes are modeled per pixel, not per mirror)."""
 
     rows: int
     cols: int
-    pixel_mirrors: int = 19
-    mirror_pitch_um: float = 13.68
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1 or self.pixel_mirrors < 1:
+        if self.rows < 1 or self.cols < 1:
             raise ValueError("grid dimensions must be >= 1")
 
     @property
@@ -105,7 +106,6 @@ class OpticsConfig:
     cyl_focal_2: float = 6.0
     cyl_focal_3: float = 3.0
     diffraction_order: int = 1
-    dmd_width_mm: float = 14.0
 
     def __post_init__(self) -> None:
         if self.grating_freq <= 0:
@@ -180,14 +180,14 @@ def column_to_wavelength(
     return s / (config.diffraction_order * config.grating_freq) * 1e6
 
 
-def check_lens_constraints(config: OpticsConfig, rel_tol: float = 1e-6) -> list[str]:
+def check_lens_constraints(config: OpticsConfig) -> list[str]:
     """Violations of the slit-relay conditions CF2 = 2*CF1 and CF1 = CF3."""
     violations = []
-    if not math.isclose(config.cyl_focal_2, 2.0 * config.cyl_focal_1, rel_tol=rel_tol):
+    if not math.isclose(config.cyl_focal_2, 2.0 * config.cyl_focal_1, rel_tol=LENS_REL_TOL):
         violations.append(
             f"CF2 = {config.cyl_focal_2} cm is not twice CF1 = {config.cyl_focal_1} cm"
         )
-    if not math.isclose(config.cyl_focal_1, config.cyl_focal_3, rel_tol=rel_tol):
+    if not math.isclose(config.cyl_focal_1, config.cyl_focal_3, rel_tol=LENS_REL_TOL):
         violations.append(
             f"CF1 = {config.cyl_focal_1} cm does not equal CF3 = {config.cyl_focal_3} cm"
         )

@@ -31,7 +31,6 @@ __all__ = [
     "fourier_coeff_closed",
     "fundamental_coefficient",
     "fold_bin",
-    "fold_to_bin",
     "folded_harmonic_bins",
     "nearest_bin",
     "whole_number",
@@ -77,23 +76,20 @@ class SamplingWindow:
 class SquareWaveSpec:
     """Carrier description for one modulated pixel.
 
-    phase_samples shifts the rising edge; all carriers of a slot share
-    phase 0 (the mirrors switch on a common frame clock), so the default
-    is a wave that starts high at sample 0.
+    Every carrier is a 50%-duty wave that starts high at sample 0: the
+    mirrors switch on a common frame clock.  The decoder's normalization
+    (fundamental_coefficient), the even-harmonic null the plan audit rests
+    on and the runner's noiseless stream peak all assume both.
     """
 
     frequency: float
     amplitude: float = 1.0
-    phase_samples: int = 0
-    duty: float = 0.5
 
     def __post_init__(self) -> None:
         if self.frequency <= 0:
             raise ValueError("frequency must be positive")
         if self.amplitude < 0:
             raise ValueError("amplitude must be nonnegative")
-        if not 0.0 < self.duty < 1.0:
-            raise ValueError("duty must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,14 +153,14 @@ def synth_square(spec: SquareWaveSpec, window: SamplingWindow) -> SampledSignal:
     """Synthesize one window of an exactly periodic sampled square wave.
 
     The wave completes whole cycles inside the window; sample n is high
-    (equal to the amplitude) when the phase-shifted position within the
-    period is below N*duty, giving exactly N*duty high samples per period
-    when that product is integral.
+    (equal to the amplitude) when its position n mod N within the period
+    is below N/2, so each period starts with N/2 high samples (N divides
+    the power-of-two Q, so it is even).
     """
     n_per = samples_per_period(spec.frequency, window)
     n = np.arange(window.Q)
-    pos = (n - spec.phase_samples) % n_per
-    high = pos < n_per * spec.duty
+    pos = n % n_per
+    high = pos < n_per * 0.5
     return SampledSignal(np.where(high, spec.amplitude, 0.0), window.fs)
 
 
@@ -179,8 +175,8 @@ def sample_square_free(spec: SquareWaveSpec, window: SamplingWindow) -> SampledS
     if spec.frequency > window.fs / 2:
         raise ValueError("frequency above Nyquist")
     n = np.arange(window.Q)
-    phase = np.mod((n - spec.phase_samples) * (spec.frequency / window.fs), 1.0)
-    return SampledSignal(np.where(phase < spec.duty, spec.amplitude, 0.0), window.fs)
+    phase = np.mod(n * (spec.frequency / window.fs), 1.0)
+    return SampledSignal(np.where(phase < 0.5, spec.amplitude, 0.0), window.fs)
 
 
 def fourier_coeff_direct(N: int, N1: int, k: int) -> complex:
@@ -235,15 +231,6 @@ def fold_bin(b: int, q: int) -> int:
     """Bin where integer bin b lands after aliasing about q bins (fs), in 0..q/2."""
     r = b % q
     return min(r, q - r)
-
-
-def fold_to_bin(frequency: float, fs: float, delta_f: float) -> int:
-    """Integer bin where a tone lands after aliasing about fs, in 0..Q/2;
-    frequency and fs must be whole multiples of delta_f (whole_number)."""
-    b, q = whole_number(frequency / delta_f), whole_number(fs / delta_f)
-    if b is None or q is None:
-        raise ValueError(f"{frequency} Hz or fs = {fs} Hz is not a whole number of bins")
-    return fold_bin(b, q)
 
 
 def folded_harmonic_bins(

@@ -53,6 +53,7 @@ def test_plan_validate_passes_valid_set(capsys):
         (["plan", "generate", "--T", "1", "--p", "6", "--m", "10", "--P", "1"], 1),
         (["plan", "generate", "--T", "1", "--p", "6", "--m", "2000", "--P", "1"], 1),
         (["plan", "slots", "--fa", "64", "--used", "64,100"], 1),
+        (["plan", "slots", "--fa", "1e12", "--used", "100"], 1),
     ],
 )
 def test_bad_plan_settings_exit_without_traceback(argv, code, capsys):
@@ -72,6 +73,7 @@ def test_bad_plan_settings_exit_without_traceback(argv, code, capsys):
         (["plan", "generate", "--T", "1", "--p", "6", "--m", "2000", "--P", "1"], "fs/4"),
         (["plan", "generate", "--T", "1", "--p", "2000", "--m", "7", "--P", "1"], "p = 2000"),
         (["plan", "validate", "--df", "3", "--fs", "65536", "-f", "3"], "whole number of bins"),
+        (["plan", "validate", "--df", "1", "-f", "64,64", "--max-harmonic", "0"], "max_harmonic"),
     ],
 )
 def test_rejected_plan_setting_is_named_on_one_line(argv, words, capsys):
@@ -166,6 +168,32 @@ def test_pipeline_precondition_failure_is_clean_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "scenario rejected" in err and "Traceback" not in err
     assert str(image) in err and "2x2 image" in err and "grid is 3x3" in err
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("ragged.csv", b"1,0.5\n0.25\n"),
+        ("negative.csv", b"1,0.5\n-0.25,0\n"),
+        ("nan.csv", b"1,0.5\nnan,0\n"),
+        ("truncated.pgm", b"P5\n2 2\n65535\n\x00\x01\x00"),
+    ],
+)
+def test_unusable_image_file_is_named_by_key(tmp_path, capsys, name, content):
+    image = tmp_path / name
+    image.write_bytes(content)
+    doc = {
+        "mode": "fdma-tdma",
+        "grid": {"rows": 2, "cols": 2},
+        "target": {"kind": "image-file", "path": str(image)},
+        "plan": {"T": 1.0, "p": 10, "m": 7, "P": 1},
+        "seed": 0,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "'target.path'" in err and str(image) in err and "Traceback" not in err
 
 
 def test_target_that_cannot_fit_is_invalid_scenario(tmp_path, capsys):

@@ -176,7 +176,7 @@ class TestSchedule:
 
     def test_duplicate_pixel_rejected(self):
         with pytest.raises(ValueError, match="more than one slot"):
-            TdmaSchedule(slots=(((0, 64.0),), ((0, 128.0),)), slot_duration=1.0)
+            TdmaSchedule(slots=(((0, 64.0),), ((0, 128.0),)))
 
 
 class TestEncodeFdmaTdma:
@@ -218,7 +218,7 @@ class TestEncodeFdmaTdma:
 
     def test_off_plan_frequency_rejected(self):
         plan = design_plan(T=1.0, p=12, m=4, P=2)
-        sched = TdmaSchedule(slots=(((0, 24.0),),), slot_duration=1.0)
+        sched = TdmaSchedule(slots=(((0, 24.0),),))
         with pytest.raises(ValueError, match="outside the plan"):
             encode_fdma_tdma(Scene(np.ones((1, 1))), sched, plan, plan.window())
 

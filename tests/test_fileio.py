@@ -11,9 +11,7 @@ from caossim.fileio import (
     write_matrix_csv,
     write_columns_csv,
     write_pgm16,
-    write_streams_csv,
 )
-from caossim.waveform import SampledSignal
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -58,20 +56,11 @@ def test_pgm_rejects_wrong_magic(tmp_path):
 
 
 def test_log_display_spans_unit_range():
-    m = np.array([[1.0, 1e-3, 1e-9, 0.0]])
-    d = log_display(m, floor_decades=6.0)
+    m = np.array([[1.0, 1e-4, 1e-9, 0.0]])
+    d = log_display(m)
     assert d.max() == pytest.approx(1.0)
     assert d.min() == 0.0
-    assert d[0, 1] == pytest.approx(0.5)  # halfway down a 6-decade scale
-
-
-def test_streams_csv(tmp_path):
-    streams = [SampledSignal(np.arange(4, dtype=float) + i, 4.0) for i in range(3)]
-    path = tmp_path / "s.csv"
-    write_streams_csv(path, streams)
-    text = path.read_text().splitlines()
-    assert text[0] == "slot_0,slot_1,slot_2"
-    assert text[1] == "0.0,1.0,2.0"
+    assert d[0, 1] == pytest.approx(0.5)  # halfway down the 8-decade scale
 
 
 def test_csv_rows_across_blocks_match_per_value_repr(tmp_path):

@@ -10,7 +10,6 @@ from caossim.freq_plan import (
     MainsGuardWarning,
     HarmonicCollision,
     available_slots,
-    bin_of,
     design_plan,
     plan_from_frequencies,
     validate_plan,
@@ -142,6 +141,13 @@ class TestValidatePlan:
         with pytest.raises(ValueError, match="whole number of bins"):
             validate_plan([3.0], delta_f=3.0, fs=65536.0)
 
+    @pytest.mark.parametrize("max_harmonic", [0, -1])
+    def test_max_harmonic_below_1_rejected(self, max_harmonic):
+        # an empty harmonic range would skip even the same-bin (h = 1) test
+        with pytest.raises(ValueError, match="max_harmonic must be >= 1"):
+            validate_plan([64.0, 64.0], delta_f=1.0, fs=65536.0, max_harmonic=max_harmonic)
+        assert not validate_plan([64.0, 64.0], delta_f=1.0, fs=65536.0, max_harmonic=1).passed
+
     @pytest.mark.parametrize("freqs", [[64.0, 64.0], [64.0, 64.00000001]])
     def test_same_bin_is_a_harmonic_1_collision(self, freqs):
         report = validate_plan(freqs, delta_f=1.0, fs=65536.0)
@@ -227,6 +233,11 @@ class TestAvailableSlots:
     def test_cli_example(self):
         assert available_slots(64.0, [64.0, 128.0]) == [256.0, 512.0]
 
+    def test_used_carrier_below_fa_rejected(self):
+        # 100/1e12 is within whole_number's tolerance of multiple 0
+        with pytest.raises(ValueError, match="used frequency 100.0 is below f_a"):
+            available_slots(1e12, [100.0])
+
     @given(
         st.sets(st.integers(min_value=1, max_value=16), min_size=1, max_size=6),
         st.integers(min_value=1, max_value=16),
@@ -239,17 +250,6 @@ class TestAvailableSlots:
         before = set(available_slots(fa, used, horizon=16))
         after = set(available_slots(fa, wider, horizon=16))
         assert after <= before
-
-
-class TestBinOf:
-    def test_examples(self):
-        assert bin_of(128.0, 4.0) == 32
-        assert bin_of(0.0, 1.0) == 0
-        assert bin_of(8192.0, 1.0) == 8192
-
-    def test_non_integral_rejected(self):
-        with pytest.raises(ValueError):
-            bin_of(1170.3, 4.0)
 
 
 class TestPlanFromFrequencies:

@@ -14,7 +14,6 @@ from caossim.metrics import (
     patch_report,
     processing_gain_db,
     processing_gain_notes,
-    snr_db,
     speedup,
 )
 
@@ -116,11 +115,6 @@ class TestTimingModel:
         t_single = encoding_time(npix, 1, T)
         assert t_single == pytest.approx(npix * T)
         assert t_multi <= t_single / P + T + 1e-9
-
-
-class TestSnrDb:
-    def test_conversion(self):
-        assert snr_db(100.0) == pytest.approx(20.0)
 
 
 class TestPatchReport:

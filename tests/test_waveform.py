@@ -13,7 +13,6 @@ from caossim.waveform import (
     SamplingWindow,
     SquareWaveSpec,
     fold_bin,
-    fold_to_bin,
     folded_harmonic_bins,
     fourier_coeff_closed,
     fourier_coeff_direct,
@@ -96,12 +95,10 @@ class TestSynthSquare:
         x = synth_square(SquareWaveSpec(frequency=64.0, amplitude=0.0), WINDOW_64K)
         assert not x.samples.any()
 
-    def test_starts_high_and_phase_shift(self):
+    def test_starts_high_at_sample_0(self):
         w = SamplingWindow.design(T=1.0, p=6)
         base = synth_square(SquareWaveSpec(frequency=8.0), w).samples
-        assert base[0] == 1.0
-        shifted = synth_square(SquareWaveSpec(frequency=8.0, phase_samples=3), w).samples
-        assert np.array_equal(shifted, np.roll(base, 3))
+        assert np.array_equal(base, np.tile([1.0] * 4 + [0.0] * 4, 8))
 
     def test_partial_cycles_rejected(self):
         with pytest.raises(ValueError, match="integer"):
@@ -211,22 +208,10 @@ class TestFoldedHarmonicBins:
     def test_fundamental_only(self):
         assert folded_harmonic_bins(2048.0, WINDOW_64K, 1) == {2048}
 
-    def test_fold_to_bin(self):
-        assert fold_to_bin(40960.0, 65536.0, 1.0) == 24576
-        assert fold_to_bin(57344.0, 65536.0, 1.0) == 8192
-        assert fold_to_bin(70000.0, 65536.0, 1.0) == 4464
-
     def test_fold_bin_reflects_about_half_of_q(self):
         assert [fold_bin(b, 16) for b in (0, 3, 8, 9, 15, 16, 21, 45)] == [0, 3, 8, 7, 1, 0, 5, 3]
-
-    def test_fold_to_bin_takes_the_whole_number_tolerance(self):
-        # within whole_number's 1e-9 relative tolerance of bin 30000, so it is bin 30000
-        assert fold_to_bin(30000.00002, 65536.0, 1.0) == 30000
-        assert fold_to_bin(3 * 8192.000005, 65536.0, 1.0) == 24576
-        with pytest.raises(ValueError, match="whole number of bins"):
-            fold_to_bin(30000.5, 65536.0, 1.0)
-        with pytest.raises(ValueError, match="whole number of bins"):
-            fold_to_bin(3.0, 65536.0, 3.0)
+        # 5th and 7th harmonics of 8192 and a tone above fs, folded about Q = 65536
+        assert [fold_bin(b, 65536) for b in (40960, 57344, 70000)] == [24576, 8192, 4464]
 
     def test_nearest_bin_range(self):
         assert nearest_bin(1170.3, 4.0, 16384) == 293
