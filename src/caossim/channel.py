@@ -24,7 +24,7 @@ import os
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,18 +33,22 @@ from .waveform import SampledSignal
 __all__ = ["NoiseConfig", "AdcConfig", "add_noise", "draws_ahead", "quantize"]
 
 MAX_DRAW_WORKERS = 4
+# the ADC resolutions AdcConfig accepts, and a scenario's adc.bits
+ADC_BITS = range(2, 25)
+# the scenario rule of a noise magnitude (see caossim.scenario)
+NONNEGATIVE = {"rule": ("nonnegative", lambda v: v >= 0)}
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    awgn_sigma: float = 0.0
-    mains_amplitude: float = 0.0
+    awgn_sigma: float = field(default=0.0, metadata=NONNEGATIVE)
+    mains_amplitude: float = field(default=0.0, metadata=NONNEGATIVE)
     mains_freq: float = 50.0
     mains_phase: float = 0.0
     pink_enabled: bool = False
     pink_exponent: float = 1.0
-    pink_sigma: float = 0.0
-    dark_offset: float = 0.0
+    pink_sigma: float = field(default=0.0, metadata=NONNEGATIVE)
+    dark_offset: float = field(default=0.0, metadata=NONNEGATIVE)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -72,8 +76,8 @@ class AdcConfig:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if not 2 <= self.bits <= 24:
-            raise ValueError("bits must lie in 2..24")
+        if self.bits not in ADC_BITS:
+            raise ValueError(f"bits must lie in {ADC_BITS[0]}..{ADC_BITS[-1]}")
         if self.full_scale <= 0:
             raise ValueError("full_scale must be positive")
 

@@ -132,7 +132,9 @@ class PatchReport:
 
     @property
     def measured_dr_db(self) -> float:
-        return max(e.measured_dr_db for e in self.entries)
+        """The largest measured DR of a detected patch (nan if none was)."""
+        return max((e.measured_dr_db for e in self.entries if not math.isnan(e.measured_dr_db)),
+                   default=math.nan)
 
     @property
     def designed_dr_db(self) -> float:
@@ -147,8 +149,10 @@ def patch_report(
 ) -> PatchReport:
     """Build the designed-vs-measured table for a multi-patch HDR target.
 
-    DR entries are referenced to the brightest patch mean.  A target with
-    no dark pixels has no noise reference; its SNR column reads infinite.
+    DR entries are referenced to the brightest patch mean.  A patch whose
+    mean is not above 0 was not detected; its measured DR reads nan.  A
+    target with no dark pixels has no noise reference; its SNR column reads
+    infinite.
     """
     if len(patch_masks) != len(designed_irradiances):
         raise ValueError("one designed irradiance per patch mask")
@@ -167,7 +171,7 @@ def patch_report(
                 designed_irradiance=des,
                 measured_irradiance=meas,
                 designed_dr_db=dynamic_range_db(bright_des, des),
-                measured_dr_db=dynamic_range_db(bright_meas, meas),
+                measured_dr_db=dynamic_range_db(bright_meas, meas) if meas > 0 else math.nan,
                 min_snr=min_snr,
             )
         )

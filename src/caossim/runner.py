@@ -199,8 +199,6 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
             estimates.append(decode_slot_free(stream, slot))
 
     image = assemble_image(estimates, schedule, grid, mode=scenario.mode)
-    if scenario.intermode_scale != 1.0:
-        image.estimates = image.estimates * scenario.intermode_scale
 
     t_this = metrics.encoding_time(grid.num_pixels, plan.num_channels, plan.T)
     t_single = metrics.encoding_time(grid.num_pixels, 1, plan.T)
@@ -259,8 +257,6 @@ def _run_cdma(scenario: Scenario, grid: CaosGrid) -> RunReport:
             stream, clipped = quantize(stream, adc_cfg)
             run_report.clip_count += clipped
             image = decode_cdma(stream, assignment, cfg, grid)
-            if scenario.intermode_scale != 1.0:
-                image.estimates = image.estimates * scenario.intermode_scale
             run_report.scenes.append(scene)
             run_report.images.append(image)
             if band is not None:

@@ -7,13 +7,16 @@ and every experiment ships as a small version-controlled preset.
 The dataclasses are the schema: parsing and serialising walk their fields
 and type hints; the tables below give only the document layout.  Parsing is
 strict (bool: true/false; int: a JSON integer; float: any finite number;
-tuple: a list of the right length; null only where a field may be None) and
-runs every range check, including those of the grid, ADC, CDMA and
-carrier-plan objects a run builds and the fit of the target to the grid.
-A key that the resolved document lacks (a misspelling, or a setting the
-mode or target kind ignores) is rejected.  Errors name the dotted key path,
-e.g. 'grid.cols'.  A resolved scenario serialises back to the same document
-it parses from.
+tuple: a list of the right length; null only where a field may be None).
+A key's range is a rule in its field's metadata, a phrase and a test, e.g.
+("positive", v > 0); the parser applies it to every number the key holds,
+each cell of a list included, where the key path is known.  Rules that
+join keys (the carrier plan, the code length against the pixel count, the
+fit of the target to the grid, the anchors and the optics span) run once
+the fields are built.  A key that the resolved document lacks (a
+misspelling, or a setting the mode or target kind ignores) is rejected.
+Errors name the dotted key path, e.g. 'grid.cols' or 'target.values[0][1]'.
+A resolved scenario serialises back to the same document it parses from.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 import sys
 import typing
 import warnings
@@ -30,10 +32,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable
 
-from .channel import AdcConfig, NoiseConfig
-from .encoder import CdmaConfig, WalshAssignment
+from .channel import ADC_BITS, NONNEGATIVE, AdcConfig, NoiseConfig
 from .freq_plan import MainsGuardWarning, design_plan, plan_from_frequencies
-from .scene_optics import CaosGrid, hdr_patch_masks
+from .scene_optics import CaosGrid, OpticsConfig, SpectralAnchor, band_columns, hdr_patch_masks
 from .waveform import SamplingWindow
 
 __all__ = [
@@ -49,8 +50,7 @@ ALT_ANCHORS = ((732.0, 0.0), (412.0, 51.0))
 
 # Document layout: the top-level keys of every scenario, then those of an optics check;
 # a simulation adds grid, adc, target, noise, plan/cdma if given, anchors for spectral lines
-COMMON_KEYS = ("mode", "seed", "permissive", "write_spectra", "log_display", "intermode_scale",
-               "output_dir")
+COMMON_KEYS = ("mode", "seed", "permissive", "write_spectra", "log_display", "output_dir")
 OPTICS_KEYS = ("anchors", "span_nm", "n_columns")
 # (section, key) of the Scenario fields that the document nests in a section
 # (grid.<k> is field <k>, adc.<k> is adc_<k>); no other class has these names
@@ -67,6 +67,13 @@ TARGET_KEYS = {
     "image-file": ("path",),
 }
 
+# Per-key rules, (phrase, test) in field metadata; _coerce applies one to every number a key
+# holds.  NONNEGATIVE, the rule of the noise magnitudes, comes from channel.
+POSITIVE = {"rule": ("positive", lambda v: v > 0)}
+COUNT = {"rule": ("at least 1", lambda v: v >= 1)}
+POWER_OF_TWO = {"rule": ("a power of two >= 2", lambda v: v >= 2 and not v & (v - 1))}
+ADC_RESOLUTION = {"rule": (f"in {ADC_BITS[0]}..{ADC_BITS[-1]}", lambda v: v in ADC_BITS)}
+
 
 class ScenarioError(ValueError):
     """Scenario file fails validation."""
@@ -76,22 +83,13 @@ class ScenarioError(ValueError):
 class PlanSpec:
     """Carrier plan: a designed ladder (T, p, m, P) or explicit frequencies."""
 
-    T: float
-    p: int
-    m: int | None = None
-    P: int | None = None
-    frequencies: tuple[float, ...] = ()
+    T: float = field(metadata=POSITIVE)
+    p: int = field(metadata=COUNT)
+    m: int | None = field(default=None, metadata=COUNT)
+    P: int | None = field(default=None, metadata=COUNT)
+    frequencies: tuple[float, ...] = field(default=(), metadata=POSITIVE)
 
     def __post_init__(self) -> None:
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ScenarioError(f"plan T must be a finite positive duration, got {self.T}")
-        if self.p < 1:
-            raise ScenarioError(f"plan p must be >= 1, got {self.p}")
-        if not all(f > 0 for f in self.frequencies):
-            raise ScenarioError(
-                f"plan frequencies must be positive, got {list(self.frequencies)}"
-                " (key 'plan.frequencies')"
-            )
         if self.frequencies:
             if self.m is not None or self.P is not None:
                 raise ScenarioError("give either (m, P) or frequencies, not both")
@@ -105,16 +103,16 @@ class PlanSpec:
 @dataclass(frozen=True)
 class TargetSpec:
     kind: str
-    level: float = 1.0
-    values: tuple[tuple[float, ...], ...] = ()
+    level: float = field(default=1.0, metadata=NONNEGATIVE)
+    values: tuple[tuple[float, ...], ...] = field(default=(), metadata=NONNEGATIVE)
     attenuations_db: tuple[float, ...] = ()
     layout: tuple[int, int] | None = None  # None = one row holding every patch
     patch_radius: float = 2.0
-    background: float = 0.0
-    bands: tuple[tuple[float, float], ...] = ()
+    background: float = field(default=0.0, metadata=NONNEGATIVE)
+    bands: tuple[tuple[float, float], ...] = field(default=(), metadata=POSITIVE)  # (centre, width)
     start_row: int = 0
     row_step: int = 1
-    source_temp_k: float = 2850.0
+    source_temp_k: float = field(default=2850.0, metadata=POSITIVE)
     path: str = ""
 
     def __post_init__(self) -> None:
@@ -125,19 +123,6 @@ class TargetSpec:
         for key in TARGET_KEYS[self.kind]:
             if getattr(self, key) in ((), ""):
                 raise ScenarioError(f"target kind {self.kind!r} needs a non-empty 'target.{key}'")
-        magnitudes = [("level", self.level), ("background", self.background)]
-        magnitudes += [(f"values[{i}][{j}]", v) for i, row in enumerate(self.values)
-                       for j, v in enumerate(row)]
-        for key, value in magnitudes:
-            if value < 0:
-                raise ScenarioError(
-                    f"target {key} must be nonnegative, got {value!r} (key 'target.{key}')"
-                )
-        if not self.source_temp_k > 0:
-            raise ScenarioError(
-                f"target source_temp_k must be positive, got {self.source_temp_k!r}"
-                " (key 'target.source_temp_k')"
-            )
 
     @property
     def band_rows(self) -> tuple[int, ...]:
@@ -150,9 +135,9 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class CdmaSpec:
-    code_length: int
-    bit_rate: float = 1000.0
-    samples_per_bit: int = 100
+    code_length: int = field(metadata=POWER_OF_TWO)
+    bit_rate: float = field(default=1000.0, metadata=POSITIVE)
+    samples_per_bit: int = field(default=100, metadata=COUNT)
 
     def to_dict(self) -> dict[str, Any]:
         return _dump(self, (f.name for f in fields(self)))
@@ -161,35 +146,37 @@ class CdmaSpec:
 @dataclass(frozen=True)
 class Scenario:
     mode: str
-    rows: int = 1
-    cols: int = 1
+    rows: int = field(default=1, metadata=COUNT)
+    cols: int = field(default=1, metadata=COUNT)
     target: TargetSpec | None = None
     plan: PlanSpec | None = None
     cdma: CdmaSpec | None = None
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     adc_enabled: bool = False
-    adc_bits: int = 16
-    adc_full_scale: float | None = None  # None = 1.25 x noiseless stream peak
+    adc_bits: int = field(default=16, metadata=ADC_RESOLUTION)
+    # None = 1.25 x noiseless stream peak
+    adc_full_scale: float | None = field(default=None, metadata=POSITIVE)
     seed: int = 0
     permissive: bool = False
     write_spectra: bool = False
     log_display: bool = False
-    intermode_scale: float = 1.0
     output_dir: str | None = None
     # optics-check settings
     anchors: tuple[tuple[float, float], ...] = DEFAULT_ANCHORS
     span_nm: tuple[float, float] = (412.0, 732.0)
-    n_columns: int = 52
+    n_columns: int = field(default=52, metadata=COUNT)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ScenarioError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if not self.intermode_scale > 0:
+        if len({column for _, column in self.anchors}) < 2:
             raise ScenarioError(
-                f"intermode_scale must be positive, got {self.intermode_scale!r}"
-                " (key 'intermode_scale')"
+                f"'anchors' must lie on at least two distinct columns, got {list(self.anchors)}"
             )
         if self.mode == "optics-check":
+            lo, hi = self.span_nm
+            if not lo < hi:
+                raise ScenarioError(f"'span_nm' must run from low to high, got [{lo!r}, {hi!r}]")
             return
         if self.target is None:
             raise ScenarioError("simulation scenarios need a target")
@@ -197,24 +184,20 @@ class Scenario:
             if self.cdma is None:
                 raise ScenarioError("cdma mode needs a cdma section")
             if self.cdma.code_length < self.rows * self.cols + 1:
-                raise ScenarioError("code_length must be at least the pixel count plus one")
+                raise ScenarioError(f"'cdma.code_length' must be at least the pixel count plus one,"
+                                    f" {self.rows * self.cols + 1}")
         elif self.plan is None:
             raise ScenarioError(f"{self.mode} mode needs a plan section")
         elif self.mode == "fm-tdma":
-            n = len(self.plan.frequencies) if self.plan.frequencies else self.plan.P
+            spec = self.plan
+            n, key = (len(spec.frequencies), "frequencies") if spec.frequencies else (spec.P, "P")
             if n != 1:
-                raise ScenarioError("fm-tdma uses exactly one carrier")
+                raise ScenarioError(f"fm-tdma uses exactly one carrier ('plan.{key}')")
         if self.target.kind == "spectral-line" and self.mode != "cdma":
             raise ScenarioError("the spectral-line target runs in cdma mode")
-        # the range checks of the objects a run builds from these settings
-        grid = self.grid
-        self.adc_config(auto_full_scale=1.0)  # a null full scale is resolved per run
-        if self.mode == "cdma":
-            CdmaConfig(self.cdma.bit_rate, self.cdma.samples_per_bit)
-            WalshAssignment.sequential(grid.num_pixels, self.cdma.code_length)
-        else:
+        if self.mode != "cdma":
             self._check_plan()
-        self._check_target_geometry(grid)
+        self._check_target_geometry(self.grid)
 
     def _check_plan(self) -> None:
         """Build the carrier plan as the run will; a low carrier warns in the run, not here."""
@@ -235,7 +218,8 @@ class Scenario:
             raise ScenarioError(f"{keys} do not make a carrier plan: {exc}") from exc
 
     def _check_target_geometry(self, grid: CaosGrid) -> None:
-        """The target must fit the grid; an image file is checked when it is read."""
+        """The target must fit the grid, and each spectral band must map onto it; an image
+        file is checked when it is read."""
         target, shape = self.target, f"{self.rows}x{self.cols}"
         if target.kind == "explicit" and [len(r) for r in target.values] != [self.cols] * self.rows:
             raise ScenarioError(f"'target.values' must be a {shape} matrix")
@@ -254,6 +238,15 @@ class Scenario:
                     f"'target.start_row' and 'target.row_step' put band rows {outside}"
                     f" outside the {self.rows} grid rows"
                 )
+            anchors = [SpectralAnchor(w, c) for w, c in self.anchors]
+            for center, width in target.bands:
+                band = f"'target.bands' band {center:g}+-{width / 2:g} nm"
+                try:
+                    first, last = band_columns(grid, center, width, OpticsConfig(), anchors)
+                except ValueError as exc:  # an evanescent edge, or anchors that fit no line
+                    raise ScenarioError(f"{band} does not map through 'anchors': {exc}") from exc
+                if first > last:
+                    raise ScenarioError(f"{band} maps entirely off the {self.cols} grid columns")
 
     @property
     def grid(self) -> CaosGrid:
@@ -284,26 +277,28 @@ _WHAT = {bool: "true or false", int: "an integer", float: "a number", str: "a st
          dict: "a JSON object"}
 
 
-def _coerce(hint: Any, value: Any, path: str) -> Any:
-    """Check one JSON value against a field's type hint; return the field value."""
+def _coerce(hint: Any, value: Any, path: str, rule: tuple[str, Any] | None = None) -> Any:
+    """Check one JSON value against a field's type hint and rule; return the field value."""
     if dataclasses.is_dataclass(hint):
         return _parse(hint, value, path + ".")
     args = typing.get_args(hint)
     if type(None) in args:  # X | None
-        return None if value is None else _coerce(args[0], value, path)
+        return None if value is None else _coerce(args[0], value, path, rule)
     what = _WHAT.get(hint)
     if typing.get_origin(hint) is tuple:
         variable = args[-1] is Ellipsis
         if isinstance(value, list) and (variable or len(value) == len(args)):
             args = args[:1] * len(value) if variable else args
-            return tuple(_coerce(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+            return tuple(_coerce(a, v, f"{path}[{i}]", rule)
+                         for i, (a, v) in enumerate(zip(args, value)))
         what = "a list" if variable else f"a list of {len(args)}"
-    elif hint is float and type(value) in (int, float):
-        if abs(value) <= sys.float_info.max:  # false for nan and inf
-            return float(value)
-        what = "finite"
-    elif type(value) is hint:
-        return value
+    elif hint is float and type(value) in (int, float) and not abs(value) <= sys.float_info.max:
+        what = "finite"  # nan, inf or an integer beyond a float
+    elif type(value) is hint or (hint is float and type(value) is int):
+        value = float(value) if hint is float else value
+        if rule is None or rule[1](value):
+            return value
+        what = rule[0]
     # worded like the dataclasses' own checks ("plan T must be ..."), then the key path
     words = path.replace(".", " ") or "scenario"
     raise ScenarioError(f"malformed scenario: {words} must be {what}, got {value!r} (key {path!r})")
@@ -317,7 +312,7 @@ def _parse(cls: type, d: Any, path: str) -> Any:
         src = d if section is None else _coerce(dict, d.get(section, {}), section)
         where = path + key if section is None else f"{section}.{key}"
         if key in src:
-            kwargs[f.name] = _coerce(hints[f.name], src[key], where)
+            kwargs[f.name] = _coerce(hints[f.name], src[key], where, f.metadata.get("rule"))
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ScenarioError(f"missing scenario key {where!r}")
     return cls(**kwargs)
@@ -341,12 +336,7 @@ def _json(value: Any) -> Any:
 
 
 def scenario_from_dict(d: dict[str, Any]) -> Scenario:
-    try:
-        scenario = _parse(Scenario, d, "")
-    except ScenarioError:
-        raise
-    except ValueError as exc:  # a range check of NoiseConfig or a pipeline object
-        raise ScenarioError(f"malformed scenario: {exc}") from exc
+    scenario = _parse(Scenario, d, "")
     _reject_unknown_keys(d, scenario.to_dict())
     return scenario
 

@@ -41,6 +41,7 @@ __all__ = [
     "spectral_width_per_column",
     "make_hdr_patch_target",
     "hdr_patch_masks",
+    "band_columns",
     "make_spectral_line_scene",
     "planck_weight",
 ]
@@ -150,6 +151,8 @@ def _beta_to_column_fit(
     wavelengths = [a.wavelength for a in anchors]
     if len(set(wavelengths)) != len(wavelengths):
         raise ValueError("anchor wavelengths must be distinct")
+    if len({a.column for a in anchors}) < 2:
+        raise ValueError("anchors must lie on at least two distinct columns")
     betas = np.array([grating_beta(a.wavelength, config) for a in anchors])
     cols = np.array([a.column for a in anchors])
     c1, c0 = np.polyfit(betas, cols, 1)
@@ -283,6 +286,22 @@ def planck_weight(lambda_nm: float, temp_k: float) -> float:
     return (2.0 * _PLANCK_H * _SPEED_C**2 / lam**5) / math.expm1(x)
 
 
+def band_columns(
+    grid: CaosGrid,
+    center_nm: float,
+    bandwidth_nm: float,
+    config: OpticsConfig,
+    anchors: Sequence[SpectralAnchor],
+) -> tuple[int, int]:
+    """First and last grid column a filter band covers; first > last when the
+    band maps entirely off the grid."""
+    # column index decreases with wavelength for the standard anchor layout
+    c_a = wavelength_to_column(center_nm + bandwidth_nm / 2.0, config, anchors)
+    c_b = wavelength_to_column(center_nm - bandwidth_nm / 2.0, config, anchors)
+    lo, hi = sorted((c_a, c_b))
+    return max(0, math.ceil(lo)), min(grid.cols - 1, math.floor(hi))
+
+
 def make_spectral_line_scene(
     grid: CaosGrid,
     pixel_row: int,
@@ -301,12 +320,7 @@ def make_spectral_line_scene(
     if not 0 <= pixel_row < grid.rows:
         raise ValueError("pixel_row outside the grid")
     img = np.zeros((grid.rows, grid.cols), dtype=np.float64)
-    # column index decreases with wavelength for the standard anchor layout
-    c_a = wavelength_to_column(center_nm + bandwidth_nm / 2.0, config, anchors)
-    c_b = wavelength_to_column(center_nm - bandwidth_nm / 2.0, config, anchors)
-    lo, hi = sorted((c_a, c_b))
-    first = max(0, math.ceil(lo))
-    last = min(grid.cols - 1, math.floor(hi))
+    first, last = band_columns(grid, center_nm, bandwidth_nm, config, anchors)
     if first > last:
         warnings.warn(
             f"band {center_nm}+-{bandwidth_nm / 2} nm maps entirely off the grid",

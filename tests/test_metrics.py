@@ -148,3 +148,19 @@ class TestPatchReport:
         rep = patch_report(img, [left, ~left], [1.0, 0.1], np.zeros((2, 2), bool))
         assert all(math.isinf(e.min_snr) for e in rep.entries)
         assert rep.measured_dr_db == pytest.approx(20.0)
+
+    @pytest.mark.parametrize("dim", [0.0, -0.002])
+    def test_patch_that_is_not_detected_reads_nan(self, dim):
+        # a patch below the floor decodes to 0 (an ADC LSB) or below it (noise)
+        img = np.array([[dim, 1.0, 0.1]])
+        masks = [img == v for v in (dim, 1.0, 0.1)]
+        rep = patch_report(img, masks, [0.001, 1.0, 0.1], np.zeros((1, 3), bool))
+        assert [math.isnan(e.measured_dr_db) for e in rep.entries] == [True, False, False]
+        assert rep.measured_dr_db == pytest.approx(20.0)
+        assert ",nan," in rep.to_csv() and "nan" in rep.format_table()
+
+    def test_no_patch_detected_reads_nan(self):
+        img = np.array([[0.0, -1.0]])
+        rep = patch_report(img, [img == 0.0, img == -1.0], [1.0, 0.1], np.zeros((1, 2), bool))
+        assert all(math.isnan(e.measured_dr_db) for e in rep.entries)
+        assert math.isnan(rep.measured_dr_db)

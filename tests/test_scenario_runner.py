@@ -1,8 +1,10 @@
 """Scenario parsing, preset integrity and runner behavior."""
 
 import copy
+import dataclasses
 import json
 import re
+import typing
 import warnings
 
 import numpy as np
@@ -15,6 +17,8 @@ from caossim.encoder import CdmaConfig, WalshAssignment, encode_cdma
 from caossim.freq_plan import MainsGuardWarning, validate_plan
 from caossim.runner import FULL_SCALE_HEADROOM, PlanRejectedError, build_scene, run
 from caossim.scenario import (
+    NESTED,
+    Scenario,
     ScenarioError,
     load_preset,
     preset_names,
@@ -45,6 +49,8 @@ TINY_HDR = dict(TINY_CDMA, grid={"rows": 5, "cols": 10}, cdma={"code_length": 64
 TINY_LINE = dict(TINY_CDMA, grid={"rows": 1, "cols": 52}, cdma={"code_length": 64},
                  target={"kind": "spectral-line", "bands": [[600.0, 40.0]]})
 
+OPTICS = {"mode": "optics-check"}
+
 
 class TestScenarioParsing:
     def test_round_trip_unchanged(self):
@@ -72,7 +78,7 @@ class TestScenarioParsing:
 
     def test_fm_requires_single_carrier(self):
         doc = dict(TINY_FDMA, mode="fm-tdma")
-        with pytest.raises(ScenarioError, match="one carrier"):
+        with pytest.raises(ScenarioError, match=r"one carrier \('plan\.P'\)"):
             scenario_from_dict(doc)
 
     def test_cdma_needs_enough_code_rows(self):
@@ -82,13 +88,14 @@ class TestScenarioParsing:
             "target": {"kind": "uniform", "level": 1.0},
             "cdma": {"code_length": 4},
         }
-        with pytest.raises(ScenarioError, match="pixel count"):
+        with pytest.raises(ScenarioError, match="'cdma.code_length' must be at least the pixel"):
             scenario_from_dict(doc)
 
     @pytest.mark.parametrize(
         "section, key",
         [
             (None, "sed"),
+            (None, "intermode_scale"),  # written by earlier versions, read by nothing
             ("grid", "rowz"),
             ("grid", "pixel_mirrors"),  # written by earlier versions, read by nothing
             ("grid", "mirror_pitch_um"),
@@ -120,10 +127,7 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=f"{key} must be finite"):
             scenario_from_dict(doc)
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("T", -1.0), ("T", 0.0), ("T", float("nan")), ("T", float("inf")), ("p", 0)],
-    )
+    @pytest.mark.parametrize("key, value", [("T", float("nan")), ("T", float("inf"))])
     def test_bad_window_named_at_parse(self, key, value):
         doc = dict(TINY_FDMA, plan=dict(TINY_FDMA["plan"], **{key: value}))
         with pytest.raises(ScenarioError, match=f"plan {key} must be"):
@@ -133,10 +137,8 @@ class TestScenarioParsing:
         "plan, key",
         [
             ({"T": 1.0, "p": 6, "m": 10, "P": 1}, "plan.m"),  # fastest carrier above fs/4
-            ({"T": 1.0, "p": 12, "m": 0, "P": 4}, "plan.m"),
-            ({"T": 1.0, "p": 12, "m": 7, "P": 0}, "plan.P"),
-            ({"T": 1.0, "p": 12, "frequencies": [-4.0, 8.0]}, "plan.frequencies"),
-            ({"T": 1.0, "p": 12, "frequencies": [0.0]}, "plan.frequencies"),
+            ({"T": 1.0, "p": 12, "frequencies": [-4.0, 8.0]}, "plan.frequencies[0]"),
+            ({"T": 1.0, "p": 12, "frequencies": [4.0, 0.0]}, "plan.frequencies[1]"),
             ({"T": 1.0, "p": 12, "frequencies": [4.0, 4.0]}, "plan.frequencies"),
             ({"T": 1.0, "p": 16, "frequencies": [40000.0, 4096.0]}, "plan.frequencies"),  # > fs/2
             ({"T": 1.0, "p": 2000, "frequencies": [4.0]}, "plan.p"),  # fs beyond a float
@@ -185,6 +187,55 @@ def _rejected_naming(doc, path):
         scenario_from_dict(doc)
 
 
+def _rules(cls, doc, prefix=""):
+    """(key path, rule) of each key in `doc` whose field of dataclass `cls` declares a rule."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        section, key = NESTED.get(f.name, (None, f.name))
+        where = doc if section is None else doc.get(section, {})
+        if key not in where:
+            continue
+        path = prefix + key if section is None else f"{section}.{key}"
+        hint = hints[f.name]
+        if type(None) in typing.get_args(hint):  # X | None
+            hint = typing.get_args(hint)[0]
+        if dataclasses.is_dataclass(hint):
+            yield from _rules(hint, where[key], path + ".")
+        elif "rule" in f.metadata:
+            yield path, f.metadata["rule"]
+
+
+def _cells(value, index=()):
+    """(index, number) of every number in a JSON value, a nested list or a scalar."""
+    if isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _cells(v, index + (i,))
+    else:
+        yield index, value
+
+
+def _replace_cell(value, index, cell):
+    """Copy of the nested list `value` with the number at `index` set to `cell`."""
+    if not index:
+        return cell
+    value = list(value)
+    value[index[0]] = _replace_cell(value[index[0]], index[1:], cell)
+    return value
+
+
+# candidate values that break a rule, by the JSON type of the number it holds
+BREAKERS = {int: [0, -1, 3, 25], float: [0.0, -1.0]}
+
+# every key some preset sets that a rule bounds
+RULED_KEYS = {
+    "grid.rows", "grid.cols", "adc.bits", "adc.full_scale", "n_columns",
+    "plan.T", "plan.p", "plan.m", "plan.P", "plan.frequencies",
+    "cdma.code_length", "cdma.bit_rate", "cdma.samples_per_bit",
+    "noise.awgn_sigma", "noise.mains_amplitude", "noise.pink_sigma", "noise.dark_offset",
+    "target.level", "target.values", "target.background", "target.bands",
+    "target.source_temp_k",
+}
+
 # JSON values of the wrong type for a leaf whose resolved value has the given type
 WRONG_TYPE = {
     bool: [1, "true"],
@@ -201,12 +252,11 @@ class TestStrictSchema:
     @pytest.mark.parametrize(
         "doc, path, make, named",
         [
-            (TINY_FDMA, "intermode_scale", lambda v: v, "intermode_scale"),
             (TINY_FDMA, "adc.full_scale", lambda v: v, "adc.full_scale"),
             (TINY_CDMA, "cdma.bit_rate", lambda v: v, "cdma.bit_rate"),
             (TINY_CDMA, "target.level", lambda v: v, "target.level"),
             (TINY_FDMA, "target.values", lambda v: [[1.0, v, 0.25, 0.125]], "target.values[0][1]"),
-            ({"mode": "optics-check"}, "span_nm", lambda v: [412.0, v], "span_nm[1]"),
+            (OPTICS, "span_nm", lambda v: [412.0, v], "span_nm[1]"),
         ],
     )
     def test_non_finite_float_rejected_at_parse(self, doc, path, make, named, value):
@@ -230,25 +280,35 @@ class TestStrictSchema:
     @pytest.mark.parametrize(
         "doc, path, value, match",
         [
-            (TINY_FDMA, "grid.rows", 0, "grid dimensions"),
-            (TINY_FDMA, "adc.bits", 30, "bits must lie"),
-            (TINY_FDMA, "adc.full_scale", -1, "full_scale must be positive"),
-            (TINY_CDMA, "cdma.code_length", 6, "power of two"),
-            (TINY_CDMA, "cdma.samples_per_bit", 0, "samples_per_bit"),
-            (TINY_FDMA, "target.values", [[1.0, 0.5, 0.25], [0.125]], "target.values"),
-            (TINY_FDMA, "target.values", [[1.0, 0.5], [0.25, 0.125]], "target.values"),
-            (TINY_CDMA, "target.level", -1.0, "nonnegative.*'target.level'"),
+            (TINY_FDMA, "target.values", [[1.0, 0.5, 0.25], [0.125]], "'target.values'"),
+            (TINY_FDMA, "target.values", [[1.0, 0.5], [0.25, 0.125]], "'target.values'"),
             (TINY_FDMA, "target.values", [[1.0, 0.5, -0.25, 0.125]],
-             r"nonnegative.*'target\.values\[0\]\[2\]'"),
-            (TINY_HDR, "target.background", -0.5, "nonnegative.*'target.background'"),
-            (TINY_LINE, "target.source_temp_k", 0.0, "positive.*'target.source_temp_k'"),
-            (TINY_LINE, "target.source_temp_k", -2850.0, "positive.*'target.source_temp_k'"),
-            (TINY_FDMA, "intermode_scale", 0.0, "positive.*'intermode_scale'"),
-            (TINY_FDMA, "intermode_scale", -24.66, "positive.*'intermode_scale'"),
+             "nonnegative, got -0.25 (key 'target.values[0][2]')"),
+            (TINY_LINE, "target.bands", [[-600.0, 40.0]],
+             "positive, got -600.0 (key 'target.bands[0][0]')"),
+            (TINY_LINE, "target.bands", [[600.0, 0.0]],
+             "positive, got 0.0 (key 'target.bands[0][1]')"),
+            (TINY_LINE, "target.bands", [[600.0, -40.0]],
+             "positive, got -40.0 (key 'target.bands[0][1]')"),
+            (TINY_LINE, "target.bands", [[5000.0, 40.0]],
+             "'target.bands' band 5000+-20 nm does not map through 'anchors': order 1 at 5020.0 nm"
+             " is evanescent"),
+            (TINY_LINE, "target.bands", [[300.0, 10.0]],
+             "'target.bands' band 300+-5 nm maps entirely off the 52 grid columns"),
+            (TINY_LINE, "target.bands", [[900.0, 10.0]],
+             "'target.bands' band 900+-5 nm maps entirely off the 52 grid columns"),
+            (TINY_LINE, "anchors", [[732.0, 0.0], [399.0, 0.0]],
+             "'anchors' must lie on at least two distinct columns"),
+            (OPTICS, "anchors", [[732.0, 5.0], [399.0, 5.0], [550.0, 5.0]],
+             "'anchors' must lie on at least two distinct columns"),
+            (OPTICS, "anchors", [[732.0, 0.0]],
+             "'anchors' must lie on at least two distinct columns"),
+            (OPTICS, "span_nm", [732.0, 412.0], "'span_nm' must run from low to high"),
+            (OPTICS, "span_nm", [412.0, 412.0], "'span_nm' must run from low to high"),
         ],
     )
     def test_out_of_range_rejected_at_parse(self, doc, path, value, match):
-        with pytest.raises(ScenarioError, match=match):
+        with pytest.raises(ScenarioError, match=re.escape(match)):
             scenario_from_dict(_with(doc, path, value))
 
     @pytest.mark.parametrize(
@@ -302,6 +362,25 @@ class TestStrictSchema:
             for wrong in WRONG_TYPE[type(value)]:
                 _rejected_naming(_with(resolved, path, wrong), path)
             _rejected_naming(_with(resolved, path + "x", value), path + "x")
+        # each key's rule, broken in its first and its last number, is named by the number's path
+        leaves = dict(_leaf_paths(resolved))
+        for path, (phrase, test) in _rules(Scenario, resolved):
+            value = leaves[path]
+            cells = list(_cells(value))
+            for index, cell in dict.fromkeys([cells[0], cells[-1]]):
+                kind = float if cell is None else type(cell)  # adc.full_scale resolves to null
+                breakers = [b for b in BREAKERS[kind] if not test(b)]
+                assert breakers, (path, phrase)
+                where = path + "".join(f"[{i}]" for i in index)
+                for bad in breakers:
+                    message = f"must be {phrase}, got {bad!r} (key {where!r})"
+                    with pytest.raises(ScenarioError, match=re.escape(message)):
+                        scenario_from_dict(_with(resolved, path, _replace_cell(value, index, bad)))
+
+    def test_a_rule_bounds_every_ranged_key_of_the_presets(self):
+        ruled = {path for name in preset_names()
+                 for path, _ in _rules(Scenario, load_preset(name).to_dict())}
+        assert ruled == RULED_KEYS
 
 
 class TestRunnerCore:
@@ -358,15 +437,6 @@ class TestRunnerCore:
         run(scenario_from_dict(TINY_FDMA))
         assert (tmp_path / "env" / "decoded.csv").exists()
 
-    def test_intermode_scale_applies_to_output(self):
-        doc = dict(TINY_FDMA)
-        doc["intermode_scale"] = 24.66
-        scaled = run(scenario_from_dict(doc))
-        plain = run(scenario_from_dict(TINY_FDMA))
-        np.testing.assert_allclose(
-            scaled.image.estimates, 24.66 * plain.image.estimates, rtol=1e-12
-        )
-
     def test_noise_makes_no_difference_to_byte_determinism_across_seeds(self):
         doc = dict(TINY_FDMA)
         doc["noise"] = {"awgn_sigma": 0.01}
@@ -409,6 +479,16 @@ class TestRunnerCore:
         assert report.patch is not None
         assert all(np.isinf(e.min_snr) for e in report.patch.entries)
         assert report.patch.measured_dr_db == pytest.approx(20.0, abs=1e-6)
+
+    def test_patch_below_one_lsb_is_reported_as_not_detected(self, tmp_path):
+        # 8 bits and no noise: the 60 and 66 dB patches lie below half an LSB and decode to 0
+        doc = _with(load_preset("hdr66-fm").to_dict(), "target.patch_radius", 1.5)
+        doc.update(grid={"rows": 10, "cols": 15}, adc={"enabled": True, "bits": 8}, noise={})
+        report = run(scenario_from_dict(doc), outdir=tmp_path)
+        measured = [e.measured_dr_db for e in report.patch.entries]
+        assert np.isnan(measured[-2:]).all() and not np.isnan(measured[:-2]).any()
+        assert report.patch.measured_dr_db == max(measured[:-2])
+        assert (tmp_path / "patch_report.csv").read_text().count(",nan,") == 2
 
 
 @st.composite

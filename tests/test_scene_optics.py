@@ -90,6 +90,9 @@ class TestWavelengthColumnMap:
             wavelength_to_column(500.0, CONFIG, [ANCHORS[0]])
         with pytest.raises(ValueError):
             wavelength_to_column(500.0, CONFIG, [ANCHORS[0], SpectralAnchor(732.0, 5.0)])
+        # one column for both wavelengths fits a zero slope, which column_to_wavelength divides by
+        with pytest.raises(ValueError, match="two distinct columns"):
+            column_to_wavelength(5.0, CONFIG, [ANCHORS[0], SpectralAnchor(399.0, 0.0)])
 
 
 class TestLensConstraints:
