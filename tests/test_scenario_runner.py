@@ -127,7 +127,10 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=f"{key} must be finite"):
             scenario_from_dict(doc)
 
-    @pytest.mark.parametrize("key, value", [("T", float("nan")), ("T", float("inf"))])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("T", -1.0), ("T", 0.0), ("T", float("nan")), ("T", float("inf")), ("p", 0)],
+    )
     def test_bad_window_named_at_parse(self, key, value):
         doc = dict(TINY_FDMA, plan=dict(TINY_FDMA["plan"], **{key: value}))
         with pytest.raises(ScenarioError, match=f"plan {key} must be"):
@@ -137,6 +140,8 @@ class TestScenarioParsing:
         "plan, key",
         [
             ({"T": 1.0, "p": 6, "m": 10, "P": 1}, "plan.m"),  # fastest carrier above fs/4
+            ({"T": 1.0, "p": 12, "m": 0, "P": 4}, "plan.m"),
+            ({"T": 1.0, "p": 12, "m": 7, "P": 0}, "plan.P"),
             ({"T": 1.0, "p": 12, "frequencies": [-4.0, 8.0]}, "plan.frequencies[0]"),
             ({"T": 1.0, "p": 12, "frequencies": [4.0, 0.0]}, "plan.frequencies[1]"),
             ({"T": 1.0, "p": 12, "frequencies": [4.0, 4.0]}, "plan.frequencies"),
