@@ -23,26 +23,37 @@ __all__ = [
 
 PGM_MAXVAL = 65535
 LOG_FLOOR_DECADES = 8.0
-CSV_BLOCK_ROWS = 1024
+CSV_BLOCK_CELLS = 1024
 
 
 def _write_csv(path: str | Path, matrix: np.ndarray, header: str | None = None) -> None:
     """Rows of float64 values in repr form (exact round trip), one line each.
 
-    Rows become Python floats, and lines one string, a block at a time: a
-    whole 32769-row spectrum at once would hold megabytes of float objects.
-    A single column (one slot's spectrum) skips the per-row join.
+    One cell rule: an exact +0.0 (the one float64 whose bits are all zero)
+    writes "0.0", which is its repr; every other value, -0.0, nan, +-inf
+    and subnormals included, goes through repr.  A spectrum of 50%-duty
+    carriers is mostly exact zeros (its even harmonics), so only its
+    nonzero cells pay for repr.  Cells become strings, and lines one
+    string, a block of whole rows and about CSV_BLOCK_CELLS cells at a
+    time: a whole 32769-row spectrum or a large image at once would hold
+    megabytes of strings.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    cols = m.shape[1]
+    block_rows = max(1, CSV_BLOCK_CELLS // max(cols, 1))
     with open(path, "w", encoding="ascii") as fh:
         if header is not None:
             fh.write(header + "\n")
-        for start in range(0, m.shape[0], CSV_BLOCK_ROWS):
-            block = m[start : start + CSV_BLOCK_ROWS]
-            if m.shape[1] == 1:
-                fh.write("\n".join(map(repr, block[:, 0].tolist())) + "\n")
-            else:
-                fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
+        for start in range(0, m.shape[0], block_rows):
+            block = m[start : start + block_rows]
+            flat = block.ravel()
+            set_bits = np.flatnonzero(flat.view(np.uint64))
+            cells = ["0.0"] * flat.size
+            for i, v in zip(set_bits.tolist(), flat[set_bits].tolist()):
+                cells[i] = repr(v)
+            if cols != 1:
+                cells = [",".join(cells[r * cols : (r + 1) * cols]) for r in range(len(block))]
+            fh.write("\n".join(cells) + "\n")
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:

@@ -2,7 +2,9 @@
 
 Slots are processed one at a time, in slot order, on the calling thread
 (encode, impair, decode, discard), so long acquisitions never hold every
-stream in memory.  Only the noise draw runs ahead: inside
+stream in memory.  A silent channel (``NoiseConfig.is_silent``) skips
+``add_noise``: its result would be a copy of a stream the encoder has
+already checked to be finite.  Only the noise draw runs ahead: inside
 ``channel.draws_ahead`` a small thread pool draws the Gaussian terms of
 the next few slots (CDMA frames) while the current one is processed.  The
 counter-based noise keying makes the result independent of processing
@@ -191,7 +193,8 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     with draws_ahead(noise_cfg, window.Q, window.fs, len(schedule.slots)):
         for i, slot in enumerate(schedule.slots):
             stream = encode_slot(scene, slot, window, strict=not scenario.permissive)
-            stream = add_noise(stream, noise_cfg, slot_index=i)
+            if not noise_cfg.is_silent:
+                stream = add_noise(stream, noise_cfg, slot_index=i)
             stream, clipped = quantize(stream, adc_cfg)
             clip_total += clipped
             if spectra_mags is not None:
@@ -253,7 +256,8 @@ def _run_cdma(scenario: Scenario, grid: CaosGrid) -> RunReport:
             adc_cfg = scenario.adc_config(
                 auto_full_scale=FULL_SCALE_HEADROOM * max(float(stream.samples.max()), 1e-12)
             )
-            stream = add_noise(stream, noise_cfg, slot_index=i)
+            if not noise_cfg.is_silent:
+                stream = add_noise(stream, noise_cfg, slot_index=i)
             stream, clipped = quantize(stream, adc_cfg)
             run_report.clip_count += clipped
             image = decode_cdma(stream, assignment, cfg, grid)

@@ -34,7 +34,9 @@ from typing import Any, Iterable
 
 from .channel import ADC_BITS, NONNEGATIVE, AdcConfig, NoiseConfig
 from .freq_plan import MainsGuardWarning, design_plan, plan_from_frequencies
-from .scene_optics import CaosGrid, OpticsConfig, SpectralAnchor, band_columns, hdr_patch_masks
+from .scene_optics import (
+    CaosGrid, OpticsConfig, SpectralAnchor, _anchor_betas, band_columns, hdr_patch_masks,
+)
 from .waveform import SamplingWindow
 
 __all__ = [
@@ -169,10 +171,17 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ScenarioError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        # one anchor, or all on one column; _anchor_betas then checks the wavelengths
         if len({column for _, column in self.anchors}) < 2:
             raise ScenarioError(
                 f"'anchors' must lie on at least two distinct columns, got {list(self.anchors)}"
             )
+        try:
+            _anchor_betas(OpticsConfig(), [SpectralAnchor(w, c) for w, c in self.anchors])
+        except ValueError as exc:  # a repeated or an evanescent wavelength
+            raise ScenarioError(
+                f"'anchors' do not fit a line: {exc}, got {list(self.anchors)}"
+            ) from exc
         if self.mode == "optics-check":
             lo, hi = self.span_nm
             if not lo < hi:

@@ -142,18 +142,23 @@ def angular_dispersion(lambda_nm: float, config: OpticsConfig) -> float:
     return math.cos(beta) / (config.diffraction_order * config.grating_freq) * 1e3
 
 
+def _anchor_betas(config: OpticsConfig, anchors: Sequence[SpectralAnchor]) -> list[float]:
+    """Diffraction angle of each anchor; the wavelengths must be distinct and propagate."""
+    wavelengths = [a.wavelength for a in anchors]
+    if len(set(wavelengths)) != len(wavelengths):
+        raise ValueError("anchor wavelengths must be distinct")
+    return [grating_beta(w, config) for w in wavelengths]
+
+
 def _beta_to_column_fit(
     config: OpticsConfig, anchors: Sequence[SpectralAnchor]
 ) -> tuple[float, float]:
     """Least-squares line column = c0 + c1*beta through the anchors."""
     if len(anchors) < 2:
         raise ValueError("need at least two anchors")
-    wavelengths = [a.wavelength for a in anchors]
-    if len(set(wavelengths)) != len(wavelengths):
-        raise ValueError("anchor wavelengths must be distinct")
+    betas = np.array(_anchor_betas(config, anchors))
     if len({a.column for a in anchors}) < 2:
         raise ValueError("anchors must lie on at least two distinct columns")
-    betas = np.array([grating_beta(a.wavelength, config) for a in anchors])
     cols = np.array([a.column for a in anchors])
     c1, c0 = np.polyfit(betas, cols, 1)
     return float(c0), float(c1)

@@ -155,12 +155,12 @@ def synth_square(spec: SquareWaveSpec, window: SamplingWindow) -> SampledSignal:
     The wave completes whole cycles inside the window; sample n is high
     (equal to the amplitude) when its position n mod N within the period
     is below N/2, so each period starts with N/2 high samples (N divides
-    the power-of-two Q, so it is even).
+    the power-of-two Q, so it is even).  One period is built and tiled,
+    so the work per sample is a copy, not an integer modulo.
     """
     n_per = samples_per_period(spec.frequency, window)
-    n = np.arange(window.Q)
-    pos = n % n_per
-    high = pos < n_per * 0.5
+    period = np.arange(n_per) < n_per * 0.5
+    high = np.tile(period, window.Q // n_per)
     return SampledSignal(np.where(high, spec.amplitude, 0.0), window.fs)
 
 

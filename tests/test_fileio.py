@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caossim.fileio import (
-    CSV_BLOCK_ROWS,
+    CSV_BLOCK_CELLS,
     log_display,
     read_matrix_csv,
     read_pgm16,
@@ -66,7 +66,7 @@ def test_log_display_spans_unit_range():
 def test_csv_rows_across_blocks_match_per_value_repr(tmp_path):
     # rows are converted a block at a time; the text must not depend on it
     rng = np.random.default_rng(3)
-    m = np.abs(rng.standard_normal((2 * CSV_BLOCK_ROWS + 5, 3))) * 1e-7
+    m = np.abs(rng.standard_normal((2 * CSV_BLOCK_CELLS + 5, 3))) * 1e-7
     m[5, 1] = 0.0
     path = tmp_path / "cols.csv"
     write_columns_csv(path, m)
@@ -78,14 +78,28 @@ def test_csv_rows_across_blocks_match_per_value_repr(tmp_path):
     assert np.array_equal(read_matrix_csv(tmp_path / "m.csv"), m)
 
 
-@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 32769])
-def test_one_column_csv_matches_general_row_path(tmp_path, rows):
-    # one column is written value by value; the bytes must be the row path's
+# every float64 but +0.0 goes through repr
+NONZERO_SPECIALS = [-0.0, 5e-324, -2.2e-310, np.inf, -np.inf, np.nan, 1e308]
+
+
+@pytest.mark.parametrize("fill", ["mixed", "all_zero", "no_zero"])
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_CELLS, CSV_BLOCK_CELLS + 1, 32769])
+def test_one_column_csv_matches_general_row_path(tmp_path, rows, fill):
+    # an exact +0.0 is written without repr; the bytes must be the row path's
     rng = np.random.default_rng(rows)
     col = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
-    special = [-0.0, 0.0, 5e-324, -2.2e-310, np.inf, -np.inf, np.nan, 1e308]
-    col[: len(special)] = special[:rows]
+    if fill == "all_zero":
+        col[:] = 0.0
+    else:
+        if fill == "mixed":
+            col[::3] = 0.0  # a spectrum's even harmonics
+        else:
+            col[col == 0.0] = 1.0  # underflowed draws
+        specials = [0.0, *NONZERO_SPECIALS] if fill == "mixed" else NONZERO_SPECIALS
+        col[: len(specials)] = specials[:rows]
     m = col.reshape(-1, 1)
+    if fill == "no_zero":
+        assert np.all(m.view(np.uint64))  # no +0.0: every cell goes through repr
     general = "".join(",".join(map(repr, row)) + "\n" for row in m.tolist())
     write_matrix_csv(tmp_path / "m.csv", m)
     assert (tmp_path / "m.csv").read_text(encoding="ascii") == general
@@ -94,3 +108,19 @@ def test_one_column_csv_matches_general_row_path(tmp_path, rows):
     if rows:
         back = read_matrix_csv(tmp_path / "m.csv")
         assert back.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape", [(CSV_BLOCK_CELLS + 3, len(NONZERO_SPECIALS)), (3, CSV_BLOCK_CELLS + 7)]
+)
+def test_matrix_csv_cells_follow_repr_with_zeros_and_specials(tmp_path, shape):
+    # the same cell rule in every row and column, in blocks of many rows or of one wide row
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    m[rng.random(shape) < 0.6] = 0.0
+    m[0, : len(NONZERO_SPECIALS)] = NONZERO_SPECIALS
+    m[1:, -1] = 0.0
+    write_matrix_csv(tmp_path / "m.csv", m)
+    want = "".join(",".join(map(repr, row)) + "\n" for row in m.tolist())
+    assert (tmp_path / "m.csv").read_text(encoding="ascii") == want
+    assert read_matrix_csv(tmp_path / "m.csv").tobytes() == m.tobytes()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caossim.channel
 import caossim.runner
 from caossim.encoder import CdmaConfig, WalshAssignment, encode_cdma
 from caossim.freq_plan import MainsGuardWarning, validate_plan
@@ -308,6 +309,14 @@ class TestStrictSchema:
              "'anchors' must lie on at least two distinct columns"),
             (OPTICS, "anchors", [[732.0, 0.0]],
              "'anchors' must lie on at least two distinct columns"),
+            (OPTICS, "anchors", [[732.0, 0.0], [732.0, 51.0]],
+             "'anchors' do not fit a line: anchor wavelengths must be distinct"),
+            (OPTICS, "anchors", [[732.0, 0.0], [5000.0, 51.0]],
+             "'anchors' do not fit a line: order 1 at 5000.0 nm is evanescent"),
+            (TINY_LINE, "anchors", [[732.0, 0.0], [399.0, 51.0], [732.0, 20.0]],
+             "'anchors' do not fit a line: anchor wavelengths must be distinct"),
+            (TINY_LINE, "anchors", [[-5000.0, 0.0], [399.0, 51.0]],
+             "'anchors' do not fit a line: order 1 at -5000.0 nm is evanescent"),
             (OPTICS, "span_nm", [732.0, 412.0], "'span_nm' must run from low to high"),
             (OPTICS, "span_nm", [412.0, 412.0], "'span_nm' must run from low to high"),
         ],
@@ -561,6 +570,60 @@ class TestIntegerBins:
         report = run(_explicit_plan(freqs, permissive=True))
         assert report.validation is not None
         assert np.all(np.isfinite(report.image.estimates))
+
+
+SILENT_RUNS = {
+    "fdma-tdma": dict(TINY_FDMA, grid={"rows": 3, "cols": 4}, write_spectra=True,
+                      adc={"enabled": True, "bits": 12},
+                      target={"kind": "explicit", "values": [[1.0, 0.5, 0.25, 0.125],
+                                                             [0.0, 0.75, 1e-3, 0.3],
+                                                             [0.6, 0.0, 0.0, 1e-6]]}),
+    "cdma": TINY_HDR,
+    "cdma-spectral-line": dict(TINY_LINE, target={"kind": "spectral-line",
+                                                  "bands": [[600.0, 40.0], [450.0, 20.0]],
+                                                  "row_step": 0}),
+}
+SLOTS = {"fdma-tdma": 3, "cdma": 1, "cdma-spectral-line": 2}
+
+
+class TestSilentChannel:
+    """A silent channel skips add_noise, whose result would copy the encoded stream."""
+
+    @staticmethod
+    def _counted_run(doc, monkeypatch):
+        calls = []
+        original = caossim.runner.add_noise
+
+        def counting(stream, cfg, slot_index):
+            calls.append(slot_index)
+            return original(stream, cfg, slot_index)
+
+        monkeypatch.setattr(caossim.runner, "add_noise", counting)
+        report = run(scenario_from_dict(doc))
+        monkeypatch.setattr(caossim.runner, "add_noise", original)
+        return report, calls
+
+    @pytest.mark.parametrize("name", SILENT_RUNS)
+    def test_silent_run_makes_no_noise_call_and_matches_the_noise_path(self, name, monkeypatch):
+        report, calls = self._counted_run(SILENT_RUNS[name], monkeypatch)
+        assert calls == []
+        # forced through add_noise, the run gives the same bits
+        monkeypatch.setattr(caossim.channel.NoiseConfig, "is_silent", property(lambda _: False))
+        forced, forced_calls = self._counted_run(SILENT_RUNS[name], monkeypatch)
+        assert forced_calls == list(range(SLOTS[name]))
+        for a, b in zip(report.images, forced.images, strict=True):
+            assert a.estimates.tobytes() == b.estimates.tobytes()
+        assert (report.spectra is None) == (name != "fdma-tdma")
+        if report.spectra is not None:
+            assert report.spectra.tobytes() == forced.spectra.tobytes()
+        assert (report.clip_count, report.metrics_text) == (forced.clip_count, forced.metrics_text)
+
+    @pytest.mark.parametrize("noise", [{"awgn_sigma": 1e-3}, {"dark_offset": 0.1},
+                                       {"mains_amplitude": 0.01}])
+    @pytest.mark.parametrize("name", SILENT_RUNS)
+    def test_noisy_run_makes_one_noise_call_per_slot(self, name, noise, monkeypatch):
+        _, calls = self._counted_run(dict(SILENT_RUNS[name], noise=noise), monkeypatch)
+        assert calls == list(range(SLOTS[name]))
 
 
 class TestCdmaAutoFullScale:

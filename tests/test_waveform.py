@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caossim.waveform import (
     SamplingWindow,
@@ -121,6 +123,21 @@ class TestSynthSquare:
                 synth_square(spec, WINDOW_64K).samples,
                 sample_square_free(spec, WINDOW_64K).samples,
             )
+
+    @given(
+        st.integers(2, 16).flatmap(lambda p: st.tuples(st.just(p), st.integers(2, p))),
+        st.sampled_from([1.0, 0.25, 3.0, 1e-3]),
+        st.floats(0.0, 1e6, allow_subnormal=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tiled_period_equals_the_modulo_formula(self, p_k, T, amplitude):
+        # every power-of-two N = 2**k from 4 to Q = 2**p, bit for bit
+        p, k = p_k
+        w = SamplingWindow.design(T=T, p=p)
+        n_per = 2**k
+        got = synth_square(SquareWaveSpec(frequency=w.fs / n_per, amplitude=amplitude), w)
+        want = np.where(np.arange(w.Q) % n_per < n_per * 0.5, amplitude, 0.0)
+        assert got.samples.tobytes() == want.tobytes()
 
     def test_free_sampler_allows_partial_cycles(self):
         w = SamplingWindow.design(T=0.25, p=14)
