@@ -9,23 +9,14 @@ acquisition-time models).
 """
 
 from .channel import AdcConfig, NoiseConfig, add_noise, quantize
-from .decoder import (
-    DecodedImage,
-    Spectrum,
-    assemble_image,
-    decode_cdma,
-    decode_slot,
-    fft_radix2,
-    recover_channel_irradiance,
-)
+from .decoder import DecodedImage, assemble_image, decode_cdma, decode_slot
 from .encoder import (
     CdmaConfig,
     TdmaSchedule,
     WalshAssignment,
-    complementary_stream,
     encode_cdma,
-    encode_fdma_tdma,
     encode_fm_tdma,
+    encode_slot,
     schedule_fdma_tdma,
     walsh_matrix,
 )

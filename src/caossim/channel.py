@@ -35,8 +35,10 @@ __all__ = ["NoiseConfig", "AdcConfig", "add_noise", "draws_ahead", "quantize"]
 MAX_DRAW_WORKERS = 4
 # the ADC resolutions AdcConfig accepts, and a scenario's adc.bits
 ADC_BITS = range(2, 25)
-# the scenario rule of a noise magnitude (see caossim.scenario)
+# the scenario rules (see caossim.scenario) of a noise magnitude and of the 1/f slope, white (0)
+# to brown (2); past those ends f**(-e/2) overflows, or the term collapses onto bin 1
 NONNEGATIVE = {"rule": ("nonnegative", lambda v: v >= 0)}
+SLOPE = {"rule": ("in 0..2", lambda v: 0 <= v <= 2)}
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class NoiseConfig:
     mains_freq: float = 50.0
     mains_phase: float = 0.0
     pink_enabled: bool = False
-    pink_exponent: float = 1.0
+    pink_exponent: float = field(default=1.0, metadata=SLOPE)
     pink_sigma: float = field(default=0.0, metadata=NONNEGATIVE)
     dark_offset: float = field(default=0.0, metadata=NONNEGATIVE)
     seed: int = 0
@@ -56,8 +58,9 @@ class NoiseConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"noise {f.name} must be finite, got {value}")
-        if min(self.awgn_sigma, self.mains_amplitude, self.pink_sigma, self.dark_offset) < 0:
-            raise ValueError("noise magnitudes must be nonnegative")
+            phrase, test = f.metadata.get("rule", (None, None))
+            if test is not None and not test(value):
+                raise ValueError(f"noise {f.name} must be {phrase}, got {value}")
 
     @property
     def is_silent(self) -> bool:

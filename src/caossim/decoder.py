@@ -5,8 +5,10 @@ bins only.  The stream is folded by repeated halving down to the common
 period L of its carriers (the first decimation-in-frequency stages of a
 Q-point FFT), then one length-L real FFT yields every carrier bin; each
 magnitude is divided by Q times the exact fundamental coefficient of a
-50%-duty square wave with that carrier's samples-per-period count.  The
-full-slot FFT (``fft_radix2``) remains as the reference spectrum API.
+50%-duty square wave with that carrier's samples-per-period count, so
+each estimate equals |X[b]| / (Q a1(fs/f)) read from the full Q-point
+FFT X to floating-point rounding.  No run computes that full FFT;
+``fft_radix2`` survives only as a name perfbench/tracing.py wraps.
 CDMA streams are decoded by bipolar Walsh correlation of the per-bit
 means; the zero-mean code rows annihilate the DC term introduced by on/off
 optical modulation.  One fast Walsh-Hadamard transform of the L means
@@ -21,7 +23,7 @@ statistics stay unbiased; clamping is left to display code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,25 +41,13 @@ from .scene_optics import CaosGrid
 from .waveform import SampledSignal, fundamental_coefficient, nearest_bin, whole_number
 
 __all__ = [
-    "Spectrum",
     "DecodedImage",
     "fft_radix2",
-    "recover_channel_irradiance",
-    "recover_at_frequency",
     "decode_slot",
     "decode_slot_free",
     "decode_cdma",
     "assemble_image",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """DFT coefficients X[k] = sum_n x[n] exp(-j 2 pi n k / Q)."""
-
-    coeffs: np.ndarray = field(repr=False)
-    fs: float
-    delta_f: float
 
 
 @dataclass(eq=False)
@@ -83,56 +73,10 @@ def _check_power_of_two(n: int) -> None:
         raise ValueError(f"stream length {n} is not a power of two")
 
 
-def _check_plan_carrier(fs: float, f_j: float, plan: FrequencyPlan) -> None:
-    """f_j must be a plan channel with an even whole N = fs/f_j samples per period."""
-    if f_j not in plan.channels:
-        raise ValueError(f"{f_j} Hz is not a plan channel")
-    n = whole_number(fs / f_j)
-    if n is None or n % 2:
-        raise ValueError(f"fs/f = {fs / f_j} must be an even integer")
-
-
-def _bin_estimate(coeff: complex, q: int, fs: float, f: float) -> float:
-    return float(abs(coeff) / (q * fundamental_coefficient(fs / f)))
-
-
-def fft_radix2(samples: SampledSignal) -> Spectrum:
-    """Full-length DFT of one slot (numpy's FFT).
-
-    The stream length must be a power of two; padding is rejected because
-    it would break the whole-cycle property the channel design relies on.
-    """
-    n = len(samples)
-    _check_power_of_two(n)
-    return Spectrum(
-        coeffs=np.fft.fft(samples.samples),
-        fs=samples.fs,
-        delta_f=samples.fs / n,
-    )
-
-
-def recover_channel_irradiance(
-    spectrum: Spectrum, f_j: float, plan: FrequencyPlan
-) -> float:
-    """recover_at_frequency for a plan carrier with an even whole N = fs/f_j.
-
-    There a1(N) = 1/(N sin(pi/N)) is the exact fundamental coefficient of a
-    unit 50%-duty square wave, so a clean unit carrier decodes to exactly 1.
-    """
-    _check_plan_carrier(spectrum.fs, f_j, plan)
-    return recover_at_frequency(spectrum, f_j)
-
-
-def recover_at_frequency(spectrum: Spectrum, f: float) -> float:
-    """Nearest-bin estimate |X[b]| / (Q * a1(fs/f)) for any carrier.
-
-    Uses the generalized fundamental coefficient with a real-valued
-    samples-per-period count; carriers off the bin grid decode with the
-    leakage errors the channel-selection rule exists to prevent.
-    """
-    q = spectrum.coeffs.shape[0]
-    b = nearest_bin(f, spectrum.delta_f, q)
-    return _bin_estimate(spectrum.coeffs[b], q, spectrum.fs, f)
+def fft_radix2(samples: SampledSignal) -> np.ndarray:
+    """Full-length complex DFT of one power-of-two slot (numpy's FFT)."""
+    _check_power_of_two(len(samples))
+    return np.fft.fft(samples.samples)
 
 
 def decode_slot(
@@ -140,18 +84,24 @@ def decode_slot(
     slot: Sequence[tuple[int, float]],
     plan: FrequencyPlan,
 ) -> dict[int, float]:
-    """Check every carrier of the slot against the plan, then read them all
-    with decode_slot_free."""
+    """decode_slot_free, once every carrier of the slot is a plan channel with
+    an even whole N = fs/f samples per period."""
     for _, f in slot:
-        _check_plan_carrier(stream.fs, f, plan)
+        if f not in plan.channels:
+            raise ValueError(f"{f} Hz is not a plan channel")
+        n = whole_number(stream.fs / f)
+        if n is None or n % 2:
+            raise ValueError(f"fs/f = {stream.fs / f} must be an even integer")
     return decode_slot_free(stream, slot)
 
 
 def decode_slot_free(
     stream: SampledSignal, slot: Sequence[tuple[int, float]]
 ) -> dict[int, float]:
-    """recover_at_frequency at every (pixel, carrier) of the slot, without
-    the full-slot FFT and without decode_slot's plan checks.
+    """|X[b]| / (Q a1(fs/f)) at every (pixel, carrier f) of the slot, with X the
+    full-slot FFT and b the carrier's nearest bin, computed without X and
+    without decode_slot's plan checks.  a1 takes a real-valued N = fs/f, so a
+    carrier off the bin grid decodes with the leakage the plan audit prevents.
 
     With b_i the carriers' nearest bins, X[b_i] depends on the stream only
     through its fold x_L[n] = sum_m x[n + m L] to L = Q / gcd(Q, b_1, ...),
@@ -171,7 +121,7 @@ def decode_slot_free(
         x = x[:half] + x[half:]
     coeffs = np.fft.rfft(x)
     return {
-        pix: _bin_estimate(coeffs[b * period // q], q, stream.fs, f)
+        pix: float(abs(coeffs[b * period // q]) / (q * fundamental_coefficient(stream.fs / f)))
         for (pix, f), b in zip(slot, bins)
     }
 

@@ -3,16 +3,18 @@
 Three encoding modes, all driven by the binary on/off state of the pixel
 mirrors:
 
-* CDMA: every pixel modulated at once by its own Walsh (Hadamard-row)
-  code, one code bit per mirror frame.  The +-1 code maps to on/off
-  light, so the emitted level per bit is sum_i I_i * (c_i + 1) / 2.
-  The code rows are never formed: the sum over pixels of I_i * c_i is one
-  fast Walsh-Hadamard transform (``fwht``) of the irradiances placed at
-  their code rows, O(L log L) time and O(L) memory.  ``walsh_matrix``
-  builds the dense L x L matrix and is kept only as the reference oracle.
-* FM-TDMA: one pixel per slot, square-modulated at a single carrier.
-* FDMA-TDMA: P pixels per slot on distinct plan carriers, summed on the
-  detector.
+* CDMA (``encode_cdma``): every pixel modulated at once by its own Walsh
+  (Hadamard-row) code, one code bit per mirror frame.  The +-1 code maps
+  to on/off light, so the emitted level per bit is
+  sum_i I_i * (c_i + 1) / 2.  The code rows are never formed: the sum
+  over pixels of I_i * c_i is one fast Walsh-Hadamard transform
+  (``fwht``) of the irradiances placed at their code rows, O(L log L)
+  time and O(L) memory.  ``walsh_matrix`` builds the dense L x L matrix
+  and is kept only as the reference oracle.
+* FM-TDMA (``encode_fm_tdma``): one pixel per slot, square-modulated at a
+  single carrier.
+* FDMA-TDMA (``encode_slot`` on each slot of ``schedule_fdma_tdma``): P
+  pixels per slot on distinct plan carriers, summed on the detector.
 
 Every TDMA slot drives the same carriers on the same frame clock; only the
 pixel amplitudes change from slot to slot.  Each carrier is therefore
@@ -52,9 +54,7 @@ __all__ = [
     "encode_cdma",
     "schedule_fdma_tdma",
     "encode_slot",
-    "encode_fdma_tdma",
     "encode_fm_tdma",
-    "complementary_stream",
 ]
 
 
@@ -187,10 +187,6 @@ class TdmaSchedule:
                     raise ValueError(f"pixel {pix} appears in more than one slot")
                 seen.add(pix)
 
-    @property
-    def num_slots(self) -> int:
-        return len(self.slots)
-
 
 def schedule_fdma_tdma(npix: int, plan: FrequencyPlan) -> TdmaSchedule:
     """Group pixels in raster order, P per slot, lowest carrier first.
@@ -253,26 +249,6 @@ def _carrier_mask(freq: float, window: SamplingWindow, strict: bool) -> np.ndarr
     return mask
 
 
-def _check_window_matches_plan(window: SamplingWindow, plan: FrequencyPlan) -> None:
-    if (window.fs, window.T, window.Q) != (plan.fs, plan.T, plan.Q):
-        raise ValueError("window (fs, T, Q) does not match the plan")
-
-
-def encode_fdma_tdma(
-    scene: Scene,
-    schedule: TdmaSchedule,
-    plan: FrequencyPlan,
-    window: SamplingWindow,
-) -> list[SampledSignal]:
-    """One stream per slot; pixels outside the slot contribute zero."""
-    _check_window_matches_plan(window, plan)
-    channels = set(plan.channels)
-    for slot in schedule.slots:
-        if any(f not in channels for _, f in slot):
-            raise ValueError("schedule uses a frequency outside the plan")
-    return [encode_slot(scene, slot, window) for slot in schedule.slots]
-
-
 def encode_fm_tdma(
     scene: Scene, grid: CaosGrid, carrier: float, window: SamplingWindow
 ) -> list[SampledSignal]:
@@ -284,14 +260,3 @@ def encode_fm_tdma(
         for pix in range(grid.num_pixels)
     ]
 
-
-def complementary_stream(
-    slot_stream: SampledSignal, scene: Scene, slot: Sequence[tuple[int, float]]
-) -> SampledSignal:
-    """Light steered to the second detector: total irradiance minus stream.
-
-    Mirrors in the off state dump their pixel's light onto the complementary
-    arm, so the two streams sum to the scene total at every sample.
-    """
-    total = float(scene.irradiance.sum())
-    return SampledSignal(total - slot_stream.samples, slot_stream.fs)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -388,12 +389,26 @@ def run_optics_check(scenario: Scenario) -> RunReport:
     return report
 
 
+def _warn_if_rectified(scenario: Scenario) -> None:
+    """Warn when the ADC, which clamps at 0, would cut the negative swings of the
+    stochastic noise in dark stretches: a dark offset below 4 sigma."""
+    noise = scenario.noise
+    sigma = math.hypot(noise.awgn_sigma, noise.pink_sigma if noise.pink_enabled else 0.0)
+    if scenario.adc_enabled and sigma > 0 and noise.dark_offset < 4 * sigma:
+        warnings.warn(
+            f"noise.dark_offset {noise.dark_offset!r} is below 4 sigma = {4 * sigma!r} of the"
+            " stochastic noise: the ADC clips its negative swings to 0 and biases dim pixels low",
+            stacklevel=3,
+        )
+
+
 def run(scenario: Scenario, outdir: str | Path | None = None) -> RunReport:
     """Execute a scenario and write its artifact files if an output
     directory is configured (argument, CAOSSIM_OUTDIR, or scenario)."""
     if scenario.mode == "optics-check":
         report = run_optics_check(scenario)
     else:
+        _warn_if_rectified(scenario)
         grid = scenario.grid
         if scenario.mode == "cdma":
             report = _run_cdma(scenario, grid)

@@ -47,8 +47,6 @@ __all__ = [
 MODES = ("cdma", "fm-tdma", "fdma-tdma", "optics-check")
 
 DEFAULT_ANCHORS = ((732.0, 0.0), (399.0, 51.0))
-# the abstract-style short-end anchor; both calibrations are exposed
-ALT_ANCHORS = ((732.0, 0.0), (412.0, 51.0))
 
 # Document layout: the top-level keys of every scenario, then those of an optics check;
 # a simulation adds grid, adc, target, noise, plan/cdma if given, anchors for spectral lines
@@ -70,7 +68,7 @@ TARGET_KEYS = {
 }
 
 # Per-key rules, (phrase, test) in field metadata; _coerce applies one to every number a key
-# holds.  NONNEGATIVE, the rule of the noise magnitudes, comes from channel.
+# holds.  The noise rules sit in channel; NONNEGATIVE is shared with the target.
 POSITIVE = {"rule": ("positive", lambda v: v > 0)}
 COUNT = {"rule": ("at least 1", lambda v: v >= 1)}
 POWER_OF_TWO = {"rule": ("a power of two >= 2", lambda v: v >= 2 and not v & (v - 1))}

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caossim.channel import AdcConfig, NoiseConfig, add_noise, quantize
-from caossim.decoder import fft_radix2, recover_channel_irradiance
 from caossim.encoder import encode_slot, schedule_fdma_tdma
 from caossim.freq_plan import design_plan
 from caossim.scene_optics import Scene
 from caossim.waveform import SampledSignal, fundamental_coefficient
+from oracles import full_fft_estimate
 
 
 def _tone(q=1024, fs=1024.0):
@@ -60,6 +60,26 @@ class TestAddNoise:
         X = np.abs(np.fft.fft(out.samples))
         assert X[0] == pytest.approx(0.25 * 1024)
         assert np.abs(X[1:]).max() < 1e-9
+
+
+class TestNoiseConfig:
+    @pytest.mark.parametrize(
+        "key, value, phrase",
+        [
+            ("pink_exponent", -250.0, "in 0..2"),
+            ("pink_exponent", 250.0, "in 0..2"),
+            ("pink_exponent", -0.5, "in 0..2"),
+            ("awgn_sigma", -1.0, "nonnegative"),
+            ("dark_offset", -0.1, "nonnegative"),
+        ],
+    )
+    def test_field_outside_its_rule_rejected(self, key, value, phrase):
+        with pytest.raises(ValueError, match=f"noise {key} must be {phrase}, got {value}"):
+            NoiseConfig(**{key: value})
+
+    @pytest.mark.parametrize("exponent", [0.0, 1.0, 2.0])
+    def test_white_to_brown_accepted(self, exponent):
+        assert NoiseConfig(pink_exponent=exponent).pink_exponent == exponent
 
 
 class TestQuantize:
@@ -120,11 +140,10 @@ class TestQuantizedDecodeFloor:
         out, clips = quantize(stream, AdcConfig(bits=16, full_scale=full_scale))
         assert clips == 0
 
-        spectrum = fft_radix2(out)
         half_lsb = full_scale / 2**17
         recovered = []
         for f, des in zip(plan.channels, designed):
-            est = recover_channel_irradiance(spectrum, f, plan)
+            est = full_fft_estimate(out, f)
             recovered.append(est)
             n_per = window.fs / f
             scale = half_lsb * math.pi * math.sqrt(window.Q) / (

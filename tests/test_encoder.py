@@ -13,9 +13,7 @@ from caossim.encoder import (
     CdmaConfig,
     TdmaSchedule,
     WalshAssignment,
-    complementary_stream,
     encode_cdma,
-    encode_fdma_tdma,
     encode_fm_tdma,
     encode_slot,
     fwht,
@@ -144,16 +142,16 @@ class TestEncodeCdma:
 class TestSchedule:
     def test_515_slots(self):
         plan = design_plan(T=0.25, p=14, m=6, P=7)
-        assert schedule_fdma_tdma(3600, plan).num_slots == 515
+        assert len(schedule_fdma_tdma(3600, plan).slots) == 515
 
     def test_160_slots(self):
         plan = design_plan(T=1.0, p=16, m=7, P=8)
-        assert schedule_fdma_tdma(1276, plan).num_slots == 160
+        assert len(schedule_fdma_tdma(1276, plan).slots) == 160
 
     def test_partial_slot_fills_lowest_first(self):
         plan = design_plan(T=1.0, p=16, m=7, P=8)
         sched = schedule_fdma_tdma(5, plan)
-        assert sched.num_slots == 1
+        assert len(sched.slots) == 1
         assert sched.slots[0] == tuple(
             (i, f) for i, f in enumerate((64.0, 128.0, 256.0, 512.0, 1024.0))
         )
@@ -170,7 +168,7 @@ class TestSchedule:
     def test_partition_and_ceiling(self, npix, P):
         plan = design_plan(T=1.0, p=16, m=2, P=P)
         sched = schedule_fdma_tdma(npix, plan)
-        assert sched.num_slots == math.ceil(npix / P)
+        assert len(sched.slots) == math.ceil(npix / P)
         pixels = [p for slot in sched.slots for p, _ in slot]
         assert sorted(pixels) == list(range(npix))
 
@@ -179,14 +177,13 @@ class TestSchedule:
             TdmaSchedule(slots=(((0, 64.0),), ((0, 128.0),)))
 
 
-class TestEncodeFdmaTdma:
+class TestEncodeSlot:
     def test_equal_pixels_make_equal_spectral_peaks(self):
         plan = design_plan(T=1.0, p=16, m=7, P=8)
         window = plan.window()
         scene = Scene(np.ones((1, 8)))
-        streams = encode_fdma_tdma(scene, schedule_fdma_tdma(8, plan), plan, window)
-        assert len(streams) == 1
-        X = np.abs(np.fft.fft(streams[0].samples))
+        (slot,) = schedule_fdma_tdma(8, plan).slots
+        X = np.abs(np.fft.fft(encode_slot(scene, slot, window).samples))
         peaks = X[list(plan.bins)]
         # raw peaks agree to the few-percent spread of the discrete a1(N)
         assert peaks.max() / peaks.min() < 1.05
@@ -197,30 +194,17 @@ class TestEncodeFdmaTdma:
         plan = design_plan(T=1.0, p=10, m=4, P=1)
         window = plan.window()
         scene = Scene(np.array([[2.5]]))
-        streams = encode_fdma_tdma(scene, schedule_fdma_tdma(1, plan), plan, window)
-        assert set(np.unique(streams[0].samples)) == {0.0, 2.5}
+        stream = encode_slot(scene, schedule_fdma_tdma(1, plan).slots[0], window)
+        assert set(np.unique(stream.samples)) == {0.0, 2.5}
 
     def test_slot_stream_periodic_in_slowest_carrier(self):
         plan = design_plan(T=1.0, p=12, m=4, P=3)
         window = plan.window()
         scene = Scene(np.random.default_rng(1).random((1, 3)))
-        stream = encode_fdma_tdma(scene, schedule_fdma_tdma(3, plan), plan, window)[0]
+        stream = encode_slot(scene, schedule_fdma_tdma(3, plan).slots[0], window)
         n_slowest = int(plan.fs / min(plan.channels))
         x = stream.samples
         assert np.array_equal(x, np.tile(x[:n_slowest], window.Q // n_slowest))
-
-    def test_window_plan_mismatch_rejected(self):
-        plan = design_plan(T=1.0, p=12, m=4, P=2)
-        other = SamplingWindow.design(T=0.5, p=12)
-        scene = Scene(np.ones((1, 2)))
-        with pytest.raises(ValueError, match="does not match"):
-            encode_fdma_tdma(scene, schedule_fdma_tdma(2, plan), plan, other)
-
-    def test_off_plan_frequency_rejected(self):
-        plan = design_plan(T=1.0, p=12, m=4, P=2)
-        sched = TdmaSchedule(slots=(((0, 24.0),),))
-        with pytest.raises(ValueError, match="outside the plan"):
-            encode_fdma_tdma(Scene(np.ones((1, 1))), sched, plan, plan.window())
 
 
 class TestEncodeFmTdma:
@@ -239,9 +223,10 @@ class TestEncodeFmTdma:
         plan = design_plan(T=0.25, p=12, m=10, P=1)
         window = plan.window()
         fm = encode_fm_tdma(scene, grid, plan.channels[0], window)
-        fdma = encode_fdma_tdma(scene, schedule_fdma_tdma(6, plan), plan, window)
-        for a, b in zip(fm, fdma):
-            assert np.array_equal(a.samples, b.samples)
+        slots = schedule_fdma_tdma(6, plan).slots
+        assert len(fm) == len(slots)
+        for a, slot in zip(fm, slots):
+            assert np.array_equal(a.samples, encode_slot(scene, slot, window).samples)
 
     def test_zero_pixel_gives_silent_slot(self):
         grid = CaosGrid(1, 2)
@@ -249,31 +234,6 @@ class TestEncodeFmTdma:
         window = SamplingWindow.design(T=1.0, p=8)
         streams = encode_fm_tdma(scene, grid, 32.0, window)
         assert not streams[0].samples.any() and streams[1].samples.any()
-
-
-class TestComplementaryStream:
-    def test_single_unit_pixel(self):
-        window = SamplingWindow.design(T=1.0, p=8)
-        scene = Scene(np.array([[1.0]]))
-        stream = encode_slot(scene, [(0, 16.0)], window)
-        comp = complementary_stream(stream, scene, [(0, 16.0)])
-        assert np.array_equal(comp.samples, 1.0 - stream.samples)
-
-    def test_conservation_with_off_slot_light(self):
-        window = SamplingWindow.design(T=1.0, p=8)
-        scene = Scene(np.array([[0.3, 0.5, 0.2]]))
-        slot = [(1, 16.0)]
-        stream = encode_slot(scene, slot, window)
-        comp = complementary_stream(stream, scene, slot)
-        total = stream.samples + comp.samples
-        assert np.allclose(total, 1.0, rtol=0, atol=1e-15)
-
-    def test_empty_slot_is_constant(self):
-        window = SamplingWindow.design(T=1.0, p=8)
-        scene = Scene(np.array([[0.3, 0.7]]))
-        stream = encode_slot(scene, [], window)
-        comp = complementary_stream(stream, scene, [])
-        assert set(np.unique(comp.samples)) == {1.0}
 
 
 AMPLITUDES = st.one_of(

@@ -17,6 +17,7 @@ import caossim.runner
 from caossim.encoder import CdmaConfig, WalshAssignment, encode_cdma
 from caossim.freq_plan import MainsGuardWarning, validate_plan
 from caossim.runner import FULL_SCALE_HEADROOM, PlanRejectedError, build_scene, run
+from caossim.scene_optics import hdr_patch_masks
 from caossim.scenario import (
     NESTED,
     Scenario,
@@ -238,6 +239,7 @@ RULED_KEYS = {
     "plan.T", "plan.p", "plan.m", "plan.P", "plan.frequencies",
     "cdma.code_length", "cdma.bit_rate", "cdma.samples_per_bit",
     "noise.awgn_sigma", "noise.mains_amplitude", "noise.pink_sigma", "noise.dark_offset",
+    "noise.pink_exponent",
     "target.level", "target.values", "target.background", "target.bands",
     "target.source_temp_k",
 }
@@ -319,6 +321,12 @@ class TestStrictSchema:
              "'anchors' do not fit a line: order 1 at -5000.0 nm is evanescent"),
             (OPTICS, "span_nm", [732.0, 412.0], "'span_nm' must run from low to high"),
             (OPTICS, "span_nm", [412.0, 412.0], "'span_nm' must run from low to high"),
+            (TINY_FDMA, "noise.pink_exponent", -250,
+             "must be in 0..2, got -250.0 (key 'noise.pink_exponent')"),
+            (TINY_FDMA, "noise.pink_exponent", 250,
+             "must be in 0..2, got 250.0 (key 'noise.pink_exponent')"),
+            (TINY_FDMA, "noise.pink_exponent", 2.01,
+             "must be in 0..2, got 2.01 (key 'noise.pink_exponent')"),
         ],
     )
     def test_out_of_range_rejected_at_parse(self, doc, path, value, match):
@@ -648,6 +656,66 @@ class TestCdmaAutoFullScale:
         assert np.array_equal(run(auto).image.estimates, run(explicit).image.estimates)
 
 
+class TestAdcBelowOneLsb:
+    """An 8-bit ADC reads patches below one LSB through the FFT's processing gain, the
+    noise acting as dither, while a dark offset keeps that noise above the ADC's 0 floor."""
+
+    DOC = {
+        "mode": "fdma-tdma",
+        "grid": {"rows": 10, "cols": 15},
+        "plan": {"T": 1.0, "p": 12, "m": 7, "P": 4},
+        "target": {"kind": "hdr-patches", "attenuations_db": [0.0, 40.0, 50.0],
+                   "patch_radius": 1.5},
+        "noise": {"awgn_sigma": 0.021},
+        "adc": {"enabled": True, "bits": 8},
+        "seed": 3,
+    }
+
+    @classmethod
+    def _run(cls, adc, dark_offset):
+        """The run, each patch's (mean, standard error) and the rectification warnings."""
+        doc = dict(cls.DOC, adc=dict(cls.DOC["adc"], enabled=adc),
+                   noise=dict(cls.DOC["noise"], dark_offset=dark_offset))
+        scenario = scenario_from_dict(doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run(scenario)
+        est = report.image.estimates
+        masks = hdr_patch_masks(scenario.grid, scenario.target.layout, 3, 1.5)
+        stats = [(est[m].mean(), est[m].std(ddof=1) / np.sqrt(m.sum())) for m in masks]
+        warned = [w for w in caught if "noise.dark_offset" in str(w.message)]
+        return report, stats, warned
+
+    def test_patches_below_one_lsb_match_the_adc_off_run_given_a_dark_offset(self):
+        report, got, warned = self._run(adc=True, dark_offset=0.1)
+        _, want, _ = self._run(adc=False, dark_offset=0.1)
+        lsb = float(re.search(r"full_scale=([^,]+)", report.metrics_text)[1]) / 2**8
+        assert 10 ** (-40 / 20) < lsb and report.clip_count == 0 and warned == []
+        for (mean, _), (ref, stderr) in zip(got, want, strict=True):
+            assert abs(mean - ref) <= stderr, (mean, ref, stderr)
+
+    def test_without_a_dark_offset_the_adc_rectifies_and_the_run_warns_once(self):
+        report, got, warned = self._run(adc=True, dark_offset=0.0)
+        _, want, _ = self._run(adc=False, dark_offset=0.0)
+        assert report.clip_count > 0 and len(warned) == 1
+        # the 40 and 50 dB patches read low by many standard errors
+        for (mean, _), (ref, stderr) in zip(got[1:], want[1:], strict=True):
+            assert mean < ref - 3 * stderr, (mean, ref, stderr)
+
+    def test_no_warning_without_the_adc_or_the_noise(self):
+        assert self._run(adc=False, dark_offset=0.0)[2] == []
+        quiet = dict(self.DOC, noise={"mains_amplitude": 0.01})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run(scenario_from_dict(quiet))
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_no_preset_warns(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            caossim.runner._warn_if_rectified(load_preset(name))
+
+
 class TestPresetBehaviors:
     def test_table5_metrics_text(self):
         report = run(load_preset("table5"))
@@ -694,11 +762,9 @@ class TestPresetBehaviors:
 
     def test_alternate_anchor_calibration(self):
         # the short-end calibration point can sit at 412 nm instead of 399 nm
-        from caossim.scenario import ALT_ANCHORS
-
         doc = {
             "mode": "optics-check",
-            "anchors": [list(a) for a in ALT_ANCHORS],
+            "anchors": [[732.0, 0.0], [412.0, 51.0]],
             "span_nm": [412.0, 732.0],
             "n_columns": 52,
         }
