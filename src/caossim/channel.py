@@ -15,6 +15,12 @@ slots while the calling thread encodes, impairs and decodes the current
 one, and ``add_noise`` takes a slot's terms from the pool instead of
 drawing them.  Only the draw leaves the calling thread; ``add_noise``
 itself, and everything around it, runs there in slot order.
+
+A stream may be a synchronous average (``SampledSignal.windows`` > 1):
+the mean of the q = windows * L samples of a slot over its windows of L
+samples.  Every term is then still drawn at q samples from the slot's key
+and reduced to its own L-sample mean (``_window_mean``), on the workers
+when drawn ahead, so the draw and its bits do not depend on L.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .waveform import SampledSignal
+from .waveform import SampledSignal, fold_windows
 
 __all__ = ["NoiseConfig", "AdcConfig", "add_noise", "draws_ahead", "quantize"]
 
@@ -131,37 +137,60 @@ def _noise_terms(
     return out
 
 
+def _window_mean(x: np.ndarray, period: int) -> np.ndarray:
+    """The mean of x's windows of ``period`` samples, written over x[:period].
+
+    x is folded in place (``fold_windows``, the readout's order) and then
+    scaled by period / len(x), a power of two, which is exact.  Returns the
+    view x[:period]; with period == len(x), x itself, untouched.
+    """
+    mean = fold_windows(x, period, out=x)
+    if len(mean) < len(x):
+        mean *= period / len(x)
+    return mean
+
+
+def _slot_terms(
+    cfg: NoiseConfig, q: int, fs: float, slot_index: int, period: int, out: list | None = None
+) -> list[np.ndarray]:
+    """``_noise_terms`` of a q-sample slot, each reduced to its period-sample mean."""
+    return [_window_mean(term, period) for term in _noise_terms(cfg, q, fs, slot_index, out)]
+
+
 def add_noise(stream: SampledSignal, cfg: NoiseConfig, slot_index: int) -> SampledSignal:
     """Apply dark offset, mains tone and stochastic noise to one slot.
 
     Pure function of (stream, cfg, slot_index); the input is never changed
-    and the result is a fresh array.  Inside ``draws_ahead`` the stochastic
-    terms may come from the pool, drawn exactly as ``_noise_terms`` draws
-    them here.
+    and the result is a fresh array.  An averaged stream (windows > 1) gets
+    each term's mean over the slot's windows, added in the same order.
+    Inside ``draws_ahead`` the stochastic terms may come from the pool,
+    drawn and averaged exactly as ``_slot_terms`` does here.
     """
     x = stream.samples
-    q = x.shape[0]
+    period = x.shape[0]
+    q = period * stream.windows
     if cfg.dark_offset or cfg.mains_amplitude:
         x = x.copy()
         if cfg.dark_offset:
             x += cfg.dark_offset
         if cfg.mains_amplitude:
             n = np.arange(q)
-            x += cfg.mains_amplitude * np.sin(
+            tone = cfg.mains_amplitude * np.sin(
                 2.0 * np.pi * cfg.mains_freq * n / stream.fs + cfg.mains_phase
             )
+            x += _window_mean(tone, period)
     ahead = _DRAWN.get()
-    terms = ahead.take(cfg, q, stream.fs, slot_index) if ahead is not None else None
+    terms = ahead.take(cfg, q, stream.fs, period, slot_index) if ahead is not None else None
     if terms is None:
-        terms = _noise_terms(cfg, q, stream.fs, slot_index)
+        terms = _slot_terms(cfg, q, stream.fs, slot_index, period)
     if not terms:
-        return SampledSignal(x.copy() if x is stream.samples else x, stream.fs)
+        return SampledSignal(x.copy() if x is stream.samples else x, stream.fs, stream.windows)
     # the first term takes the sum: z + x == x + z bit for bit
     out = terms[0]
     out += x
     for term in terms[1:]:
         out += term
-    return SampledSignal(out, stream.fs)
+    return SampledSignal(out, stream.fs, stream.windows)
 
 
 def _draw_workers() -> int:
@@ -177,10 +206,12 @@ class _DrawAhead:
     """Slots' noise terms submitted to a pool up to ``width`` slots ahead of
     the last slot taken; served only to the thread that opened the block."""
 
-    def __init__(self, pool, width: int, cfg: NoiseConfig, q: int, fs: float, n: int):
+    def __init__(
+        self, pool, width: int, cfg: NoiseConfig, q: int, fs: float, n: int, period: int
+    ):
         self.pool = pool
         self.width = width
-        self.key = (cfg, q, fs)
+        self.key = (cfg, q, fs, period)
         self.n = n
         self.owner = threading.get_ident()
         self.pending: dict = {}
@@ -188,17 +219,19 @@ class _DrawAhead:
         self._submit_through(width - 1)
 
     def _submit_through(self, last: int) -> None:
-        cfg, q, fs = self.key
+        cfg, q, fs, period = self.key
         while self.next < self.n and self.next <= last:
             # buffers come from this thread's heap, not from a worker's arena
             buffers = [np.empty(q) for _ in range(_term_count(cfg))]
             self.pending[self.next] = self.pool.submit(
-                _noise_terms, cfg, q, fs, self.next, buffers
+                _slot_terms, cfg, q, fs, self.next, period, buffers
             )
             self.next += 1
 
-    def take(self, cfg: NoiseConfig, q: int, fs: float, slot_index: int) -> list | None:
-        if threading.get_ident() != self.owner or (cfg, q, fs) != self.key:
+    def take(
+        self, cfg: NoiseConfig, q: int, fs: float, period: int, slot_index: int
+    ) -> list | None:
+        if threading.get_ident() != self.owner or (cfg, q, fs, period) != self.key:
             return None
         future = self.pending.pop(slot_index, None)
         if future is None:
@@ -211,13 +244,15 @@ _DRAWN: ContextVar[_DrawAhead | None] = ContextVar("caossim_drawn_noise", defaul
 
 
 @contextmanager
-def draws_ahead(cfg: NoiseConfig, q: int, fs: float, n: int):
+def draws_ahead(cfg: NoiseConfig, q: int, fs: float, n: int, period: int | None = None):
     """Draw the stochastic terms of slots 0..n-1 ahead on a thread pool.
 
-    While the caller works on slot i, W workers draw slots i+1..i+W (at most
-    W * terms * 8 * q bytes in flight).  ``add_noise(stream, cfg, i)`` on
-    this thread takes slot i's terms when (cfg, q, fs) match; any other
-    call draws inline.  Draws are keyed by (seed, slot), so the results are
+    While the caller works on slot i, W workers draw slots i+1..i+W at q
+    samples and reduce each term to its mean over windows of ``period``
+    samples (default q: no reduction), at most W * terms * 8 * q bytes in
+    flight.  ``add_noise(stream, cfg, i)`` on this thread takes slot i's
+    terms when (cfg, q, fs, period) match the stream; any other call draws
+    inline.  Draws are keyed by (seed, slot), so the results are
     bit-identical either way.  With W < 2, fewer than two slots or no
     stochastic noise, no thread is started.  On exit, also by an exception,
     the workers finish the draws in flight and are joined.
@@ -229,7 +264,7 @@ def draws_ahead(cfg: NoiseConfig, q: int, fs: float, n: int):
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(width, thread_name_prefix="caossim-noise") as pool:
-        token = _DRAWN.set(_DrawAhead(pool, width, cfg, q, fs, n))
+        token = _DRAWN.set(_DrawAhead(pool, width, cfg, q, fs, n, period or q))
         try:
             yield
         finally:
@@ -242,9 +277,14 @@ def quantize(stream: SampledSignal, cfg: AdcConfig) -> tuple[SampledSignal, int]
     Returns the reconstructed stream and the number of clipped samples.
     Clipping includes codes that saturate the top level, so every unclipped
     sample reconstructs within half an LSB (full_scale / 2**(bits+1)).
+    An enabled ADC acts on raw samples, so it refuses an averaged stream.
     """
     if not cfg.enabled:
         return stream, 0
+    if stream.windows > 1:
+        raise ValueError(
+            f"the ADC quantizes raw samples, but this stream averages {stream.windows} windows"
+        )
     step = cfg.full_scale / 2**cfg.bits
     code = np.round(stream.samples / step)
     top = 2**cfg.bits - 1

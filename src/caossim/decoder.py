@@ -4,10 +4,13 @@ FM/FDMA slots are decoded in the frequency domain at the slot's carrier
 bins only.  The stream is folded by repeated halving down to the common
 period L of its carriers (the first decimation-in-frequency stages of a
 Q-point FFT), then one length-L real FFT yields every carrier bin; each
-magnitude is divided by Q times the exact fundamental coefficient of a
-50%-duty square wave with that carrier's samples-per-period count, so
-each estimate equals |X[b]| / (Q a1(fs/f)) read from the full Q-point
-FFT X to floating-point rounding.  No run computes that full FFT;
+magnitude is divided by the stream's length times the exact fundamental
+coefficient of a 50%-duty square wave with that carrier's
+samples-per-period count, so each estimate equals |X[b]| / (Q a1(fs/f))
+read from the full Q-point FFT X to floating-point rounding.  The runner
+usually hands over the slot's L-sample average instead of its Q samples
+(``SampledSignal.windows`` = Q / L); the same readout then needs no fold
+and gives the same estimate.  No run computes the full FFT;
 ``fft_radix2`` survives only as a name perfbench/tracing.py wraps.
 CDMA streams are decoded by bipolar Walsh correlation of the per-bit
 means; the zero-mean code rows annihilate the DC term introduced by on/off
@@ -38,7 +41,13 @@ from .encoder import (
 )
 from .freq_plan import FrequencyPlan
 from .scene_optics import CaosGrid
-from .waveform import SampledSignal, fundamental_coefficient, nearest_bin, whole_number
+from .waveform import (
+    SampledSignal,
+    fold_windows,
+    fundamental_coefficient,
+    nearest_bin,
+    whole_number,
+)
 
 __all__ = [
     "DecodedImage",
@@ -105,21 +114,25 @@ def decode_slot_free(
 
     With b_i the carriers' nearest bins, X[b_i] depends on the stream only
     through its fold x_L[n] = sum_m x[n + m L] to L = Q / gcd(Q, b_1, ...),
-    where it is bin b_i L / Q of the length-L DFT.  Folding by halving keeps
-    the pairwise summation order of a decimation-in-frequency FFT.  On a
+    where it is bin b_i L / Q of the length-L DFT (``fold_windows``, the
+    pairwise order of a decimation-in-frequency FFT).  On a
     plan ladder L is the longest carrier period; a carrier on an odd bin,
     as off-grid carriers often are, leaves L = Q.
+
+    The stream may already be that average, x_avg = (L / Q) x_L of L
+    samples (``stream.windows`` = Q / L).  Its length-L DFT is
+    X_avg[k] = (L / Q) sum_{n < Q} x[n] e^{-2 pi i k n / L} = (L / Q) X[k Q / L],
+    so this function, with q = L, reads bin b L / Q, folds nothing and
+    divides by L a1: |X_avg[b L / Q]| / (L a1) = |X[b]| / (Q a1).  The scale
+    L / Q is a power of two, so the two forms differ only in where the
+    noise terms were rounded when they were summed.
     """
     q = len(stream)
     _check_power_of_two(q)
     delta_f = stream.fs / q
     bins = [nearest_bin(f, delta_f, q) for _, f in slot]
     period = q // math.gcd(q, *bins)
-    x = stream.samples
-    while len(x) > period:
-        half = len(x) // 2
-        x = x[:half] + x[half:]
-    coeffs = np.fft.rfft(x)
+    coeffs = np.fft.rfft(fold_windows(stream.samples, period))
     return {
         pix: float(abs(coeffs[b * period // q]) / (q * fundamental_coefficient(stream.fs / f)))
         for (pix, f), b in zip(slot, bins)

@@ -2,14 +2,21 @@
 
 Slots are processed one at a time, in slot order, on the calling thread
 (encode, impair, decode, discard), so long acquisitions never hold every
-stream in memory.  A silent channel (``NoiseConfig.is_silent``) skips
-``add_noise``: its result would be a copy of a stream the encoder has
-already checked to be finite.  Only the noise draw runs ahead: inside
-``channel.draws_ahead`` a small thread pool draws the Gaussian terms of
-the next few slots (CDMA frames) while the current one is processed.  The
-counter-based noise keying makes the result independent of processing
-order and of that pool, and all output files are written with stable
-formatting, so a rerun of the same scenario is byte-identical.
+stream in memory.  A TDMA slot is read from its carrier bins, which
+depend on the Q-sample stream only through its average over windows of
+L samples, one period of every carrier (``decoder.decode_slot_free``).
+So when neither the ADC nor ``spectra.csv`` needs the raw samples, a slot
+is encoded over one period and carries the average of each noise term
+(``SampledSignal.windows`` = Q / L); with the ADC on, with spectra, or in
+a permissive run, L = Q and the slot is the raw stream.  A silent channel
+(``NoiseConfig.is_silent``) skips ``add_noise``: its result would be a
+copy of a stream the encoder has already checked to be finite.  Only the
+noise draw runs ahead: inside ``channel.draws_ahead`` a small thread pool
+draws the Gaussian terms of the next few slots (CDMA frames) at Q samples,
+and averages them, while the current one is processed.  The counter-based
+noise keying makes the result independent of processing order and of that
+pool, and all output files are written with stable formatting, so a rerun
+of the same scenario is byte-identical.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from .scene_optics import (
     make_spectral_line_scene,
     spectral_width_per_column,
 )
+from .waveform import SampledSignal, SamplingWindow
 
 __all__ = ["PlanRejectedError", "StripeReport", "RunReport", "run"]
 
@@ -174,6 +182,20 @@ def _attach_patch_report(run: RunReport, grid: CaosGrid) -> None:
     run.patch = metrics.patch_report(run.image.estimates, masks, designed, dark)
 
 
+def _read_period(scenario: Scenario, plan: FrequencyPlan) -> int:
+    """L, the samples a slot is encoded and read over: Q / gcd(Q, carrier bins).
+
+    A passing plan puts every carrier at fs / 2^k, so each slot stream
+    repeats every L samples, its longest carrier period.  The ADC and
+    ``spectra.csv`` need the raw samples, and a permissive run's free
+    sampler need not repeat its first period bit for bit (nor, off the bin
+    grid, at all), so these read the whole window, L = Q.
+    """
+    if scenario.adc_enabled or scenario.write_spectra or scenario.permissive:
+        return plan.Q
+    return plan.Q // math.gcd(plan.Q, *plan.bins)
+
+
 def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     plan = _build_plan(scenario)
     report = validate_plan(plan.channels, plan.delta_f, plan.fs)
@@ -188,12 +210,21 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
         auto_full_scale=FULL_SCALE_HEADROOM * max(_stream_peak(scene, schedule), 1e-12)
     )
 
+    period = _read_period(scenario, plan)
+    windows = window.Q // period
+    # the window's first period: same fs, T and delta_f scaled by a power of two
+    read_window = SamplingWindow(
+        fs=window.fs, T=window.T / windows, Q=period, delta_f=window.delta_f * windows
+    )
+
     estimates = []
     spectra_mags = [] if scenario.write_spectra else None
     clip_total = 0
-    with draws_ahead(noise_cfg, window.Q, window.fs, len(schedule.slots)):
+    with draws_ahead(noise_cfg, window.Q, window.fs, len(schedule.slots), period):
         for i, slot in enumerate(schedule.slots):
-            stream = encode_slot(scene, slot, window, strict=not scenario.permissive)
+            stream = encode_slot(scene, slot, read_window, strict=not scenario.permissive)
+            if windows > 1:
+                stream = SampledSignal(stream.samples, stream.fs, windows)
             if not noise_cfg.is_silent:
                 stream = add_noise(stream, noise_cfg, slot_index=i)
             stream, clipped = quantize(stream, adc_cfg)

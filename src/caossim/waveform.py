@@ -31,6 +31,7 @@ __all__ = [
     "fourier_coeff_closed",
     "fundamental_coefficient",
     "fold_bin",
+    "fold_windows",
     "folded_harmonic_bins",
     "nearest_bin",
     "whole_number",
@@ -94,12 +95,21 @@ class SquareWaveSpec:
 
 @dataclass(frozen=True, eq=False)
 class SampledSignal:
-    """Real-valued uniformly sampled photodetector waveform."""
+    """Real-valued uniformly sampled photodetector waveform.
+
+    windows > 1 marks a synchronous average: the samples are the mean of
+    ``windows`` consecutive windows of ``len(samples)`` samples each, of a
+    stream ``windows * len(samples)`` samples long.  The noise and the
+    carrier-bin readout are linear and accept one; the ADC does not.
+    """
 
     samples: np.ndarray = field(repr=False)
     fs: float
+    windows: int = 1
 
     def __post_init__(self) -> None:
+        if self.windows < 1:
+            raise ValueError(f"a stream averages at least 1 window, got {self.windows}")
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
@@ -231,6 +241,27 @@ def fold_bin(b: int, q: int) -> int:
     """Bin where integer bin b lands after aliasing about q bins (fs), in 0..q/2."""
     r = b % q
     return min(r, q - r)
+
+
+def fold_windows(x: np.ndarray, period: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x_L[n] = sum_m x[n + m L] over x's windows of L = ``period`` samples.
+
+    Sums by repeated halving, x[:h] + x[h:2h]: the pairwise order of the
+    first decimation-in-frequency stages of a len(x)-point FFT.  The
+    carrier-bin readout and the averaged noise terms both fold here, so
+    they round alike.  The partial sums go to ``out`` (len(x) samples; x
+    itself folds in place) or, by default, to fresh arrays.  With
+    period == len(x), returns x untouched.
+    """
+    q = len(x)
+    windows = q // period
+    if windows * period != q or windows & (windows - 1):
+        raise ValueError(f"{q} samples are not a power-of-two count of {period}-sample windows")
+    h = q
+    while h > period:
+        h //= 2
+        x = np.add(x[:h], x[h : 2 * h], out=None if out is None else out[:h])
+    return x
 
 
 def folded_harmonic_bins(

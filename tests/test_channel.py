@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caossim.channel
 from caossim.channel import AdcConfig, NoiseConfig, add_noise, quantize
 from caossim.encoder import encode_slot, schedule_fdma_tdma
 from caossim.freq_plan import design_plan
@@ -62,6 +63,57 @@ class TestAddNoise:
         assert np.abs(X[1:]).max() < 1e-9
 
 
+class TestAveragedNoise:
+    """A stream that averages w windows gets each term's mean over its windows."""
+
+    CFG = NoiseConfig(awgn_sigma=0.05, mains_amplitude=0.02, mains_freq=37.0, mains_phase=0.3,
+                      dark_offset=0.1, pink_enabled=True, pink_sigma=0.01, seed=3)
+    Q, PERIOD, FS, SLOT = 1024, 64, 1024.0, 5
+
+    @staticmethod
+    def _mean(x, period):
+        # pairwise halving, as the readout folds, then the exact 1/w scale
+        w = len(x) // period
+        while len(x) > period:
+            x = x[: len(x) // 2] + x[len(x) // 2 :]
+        return x * (1.0 / w)
+
+    def test_terms_are_window_means_summed_in_the_usual_order(self):
+        cfg, q, period, fs = self.CFG, self.Q, self.PERIOD, self.FS
+        x = np.random.default_rng(2).random(period)
+        mains = cfg.mains_amplitude * np.sin(
+            2.0 * np.pi * cfg.mains_freq * np.arange(q) / fs + cfg.mains_phase
+        )
+        rng = caossim.channel._slot_rng(cfg.seed, self.SLOT)
+        awgn = rng.standard_normal(q) * cfg.awgn_sigma
+        pink = cfg.pink_sigma * caossim.channel._pink_noise(rng, q, fs, cfg.pink_exponent)
+        want = x + cfg.dark_offset
+        for term in (mains, awgn, pink):
+            want += self._mean(term, period)
+        got = add_noise(SampledSignal(x, fs, q // period), cfg, self.SLOT)
+        assert got.windows == q // period
+        assert got.samples.tobytes() == want.tobytes()
+
+    def test_averaged_noise_is_the_mean_of_the_raw_noisy_slot(self):
+        x = np.random.default_rng(3).random(self.PERIOD)
+        w = self.Q // self.PERIOD
+        raw = add_noise(SampledSignal(np.tile(x, w), self.FS), self.CFG, self.SLOT)
+        got = add_noise(SampledSignal(x, self.FS, w), self.CFG, self.SLOT)
+        np.testing.assert_allclose(got.samples, self._mean(raw.samples, self.PERIOD),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("q, period", [(96, 32), (100, 32), (64, 128)])
+    def test_window_mean_needs_a_power_of_two_count_of_windows(self, q, period):
+        with pytest.raises(ValueError, match="power-of-two count"):
+            caossim.channel._window_mean(np.zeros(q), period)
+
+    def test_one_window_is_left_untouched(self):
+        x = np.random.default_rng(4).random(64)
+        kept = x.copy()
+        assert caossim.channel._window_mean(x, 64) is x
+        assert x.tobytes() == kept.tobytes()
+
+
 class TestNoiseConfig:
     @pytest.mark.parametrize(
         "key, value, phrase",
@@ -87,6 +139,16 @@ class TestQuantize:
         stream = SampledSignal(np.array([0.1, 0.9, 2.0]), 8.0)
         out, clips = quantize(stream, AdcConfig(bits=8, full_scale=1.0, enabled=False))
         assert clips == 0 and np.array_equal(out.samples, stream.samples)
+
+    def test_enabled_adc_refuses_an_averaged_stream(self):
+        stream = SampledSignal(np.full(8, 0.5), 8.0, windows=4)
+        with pytest.raises(ValueError, match="quantizes raw samples.*averages 4 windows"):
+            quantize(stream, AdcConfig(bits=8))
+
+    def test_disabled_adc_passes_an_averaged_stream(self):
+        stream = SampledSignal(np.full(8, 0.5), 8.0, windows=4)
+        out, clips = quantize(stream, AdcConfig(enabled=False))
+        assert out is stream and clips == 0
 
     def test_half_scale_is_exact_at_16_bits(self):
         stream = SampledSignal(np.full(64, 0.5), 8.0)

@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 
 import caossim.channel
 import caossim.runner
-from caossim.encoder import CdmaConfig, WalshAssignment, encode_cdma
+from caossim.channel import add_noise
+from caossim.decoder import decode_slot_free
+from caossim.encoder import (
+    CdmaConfig,
+    WalshAssignment,
+    encode_cdma,
+    encode_slot,
+    schedule_fdma_tdma,
+)
 from caossim.freq_plan import MainsGuardWarning, validate_plan
 from caossim.runner import FULL_SCALE_HEADROOM, PlanRejectedError, build_scene, run
 from caossim.scene_optics import hdr_patch_masks
@@ -632,6 +640,57 @@ class TestSilentChannel:
     def test_noisy_run_makes_one_noise_call_per_slot(self, name, noise, monkeypatch):
         _, calls = self._counted_run(dict(SILENT_RUNS[name], noise=noise), monkeypatch)
         assert calls == list(range(SLOTS[name]))
+
+
+NOISY_FDMA = dict(TINY_FDMA, grid={"rows": 2, "cols": 4},
+                  target={"kind": "uniform", "level": 0.5},
+                  noise={"awgn_sigma": 0.01, "dark_offset": 0.05, "mains_amplitude": 0.01})
+
+
+class TestAveragedReadout:
+    """Without the ADC, spectra or a permissive run, a slot is one carrier period."""
+
+    @staticmethod
+    def _recorded_run(doc, monkeypatch):
+        encoded, decoded = [], []
+        encode, decode = caossim.runner.encode_slot, caossim.runner.decode_slot_free
+
+        def recording_encode(scene, slot, window, strict=True):
+            encoded.append(window.Q)
+            return encode(scene, slot, window, strict)
+
+        def recording_decode(stream, slot):
+            decoded.append((len(stream), stream.windows))
+            return decode(stream, slot)
+
+        monkeypatch.setattr(caossim.runner, "encode_slot", recording_encode)
+        monkeypatch.setattr(caossim.runner, "decode_slot_free", recording_decode)
+        report = run(scenario_from_dict(doc))
+        monkeypatch.undo()
+        return report, encoded, decoded
+
+    def test_slots_are_encoded_and_read_over_one_carrier_period(self, monkeypatch):
+        # carriers on bins 64..512 of Q = 4096: L = 4096 / 64
+        _, encoded, decoded = self._recorded_run(NOISY_FDMA, monkeypatch)
+        assert encoded == [64, 64] and decoded == [(64, 64), (64, 64)]
+
+    @pytest.mark.parametrize("raw", [{"adc": {"enabled": True, "bits": 12}},
+                                     {"write_spectra": True}, {"permissive": True}])
+    def test_a_run_that_needs_raw_samples_reads_the_whole_window(self, raw, monkeypatch):
+        _, encoded, decoded = self._recorded_run(dict(NOISY_FDMA, **raw), monkeypatch)
+        assert encoded == [4096, 4096] and decoded == [(4096, 1), (4096, 1)]
+
+    def test_the_whole_window_path_is_the_slot_by_slot_pipeline(self):
+        sc = scenario_from_dict(dict(NOISY_FDMA, write_spectra=True))
+        plan = caossim.runner._build_plan(sc)
+        scene = build_scene(sc.target, sc.grid)
+        slots = schedule_fdma_tdma(sc.grid.num_pixels, plan).slots
+        want = {}
+        for i, slot in enumerate(slots):
+            stream = add_noise(encode_slot(scene, slot, plan.window()), sc.noise_config(), i)
+            want.update(decode_slot_free(stream, slot))
+        got = run(sc).image.estimates.ravel()
+        assert got.tobytes() == np.array([want[i] for i in range(got.size)]).tobytes()
 
 
 class TestCdmaAutoFullScale:

@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caossim.waveform import (
+    SampledSignal,
     SamplingWindow,
     SquareWaveSpec,
     fold_bin,
+    fold_windows,
     folded_harmonic_bins,
     fourier_coeff_closed,
     fourier_coeff_direct,
@@ -49,6 +51,30 @@ class TestSamplingWindow:
     def test_inconsistent_q_rejected(self):
         with pytest.raises(ValueError):
             SamplingWindow(fs=64.0, T=1.0, Q=128, delta_f=1.0)
+
+
+class TestSampledSignal:
+    def test_a_stream_is_one_raw_window_by_default(self):
+        assert SampledSignal(np.zeros(4), 4.0).windows == 1
+
+    @pytest.mark.parametrize("windows", [0, -2])
+    def test_window_count_below_one_rejected(self, windows):
+        with pytest.raises(ValueError, match="at least 1 window"):
+            SampledSignal(np.zeros(4), 4.0, windows)
+
+
+class TestFoldWindows:
+    def test_fold_sums_the_windows_by_pairwise_halving(self):
+        x = np.random.default_rng(5).random(64)
+        want = ((x[:16] + x[32:48]) + (x[16:32] + x[48:]))
+        kept = x.copy()
+        got = fold_windows(x, 16)
+        assert got.tobytes() == want.tobytes() and x.tobytes() == kept.tobytes()
+        assert fold_windows(x, 16, out=x).tobytes() == want.tobytes()
+
+    def test_one_window_is_returned_as_is(self):
+        x = np.arange(8.0)
+        assert fold_windows(x, 8) is x
 
 
 class TestWholeNumber:
