@@ -1,9 +1,9 @@
 """Detection-chain impairments between encoder and decoder.
 
 The noise model is deliberately minimal: additive white Gaussian noise,
-a mains interference tone (default 50 Hz), an optional 1/f term, and a
-constant dark offset (which lands in bin 0 and leaves carrier bins
-alone).  Magnitudes are scenario parameters.
+a mains interference tone (default 50 Hz), a 1/f term drawn when
+``pink_sigma`` > 0, and a constant dark offset (which lands in bin 0 and
+leaves carrier bins alone).  Magnitudes are scenario parameters.
 
 Randomness is counter-based: the Gaussian draws for a slot come from a
 Philox generator keyed by (seed, slot_index), so any processing order or
@@ -53,7 +53,6 @@ class NoiseConfig:
     mains_amplitude: float = field(default=0.0, metadata=NONNEGATIVE)
     mains_freq: float = 50.0
     mains_phase: float = 0.0
-    pink_enabled: bool = False
     pink_exponent: float = field(default=1.0, metadata=SLOPE)
     pink_sigma: float = field(default=0.0, metadata=NONNEGATIVE)
     dark_offset: float = field(default=0.0, metadata=NONNEGATIVE)
@@ -70,12 +69,13 @@ class NoiseConfig:
 
     @property
     def is_silent(self) -> bool:
-        return (
-            self.awgn_sigma == 0.0
-            and self.mains_amplitude == 0.0
-            and self.dark_offset == 0.0
-            and not self.pink_enabled
-        )
+        return not (self.awgn_sigma or self.pink_enabled or self.mains_amplitude
+                    or self.dark_offset)
+
+    @property
+    def pink_enabled(self) -> bool:
+        """The 1/f term is drawn exactly when its sigma is positive."""
+        return self.pink_sigma > 0
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def _pink_noise(rng: np.random.Generator, q: int, fs: float, exponent: float) ->
 
 def _term_count(cfg: NoiseConfig) -> int:
     """How many stochastic terms a slot draws: AWGN, pink, both or none."""
-    return bool(cfg.awgn_sigma) + bool(cfg.pink_enabled and cfg.pink_sigma)
+    return bool(cfg.awgn_sigma) + cfg.pink_enabled
 
 
 def _noise_terms(
@@ -132,7 +132,7 @@ def _noise_terms(
         z = next(terms)
         rng.standard_normal(q, out=z)
         z *= cfg.awgn_sigma
-    if cfg.pink_enabled and cfg.pink_sigma:
+    if cfg.pink_enabled:
         np.multiply(_pink_noise(rng, q, fs, cfg.pink_exponent), cfg.pink_sigma, out=next(terms))
     return out
 

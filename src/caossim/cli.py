@@ -19,7 +19,7 @@ import sys
 
 from .freq_plan import available_slots, design_plan, validate_plan
 from .runner import PlanRejectedError, run
-from .scenario import ScenarioError, load_preset, load_scenario, preset_names
+from .scenario import ScenarioError, load_preset, load_scenario, preset_names, scenario_from_dict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -114,12 +114,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _apply_cli_flags(scenario, args):
-    updates = {}
-    if getattr(args, "permissive", False):
-        updates["permissive"] = True
-    if args.log_display:
-        updates["log_display"] = True
-    return dataclasses.replace(scenario, **updates) if updates else scenario
+    """The scenario with each given flag's key set, through the parser, which rejects a
+    key the scenario's mode does not read."""
+    flags = {key: True for key in ("permissive", "log_display") if getattr(args, key, False)}
+    return scenario_from_dict({**scenario.to_dict(), **flags}) if flags else scenario
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -148,9 +146,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _execute(scenario, args) -> int:
-    scenario = _apply_cli_flags(scenario, args)
     try:
-        report = run(scenario, outdir=args.outdir)
+        report = run(_apply_cli_flags(scenario, args), outdir=args.outdir)
     except PlanRejectedError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION

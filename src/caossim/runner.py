@@ -326,12 +326,22 @@ def _recovered_dr_line(run_report: RunReport) -> list[str]:
     return [f"recovered dynamic range: {dr:.4f} dB"]
 
 
+def _rounding_floor(run_report: RunReport) -> float:
+    """1e-12 of the largest deterministic term a slot can hold: the scene peak, the dark
+    offset or the mains amplitude.  A recovered value below it is only the rounding of those
+    terms, whose digits follow the order in which the readout summed them."""
+    noise = run_report.scenario.noise
+    peak = float(run_report.scene.irradiance.max())
+    return 1e-12 * max(peak, noise.dark_offset, noise.mains_amplitude)
+
+
 def _pixel_table(run_report: RunReport) -> list[str]:
     designed = run_report.scene.irradiance.ravel()
     img = run_report.image
     rec = img.estimates.ravel()
     if rec.size > 64:
         return []
+    rec = np.where(np.abs(rec) < _rounding_floor(run_report), 0.0, rec)
     lines = [f"{'pixel':>6} {'slot':>5} {'channel':>10} {'designed':>13} {'recovered':>13}"]
     for i in range(rec.size):
         lines.append(
@@ -424,7 +434,7 @@ def _warn_if_rectified(scenario: Scenario) -> None:
     """Warn when the ADC, which clamps at 0, would cut the negative swings of the
     stochastic noise in dark stretches: a dark offset below 4 sigma."""
     noise = scenario.noise
-    sigma = math.hypot(noise.awgn_sigma, noise.pink_sigma if noise.pink_enabled else 0.0)
+    sigma = math.hypot(noise.awgn_sigma, noise.pink_sigma)
     if scenario.adc_enabled and sigma > 0 and noise.dark_offset < 4 * sigma:
         warnings.warn(
             f"noise.dark_offset {noise.dark_offset!r} is below 4 sigma = {4 * sigma!r} of the"

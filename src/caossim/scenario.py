@@ -13,8 +13,9 @@ A key's range is a rule in its field's metadata, a phrase and a test, e.g.
 each cell of a list included, where the key path is known.  Rules that
 join keys (the carrier plan, the code length against the pixel count, the
 fit of the target to the grid, the anchors and the optics span) run once
-the fields are built.  A key that the resolved document lacks (a
-misspelling, or a setting the mode or target kind ignores) is rejected.
+the fields are built.  The resolved document holds the keys its mode's
+run reads (``MODE_KEYS``) and its target kind's (``TARGET_KEYS``); a key it
+lacks (a misspelling, or a setting the run ignores) is rejected.
 Errors name the dotted key path, e.g. 'grid.cols' or 'target.values[0][1]'.
 A resolved scenario serialises back to the same document it parses from.
 """
@@ -44,20 +45,23 @@ __all__ = [
     "load_scenario", "preset_names", "load_preset",
 ]
 
-MODES = ("cdma", "fm-tdma", "fdma-tdma", "optics-check")
-
 DEFAULT_ANCHORS = ((732.0, 0.0), (399.0, 51.0))
 
-# Document layout: the top-level keys of every scenario, then those of an optics check;
-# a simulation adds grid, adc, target, noise, plan/cdma if given, anchors for spectral lines
-COMMON_KEYS = ("mode", "seed", "permissive", "write_spectra", "log_display", "output_dir")
-OPTICS_KEYS = ("anchors", "span_nm", "n_columns")
-# (section, key) of the Scenario fields that the document nests in a section
-# (grid.<k> is field <k>, adc.<k> is adc_<k>); no other class has these names
-NESTED = {name: (section, name.removeprefix(section + "_")) for section, names in (
-    ("grid", ("rows", "cols")),
-    ("adc", ("adc_enabled", "adc_bits", "adc_full_scale")),
-) for name in names}
+# Document layout: the top-level keys each mode's run reads, a spectral-line target adding
+# anchors; a simulation needs the target, plan or cdma section on its list
+_SIMULATION = ("mode", "seed", "log_display", "output_dir", "grid", "adc", "target", "noise")
+MODE_KEYS = {
+    "cdma": (*_SIMULATION, "cdma"),
+    "fm-tdma": (*_SIMULATION, "permissive", "write_spectra", "plan"),
+    "fdma-tdma": (*_SIMULATION, "permissive", "write_spectra", "plan"),
+    "optics-check": ("mode", "output_dir", "anchors", "span_nm", "n_columns"),
+}
+MODES = tuple(MODE_KEYS)
+# the Scenario fields that the document nests in a section (grid.<k> is field <k>,
+# adc.<k> is adc_<k>), and their (section, key); no other class has these names
+SECTIONS = {"grid": ("rows", "cols"), "adc": ("adc_enabled", "adc_bits", "adc_full_scale")}
+NESTED = {name: (section, name.removeprefix(section + "_"))
+          for section, names in SECTIONS.items() for name in names}
 # the keys each target kind reads besides "kind"; a list or path among them must be non-empty
 TARGET_KEYS = {
     "uniform": ("level",),
@@ -169,6 +173,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ScenarioError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        for key in ("target", "plan", "cdma"):
+            if key in MODE_KEYS[self.mode] and getattr(self, key) is None:
+                raise ScenarioError(f"{self.mode} mode needs a '{key}' section")
         # one anchor, or all on one column; _anchor_betas then checks the wavelengths
         if len({column for _, column in self.anchors}) < 2:
             raise ScenarioError(
@@ -185,16 +192,10 @@ class Scenario:
             if not lo < hi:
                 raise ScenarioError(f"'span_nm' must run from low to high, got [{lo!r}, {hi!r}]")
             return
-        if self.target is None:
-            raise ScenarioError("simulation scenarios need a target")
         if self.mode == "cdma":
-            if self.cdma is None:
-                raise ScenarioError("cdma mode needs a cdma section")
             if self.cdma.code_length < self.rows * self.cols + 1:
                 raise ScenarioError(f"'cdma.code_length' must be at least the pixel count plus one,"
                                     f" {self.rows * self.cols + 1}")
-        elif self.plan is None:
-            raise ScenarioError(f"{self.mode} mode needs a plan section")
         elif self.mode == "fm-tdma":
             spec = self.plan
             n, key = (len(spec.frequencies), "frequencies") if spec.frequencies else (spec.P, "P")
@@ -260,13 +261,10 @@ class Scenario:
         return CaosGrid(self.rows, self.cols)
 
     def to_dict(self) -> dict[str, Any]:
-        if self.mode == "optics-check":
-            return _dump(self, COMMON_KEYS + OPTICS_KEYS)
-        names = [*COMMON_KEYS, *NESTED, "target", "noise"]
-        names += [name for name in ("plan", "cdma") if getattr(self, name) is not None]
-        if self.target.kind == "spectral-line":
-            names.append("anchors")
-        return _dump(self, names)
+        keys = MODE_KEYS[self.mode]
+        if self.target is not None and self.target.kind == "spectral-line":
+            keys += ("anchors",)
+        return _dump(self, (name for key in keys for name in SECTIONS.get(key, (key,))))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

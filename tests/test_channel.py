@@ -48,7 +48,7 @@ class TestAddNoise:
 
     def test_awgn_unaffected_by_pink_toggle(self):
         base = NoiseConfig(awgn_sigma=0.1, seed=1)
-        with_pink = NoiseConfig(awgn_sigma=0.1, seed=1, pink_enabled=True, pink_sigma=0.05)
+        with_pink = NoiseConfig(awgn_sigma=0.1, seed=1, pink_sigma=0.05)
         a = add_noise(_tone(), base, 0).samples
         b = add_noise(_tone(), with_pink, 0).samples
         # the pink term is additive on top of an identical AWGN draw
@@ -67,7 +67,7 @@ class TestAveragedNoise:
     """A stream that averages w windows gets each term's mean over its windows."""
 
     CFG = NoiseConfig(awgn_sigma=0.05, mains_amplitude=0.02, mains_freq=37.0, mains_phase=0.3,
-                      dark_offset=0.1, pink_enabled=True, pink_sigma=0.01, seed=3)
+                      dark_offset=0.1, pink_sigma=0.01, seed=3)
     Q, PERIOD, FS, SLOT = 1024, 64, 1024.0, 5
 
     @staticmethod

@@ -145,6 +145,22 @@ def test_simulate_permissive_flag_overrides(tmp_path, capsys):
     assert main(["simulate", str(path), "--permissive"]) == 0
 
 
+def test_flag_the_scenario_mode_does_not_read_is_rejected_by_name(tmp_path, capsys):
+    doc = {
+        "mode": "cdma",
+        "grid": {"rows": 1, "cols": 2},
+        "target": {"kind": "uniform", "level": 1.0},
+        "cdma": {"code_length": 4},
+    }
+    path = tmp_path / "cdma.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--permissive", "--outdir", str(tmp_path / "out")]) == 1
+    assert "'permissive'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["reproduce", "dispersion-check", "--log-display"]) == 1
+    assert "'log_display'" in capsys.readouterr().err
+
+
 def test_malformed_scenario_is_validation_failure(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

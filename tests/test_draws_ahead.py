@@ -32,7 +32,6 @@ ALL_NOISE = {
     "dark_offset": 0.01,
     "mains_amplitude": 0.003,
     "awgn_sigma": 0.021,
-    "pink_enabled": True,
     "pink_sigma": 0.004,
 }
 
@@ -219,7 +218,7 @@ CONFIGS = {
     "silent": NoiseConfig(),
     "dark-mains": NoiseConfig(dark_offset=0.2, mains_amplitude=0.1, mains_freq=7.0),
     "stochastic": NoiseConfig(seed=5, **ALL_NOISE),
-    "pink-only": NoiseConfig(pink_enabled=True, pink_sigma=0.3, seed=2),
+    "pink-only": NoiseConfig(pink_sigma=0.3, seed=2),
 }
 
 

@@ -61,7 +61,7 @@ def test_traced_run_with_draw_ahead_keeps_spans_on_the_calling_thread(monkeypatc
             "grid": {"rows": 3, "cols": 5},
             "plan": {"T": 1.0, "p": 10, "m": 5, "P": 2},
             "target": {"kind": "uniform", "level": 0.5},
-            "noise": {"awgn_sigma": 0.05, "pink_enabled": True, "pink_sigma": 0.01},
+            "noise": {"awgn_sigma": 0.05, "pink_sigma": 0.01},
         }
     )
     tracer = tracing.Tracer()

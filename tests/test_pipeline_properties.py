@@ -3,9 +3,12 @@
 With the ADC off and no spectra, a strict TDMA run reads each slot from its
 average over one carrier period; ``write_spectra`` makes the same scenario
 read the raw Q-sample slot.  These properties hold the averaged readout to
-the raw one, and to itself across modes and draw-ahead pool sizes.
+the raw one, and to itself across modes and draw-ahead pool sizes.  A
+scenario's resolved config, here and for every preset, parses back to the
+same config and the same run.
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,13 +19,13 @@ from hypothesis import strategies as st
 import caossim.channel
 import caossim.runner
 from caossim.runner import run
-from caossim.scenario import scenario_from_dict
+from caossim.scenario import load_preset, preset_names, scenario_from_dict
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
 # Dark pixels (0) and up to 60 dB below the brightest.  A dark pixel under only the
-# deterministic dark and mains terms decodes to rounding noise, whose digits in
-# metrics.txt depend on the summation order (see test_rounding_noise_prints_alike).
+# deterministic dark and mains terms decodes to rounding noise, which metrics.txt
+# prints as 0 (see test_rounding_noise_prints_alike).
 levels = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
 sigmas = st.one_of(st.just(0.0), st.floats(1e-4, 0.05))
 
@@ -32,7 +35,6 @@ def noises(draw):
     pink = draw(st.booleans())
     return {
         "awgn_sigma": draw(sigmas),
-        "pink_enabled": pink,
         "pink_sigma": draw(sigmas) if pink else 0.0,
         "pink_exponent": draw(st.floats(0.0, 2.0)),
         "dark_offset": draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.2))),
@@ -78,25 +80,6 @@ def _read_windows(doc) -> tuple:
     return report, seen
 
 
-def _rounding_scale(doc) -> float:
-    """The largest deterministic term of a slot: a decoded value below 1e-12 of
-    it, left only by the rounding of those terms, is no measurement."""
-    noise = doc["noise"]
-    peak = max(max(row) for row in doc["target"]["values"])
-    return max(peak, noise["dark_offset"], noise["mains_amplitude"])
-
-
-def _without_rounding_noise(text: str, estimates: np.ndarray, floor: float) -> str:
-    """metrics.txt with the recovered value of every pixel below floor blanked."""
-    lines = text.splitlines()
-    start = lines.index(next(line for line in lines if line.split()[:1] == ["pixel"]))
-    for i, value in enumerate(estimates.ravel()):
-        if abs(value) < floor:
-            row = lines[start + 1 + i].rsplit(maxsplit=1)[0]
-            lines[start + 1 + i] = row + " (rounding)"
-    return "\n".join(lines)
-
-
 @PROPERTY
 @given(tdma_docs())
 def test_averaged_readout_matches_the_raw_readout(doc):
@@ -107,19 +90,15 @@ def test_averaged_readout_matches_the_raw_readout(doc):
     assert set(raw_windows) == {1}
     got, want = averaged.image.estimates, raw.image.estimates
     # an all-dark image has no peak of its own; the terms' rounding sets the scale
-    floor = 1e-12 * _rounding_scale(doc)
+    floor = caossim.runner._rounding_floor(raw)
     assert np.max(np.abs(got - want)) <= max(1e-12 * np.max(np.abs(want)), floor)
-    # pixel tables print every recovered value, rounding noise included
-    # (test_rounding_noise_prints_alike); the rest of metrics.txt is the same
-    assert _without_rounding_noise(averaged.metrics_text, want, floor) == _without_rounding_noise(
-        raw.metrics_text, want, floor
-    )
+    assert averaged.metrics_text == raw.metrics_text
 
 
-@pytest.mark.xfail(strict=True, reason="metrics.txt prints a dark pixel's rounding noise")
 def test_rounding_noise_prints_alike():
     # a dark pixel under only dark offset and mains decodes to ~1e-18, whose
-    # digits follow the order in which the two readouts sum the terms
+    # digits follow the order in which the two readouts sum the terms; the
+    # pixel table prints a value below its rounding floor as 0
     doc = {
         "mode": "fm-tdma",
         "grid": {"rows": 1, "cols": 1},
@@ -131,6 +110,7 @@ def test_rounding_noise_prints_alike():
     averaged = run(scenario_from_dict(doc))
     raw = run(scenario_from_dict(dict(doc, write_spectra=True)))
     assert averaged.image.estimates[0, 0] < 1e-16
+    assert averaged.image.estimates.tobytes() != raw.image.estimates.tobytes()
     assert averaged.metrics_text == raw.metrics_text
 
 
@@ -193,7 +173,7 @@ def test_averaged_noise_terms_are_drawn_at_q_samples():
         "grid": {"rows": 2, "cols": 4},
         "target": {"kind": "uniform", "level": 0.5},
         "plan": {"T": 1.0, "p": 10, "m": 5, "P": 2},
-        "noise": {"awgn_sigma": 0.01, "pink_enabled": True, "pink_sigma": 0.01},
+        "noise": {"awgn_sigma": 0.01, "pink_sigma": 0.01},
         "seed": 4,
     }
     drawn = []
@@ -208,3 +188,26 @@ def test_averaged_noise_terms_are_drawn_at_q_samples():
         report, windows = _read_windows(doc)
     assert drawn == [1024] * 4 and set(windows) == {16}
     assert report.image.estimates.shape == (2, 4)
+
+
+def _rerun_of_resolved_config(scenario) -> None:
+    """to_json -> parse -> to_json gives the same bytes, and the same run."""
+    text = scenario.to_json()
+    again = scenario_from_dict(json.loads(text))
+    assert again.to_json() == text
+    first, second = run(scenario), run(again)
+    assert [i.estimates.tobytes() for i in second.images] == [
+        i.estimates.tobytes() for i in first.images
+    ]
+    assert second.metrics_text == first.metrics_text
+
+
+@PROPERTY
+@given(tdma_docs())
+def test_resolved_config_reruns_the_same(doc):
+    _rerun_of_resolved_config(scenario_from_dict(doc))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_resolved_config_reruns_the_same(name):
+    _rerun_of_resolved_config(load_preset(name))

@@ -59,7 +59,15 @@ TINY_HDR = dict(TINY_CDMA, grid={"rows": 5, "cols": 10}, cdma={"code_length": 64
 TINY_LINE = dict(TINY_CDMA, grid={"rows": 1, "cols": 52}, cdma={"code_length": 64},
                  target={"kind": "spectral-line", "bands": [[600.0, 40.0]]})
 
+TINY_FM = dict(TINY_FDMA, mode="fm-tdma", plan=dict(TINY_FDMA["plan"], P=1))
+
 OPTICS = {"mode": "optics-check"}
+
+BY_MODE = {"cdma": TINY_CDMA, "fm-tdma": TINY_FM, "fdma-tdma": TINY_FDMA, "optics-check": OPTICS}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
 
 
 class TestScenarioParsing:
@@ -111,6 +119,7 @@ class TestScenarioParsing:
             ("grid", "mirror_pitch_um"),
             ("adc", "enable"),
             ("noise", "awgn_sigm"),
+            ("noise", "pink_enabled"),  # written by earlier versions; pink_sigma > 0 turns it on
             ("plan", "PP"),
             ("cdma", "code_len"),
             ("target", "levle"),
@@ -124,6 +133,38 @@ class TestScenarioParsing:
         path = key if section is None else f"{section}.{key}"
         with pytest.raises(ScenarioError, match=f"'{path}'"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "mode, key, value",
+        [
+            ("cdma", "plan", TINY_FDMA["plan"]),
+            ("cdma", "permissive", True),
+            ("cdma", "write_spectra", True),
+            ("fm-tdma", "cdma", TINY_CDMA["cdma"]),
+            ("fdma-tdma", "cdma", TINY_CDMA["cdma"]),
+            ("optics-check", "seed", 3),
+            ("optics-check", "permissive", True),
+            ("optics-check", "write_spectra", True),
+            ("optics-check", "log_display", True),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_key_the_mode_does_not_read_rejected_by_name(self, mode, key, value):
+        _rejected_naming(dict(BY_MODE[mode], **{key: value}), key)
+
+    def test_pink_sigma_alone_draws_the_one_over_f_term(self, monkeypatch):
+        drawn = []
+        original = caossim.channel._pink_noise
+
+        def recording(rng, q, fs, exponent):
+            drawn.append(q)
+            return original(rng, q, fs, exponent)
+
+        monkeypatch.setattr(caossim.channel, "_pink_noise", recording)
+        pink = run(scenario_from_dict(dict(TINY_FDMA, noise={"pink_sigma": 0.01})))
+        assert drawn == [2**12]  # one slot, Q = 2**p
+        silent = run(scenario_from_dict(TINY_FDMA))
+        assert not np.array_equal(pink.image.estimates, silent.image.estimates)
 
     @pytest.mark.parametrize("section", ["grid", "noise", "adc"])
     def test_section_that_is_not_an_object_rejected(self, section):
@@ -350,6 +391,13 @@ class TestStrictSchema:
             (dict(TINY_CDMA, target={"kind": "spectral-line"}), "target.bands"),
             (dict(TINY_FDMA, plan={"p": 12, "m": 7, "P": 4}), "plan.T"),
             (dict(TINY_CDMA, cdma={}), "cdma.code_length"),
+            # a simulation mode without its sections
+            (_without(TINY_CDMA, "target"), "target"),
+            (_without(TINY_CDMA, "cdma"), "cdma"),
+            (_without(TINY_FM, "target"), "target"),
+            (_without(TINY_FM, "plan"), "plan"),
+            (_without(TINY_FDMA, "target"), "target"),
+            (_without(TINY_FDMA, "plan"), "plan"),
         ],
     )
     def test_missing_required_key_named(self, doc, path):
