@@ -12,6 +12,13 @@ usually hands over the slot's L-sample average instead of its Q samples
 (``SampledSignal.windows`` = Q / L); the same readout then needs no fold
 and gives the same estimate.  No run computes the full FFT;
 ``fft_radix2`` survives only as a name perfbench/tracing.py wraps.
+The readout has two steps: ``carrier_coefficients`` returns the complex
+carrier-bin values, which are linear in the stream, and
+``carrier_estimates`` scales their magnitudes.  ``decode_slot_free`` is
+the two in turn.  A permissive run with the ADC off uses the linearity:
+it sums each carrier's unit response, weighted by the pixel irradiances,
+plus the coefficients of the slot's noise, and forms no slot stream
+(``runner``).
 CDMA streams are decoded by bipolar Walsh correlation of the per-bit
 means; the zero-mean code rows annihilate the DC term introduced by on/off
 optical modulation.  One fast Walsh-Hadamard transform of the L means
@@ -54,6 +61,8 @@ __all__ = [
     "fft_radix2",
     "decode_slot",
     "decode_slot_free",
+    "carrier_coefficients",
+    "carrier_estimates",
     "decode_cdma",
     "assemble_image",
 ]
@@ -104,13 +113,9 @@ def decode_slot(
     return decode_slot_free(stream, slot)
 
 
-def decode_slot_free(
-    stream: SampledSignal, slot: Sequence[tuple[int, float]]
-) -> dict[int, float]:
-    """|X[b]| / (Q a1(fs/f)) at every (pixel, carrier f) of the slot, with X the
-    full-slot FFT and b the carrier's nearest bin, computed without X and
-    without decode_slot's plan checks.  a1 takes a real-valued N = fs/f, so a
-    carrier off the bin grid decodes with the leakage the plan audit prevents.
+def carrier_coefficients(stream: SampledSignal, freqs: Sequence[float]) -> np.ndarray:
+    """X[b] at each carrier f's nearest bin b, in the order of ``freqs``, with X
+    the full-slot FFT, computed without X.
 
     With b_i the carriers' nearest bins, X[b_i] depends on the stream only
     through its fold x_L[n] = sum_m x[n + m L] to L = Q / gcd(Q, b_1, ...),
@@ -122,21 +127,47 @@ def decode_slot_free(
     The stream may already be that average, x_avg = (L / Q) x_L of L
     samples (``stream.windows`` = Q / L).  Its length-L DFT is
     X_avg[k] = (L / Q) sum_{n < Q} x[n] e^{-2 pi i k n / L} = (L / Q) X[k Q / L],
-    so this function, with q = L, reads bin b L / Q, folds nothing and
-    divides by L a1: |X_avg[b L / Q]| / (L a1) = |X[b]| / (Q a1).  The scale
-    L / Q is a power of two, so the two forms differ only in where the
-    noise terms were rounded when they were summed.
+    so with q = L this reads bin b L / Q and folds nothing: the result is
+    (L / Q) X[b].  The scale L / Q is a power of two, so the two forms
+    differ only in where the noise terms were rounded when they were summed.
     """
     q = len(stream)
     _check_power_of_two(q)
     delta_f = stream.fs / q
-    bins = [nearest_bin(f, delta_f, q) for _, f in slot]
+    bins = [nearest_bin(f, delta_f, q) for f in freqs]
     period = q // math.gcd(q, *bins)
     coeffs = np.fft.rfft(fold_windows(stream.samples, period))
+    return coeffs[[b * period // q for b in bins]]
+
+
+def carrier_estimates(
+    coeffs: np.ndarray, slot: Sequence[tuple[int, float]], q: int, fs: float
+) -> dict[int, float]:
+    """|c| / (q a1(fs/f)) for each (pixel, carrier f) of the slot and its
+    coefficient c, read from a q-sample stream sampled at fs.
+
+    The magnitude is np.hypot of the parts, which agrees bit for bit with
+    Python's abs() of a complex scalar; np.abs of a complex array may not.
+    """
+    mags = np.hypot(coeffs.real, coeffs.imag)
     return {
-        pix: float(abs(coeffs[b * period // q]) / (q * fundamental_coefficient(stream.fs / f)))
-        for (pix, f), b in zip(slot, bins)
+        pix: float(m / (q * fundamental_coefficient(fs / f)))
+        for (pix, f), m in zip(slot, mags)
     }
+
+
+def decode_slot_free(
+    stream: SampledSignal, slot: Sequence[tuple[int, float]]
+) -> dict[int, float]:
+    """|X[b]| / (Q a1(fs/f)) at every (pixel, carrier f) of the slot, with X the
+    full-slot FFT and b the carrier's nearest bin, computed without X
+    (``carrier_coefficients``) and without decode_slot's plan checks.  a1
+    takes a real-valued N = fs/f, so a carrier off the bin grid decodes with
+    the leakage the plan audit prevents.  An averaged stream of L samples
+    gives (L / Q) X[b], which divided by L a1 is the same estimate.
+    """
+    coeffs = carrier_coefficients(stream, [f for _, f in slot])
+    return carrier_estimates(coeffs, slot, len(stream), stream.fs)
 
 
 def decode_cdma(

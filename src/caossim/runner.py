@@ -7,8 +7,12 @@ depend on the Q-sample stream only through its average over windows of
 L samples, one period of every carrier (``decoder.decode_slot_free``).
 So when neither the ADC nor ``spectra.csv`` needs the raw samples, a slot
 is encoded over one period and carries the average of each noise term
-(``SampledSignal.windows`` = Q / L); with the ADC on, with spectra, or in
-a permissive run, L = Q and the slot is the raw stream.  A silent channel
+(``SampledSignal.windows`` = Q / L); with the ADC on or with spectra, L = Q
+and the slot is the raw stream.  A permissive run with neither forms no
+slot stream: the readout is linear, so each carrier set's unit responses
+are read once per run and a slot's carrier coefficients are their sum
+weighted by its pixel irradiances, plus the readout of its noise-only
+stream (``_superposed``).  A silent channel
 (``NoiseConfig.is_silent``) skips ``add_noise``: its result would be a
 copy of a stream the encoder has already checked to be finite.  Only the
 noise draw runs ahead: inside ``channel.draws_ahead`` a small thread pool
@@ -34,6 +38,8 @@ from .channel import add_noise, draws_ahead, quantize
 from .decoder import (
     DecodedImage,
     assemble_image,
+    carrier_coefficients,
+    carrier_estimates,
     decode_cdma,
     decode_slot,  # not called here; perfbench/tracing.py wraps this name
     decode_slot_free,
@@ -42,6 +48,7 @@ from .decoder import (
 from .encoder import (
     CdmaConfig,
     WalshAssignment,
+    _carrier_mask,
     encode_cdma,
     encode_slot,
     schedule_fdma_tdma,
@@ -189,11 +196,50 @@ def _read_period(scenario: Scenario, plan: FrequencyPlan) -> int:
     repeats every L samples, its longest carrier period.  The ADC and
     ``spectra.csv`` need the raw samples, and a permissive run's free
     sampler need not repeat its first period bit for bit (nor, off the bin
-    grid, at all), so these read the whole window, L = Q.
+    grid, at all), so these read the whole window, L = Q.  A permissive run
+    without the ADC or spectra forms no slot stream (``_superposed``): only
+    its unit carriers and its noise-only streams are read at Q.
     """
     if scenario.adc_enabled or scenario.write_spectra or scenario.permissive:
         return plan.Q
     return plan.Q // math.gcd(plan.Q, *plan.bins)
+
+
+def _unit_responses(freqs: tuple[float, ...], window: SamplingWindow) -> np.ndarray:
+    """Row p: the coefficients at the bins of ``freqs`` of carrier p's unit
+    permissive mask over the window, from one float copy of a mask at a time."""
+    return np.array([
+        carrier_coefficients(
+            SampledSignal(_carrier_mask(f, window, False).astype(np.float64), window.fs), freqs
+        )
+        for f in freqs
+    ])
+
+
+def _superposed(
+    flat: np.ndarray,
+    slot,
+    window: SamplingWindow,
+    responses: dict,
+    noise: SampledSignal | None,
+) -> dict[int, float]:
+    """A permissive, ADC-off slot's estimates without its stream.
+
+    The carrier-bin readout is linear, so a slot's coefficients are
+    sum_p a_p R_p over its pixels' irradiances a_p and their carriers' unit
+    responses R_p (``_unit_responses``, built once per carrier tuple and
+    kept in ``responses``), plus the coefficients of the slot's noise-only
+    stream ``noise``.  They equal the slot-by-slot readout of
+    encode_slot -> add_noise to rounding.
+    """
+    freqs = tuple(f for _, f in slot)
+    if freqs not in responses:
+        responses[freqs] = _unit_responses(freqs, window)
+    amps = flat[[pix for pix, _ in slot]]
+    coeffs = (amps[:, None] * responses[freqs]).sum(axis=0)
+    if noise is not None:
+        coeffs += carrier_coefficients(noise, freqs)
+    return carrier_estimates(coeffs, slot, window.Q, window.fs)
 
 
 def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
@@ -217,11 +263,21 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
         fs=window.fs, T=window.T / windows, Q=period, delta_f=window.delta_f * windows
     )
 
+    # with the ADC off and no spectra, a permissive slot needs only its carrier bins
+    superposed = scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
+    flat = scene.irradiance.ravel()
+    silence = SampledSignal(np.zeros(window.Q), window.fs) if superposed else None
+    responses: dict[tuple[float, ...], np.ndarray] = {}
+
     estimates = []
     spectra_mags = [] if scenario.write_spectra else None
     clip_total = 0
     with draws_ahead(noise_cfg, window.Q, window.fs, len(schedule.slots), period):
         for i, slot in enumerate(schedule.slots):
+            if superposed:
+                noise = None if noise_cfg.is_silent else add_noise(silence, noise_cfg, slot_index=i)
+                estimates.append(_superposed(flat, slot, window, responses, noise))
+                continue
             stream = encode_slot(scene, slot, read_window, strict=not scenario.permissive)
             if windows > 1:
                 stream = SampledSignal(stream.samples, stream.fs, windows)

@@ -261,9 +261,7 @@ class Scenario:
         return CaosGrid(self.rows, self.cols)
 
     def to_dict(self) -> dict[str, Any]:
-        keys = MODE_KEYS[self.mode]
-        if self.target is not None and self.target.kind == "spectral-line":
-            keys += ("anchors",)
+        keys = _document_keys(self.mode, self.target and self.target.kind)
         return _dump(self, (name for key in keys for name in SECTIONS.get(key, (key,))))
 
     def to_json(self) -> str:
@@ -340,7 +338,21 @@ def _json(value: Any) -> Any:
     return value.to_dict() if dataclasses.is_dataclass(value) else value
 
 
+def _document_keys(mode: str, target_kind: str | None) -> tuple[str, ...]:
+    """The top-level keys of a resolved scenario of this mode and target kind."""
+    keys = MODE_KEYS[mode]
+    return keys + ("anchors",) if target_kind == "spectral-line" else keys
+
+
 def scenario_from_dict(d: dict[str, Any]) -> Scenario:
+    mode = d.get("mode") if isinstance(d, dict) else None
+    if isinstance(mode, str) and mode in MODE_KEYS:
+        # a key the mode ignores is named for deletion before any value in it is checked
+        target = d.get("target")
+        kind = target.get("kind") if isinstance(target, dict) else None
+        if not (isinstance(kind, str) and kind in TARGET_KEYS):
+            kind = "spectral-line"  # a missing or malformed kind fails by name in _parse
+        _reject_unknown_keys(d, dict.fromkeys(_document_keys(mode, kind)))
     scenario = _parse(Scenario, d, "")
     _reject_unknown_keys(d, scenario.to_dict())
     return scenario

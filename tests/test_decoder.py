@@ -14,6 +14,7 @@ import caossim.runner
 from caossim.channel import NoiseConfig, add_noise, quantize
 from caossim.decoder import (
     assemble_image,
+    carrier_coefficients,
     decode_cdma,
     decode_slot,
     decode_slot_free,
@@ -185,6 +186,17 @@ class TestCarrierReadout:
             want = full_fft_estimate(stream, f)
             tol = 1e-12 * np.abs(stream.samples).sum() / (q * fundamental_coefficient(stream.fs / f))
             assert abs(got[pix] - want) <= tol, (q, f)
+
+    @given(_slot_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_magnitude_is_python_abs_of_each_coefficient_bit_for_bit(self, case):
+        # np.abs of a complex array rounds differently from abs() of a complex scalar
+        stream, slot = case
+        coeffs = carrier_coefficients(stream, [f for _, f in slot])
+        got = decode_slot_free(stream, slot)
+        for (pix, f), c in zip(slot, coeffs):
+            want = abs(c) / (len(stream) * fundamental_coefficient(stream.fs / f))
+            assert np.float64(got[pix]).tobytes() == np.float64(want).tobytes(), (pix, f)
 
     def test_table5_precision_no_worse_than_full_fft(self):
         # the 1e-7 channel sets acceptance 1's 140 dB dynamic range, where

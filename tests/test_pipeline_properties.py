@@ -4,6 +4,8 @@ With the ADC off and no spectra, a strict TDMA run reads each slot from its
 average over one carrier period; ``write_spectra`` makes the same scenario
 read the raw Q-sample slot.  These properties hold the averaged readout to
 the raw one, and to itself across modes and draw-ahead pool sizes.  A
+permissive run with the ADC off forms no slot stream: it sums unit carrier
+responses, and its estimates are held to the slot-by-slot pipeline.  A
 scenario's resolved config, here and for every preset, parses back to the
 same config and the same run.
 """
@@ -18,8 +20,12 @@ from hypothesis import strategies as st
 
 import caossim.channel
 import caossim.runner
+from caossim.channel import add_noise
+from caossim.decoder import decode_slot_free
+from caossim.encoder import encode_slot, schedule_fdma_tdma
 from caossim.runner import run
 from caossim.scenario import load_preset, preset_names, scenario_from_dict
+from caossim.waveform import whole_number
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
@@ -188,6 +194,82 @@ def test_averaged_noise_terms_are_drawn_at_q_samples():
         report, windows = _read_windows(doc)
     assert drawn == [1024] * 4 and set(windows) == {16}
     assert report.image.estimates.shape == (2, 4)
+
+
+@st.composite
+def permissive_docs(draw):
+    """A permissive, ADC-off fdma-tdma scenario with 1-4 explicit carriers, Q = 2**p <= 2**12:
+    each on a power-of-two bin (whole periods), on another whole bin, or between bins."""
+    p = draw(st.integers(4, 12))
+    q, T = 2**p, draw(st.sampled_from([0.25, 1.0]))
+    bins = st.one_of(st.integers(0, p - 2).map(lambda k: float(2**k)),
+                     st.integers(1, q // 2).map(float),
+                     st.tuples(st.integers(1, q // 2 - 1), st.floats(0.01, 0.99)).map(sum))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    values = draw(st.lists(st.lists(levels, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    return {
+        "mode": "fdma-tdma",
+        "grid": {"rows": rows, "cols": cols},
+        "target": {"kind": "explicit", "values": values},
+        "plan": {"T": T, "p": p, "frequencies": [
+            b / T for b in draw(st.lists(bins, min_size=1, max_size=4, unique=True))]},
+        "noise": draw(noises()),
+        "adc": {"enabled": False},
+        "permissive": True,
+        "seed": draw(st.integers(0, 2**63 - 1)),
+    }
+
+
+def _permissive_slots(scenario):
+    plan = caossim.runner._build_plan(scenario)
+    return plan, schedule_fdma_tdma(scenario.grid.num_pixels, plan).slots
+
+
+@PROPERTY
+@given(permissive_docs())
+def test_superposed_readout_matches_the_slot_by_slot_pipeline(doc):
+    scenario = scenario_from_dict(doc)
+    report, windows = _read_windows(doc)
+    assert windows == []  # no slot stream is read
+    plan, slots = _permissive_slots(scenario)
+    scene = caossim.runner.build_scene(scenario.target, scenario.grid)
+    want = {}
+    for i, slot in enumerate(slots):
+        stream = encode_slot(scene, slot, plan.window(), strict=False)
+        want.update(decode_slot_free(add_noise(stream, scenario.noise_config(), i), slot))
+    want = np.array([want[i] for i in range(len(want))])
+    got = report.image.estimates.ravel()
+    floor = caossim.runner._rounding_floor(report)
+    assert np.max(np.abs(got - want)) <= max(1e-12 * np.max(np.abs(want)), floor)
+
+
+def test_permissive_strategy_reaches_every_case():
+    @PROPERTY
+    @given(permissive_docs())
+    def collect(doc):
+        sc = scenario_from_dict(doc)
+        plan, slots = _permissive_slots(sc)
+        whole = [whole_number(f / plan.delta_f) is not None for f in plan.channels]
+        first, last = ([plan.bins[plan.channels.index(f)] for _, f in s]
+                       for s in (slots[0], slots[-1]))
+        noise = sc.noise
+        cases = {
+            "on the bin grid": all(whole),
+            "off the bin grid": not any(whole),
+            "short last slot, other gcd": math.gcd(plan.Q, *first) != math.gcd(plan.Q, *last),
+            "silent": noise.is_silent,
+            "awgn": noise.awgn_sigma > 0,
+            "pink": noise.pink_enabled,
+            "dark offset": noise.dark_offset > 0,
+            "mains": noise.mains_amplitude > 0,
+        }
+        reached.update(case for case, hit in cases.items() if hit)
+
+    reached = set()
+    collect()
+    assert reached == {"on the bin grid", "off the bin grid", "short last slot, other gcd",
+                       "silent", "awgn", "pink", "dark offset", "mains"}
 
 
 def _rerun_of_resolved_config(scenario) -> None:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import caossim.channel
 import caossim.runner
-from caossim.channel import add_noise
+from caossim.channel import add_noise, quantize
 from caossim.decoder import decode_slot_free
 from caossim.encoder import (
     CdmaConfig,
@@ -146,11 +146,15 @@ class TestScenarioParsing:
             ("optics-check", "permissive", True),
             ("optics-check", "write_spectra", True),
             ("optics-check", "log_display", True),
+            # named as unused before the value it holds is range-checked
+            ("optics-check", "grid", {"rows": 0}),
+            ("cdma", "plan", dict(TINY_FDMA["plan"], T=-1)),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )
     def test_key_the_mode_does_not_read_rejected_by_name(self, mode, key, value):
-        _rejected_naming(dict(BY_MODE[mode], **{key: value}), key)
+        with pytest.raises(ScenarioError, match=f"unknown or unused scenario key '{key}'"):
+            scenario_from_dict(dict(BY_MODE[mode], **{key: value}))
 
     def test_pink_sigma_alone_draws_the_one_over_f_term(self, monkeypatch):
         drawn = []
@@ -693,6 +697,8 @@ class TestSilentChannel:
 NOISY_FDMA = dict(TINY_FDMA, grid={"rows": 2, "cols": 4},
                   target={"kind": "uniform", "level": 0.5},
                   noise={"awgn_sigma": 0.01, "dark_offset": 0.05, "mains_amplitude": 0.01})
+# below the noiseless peak, 2.0 plus a 0.2 dark offset, so the first sample of each slot clips
+NOISY_ADC = {"enabled": True, "bits": 10, "full_scale": 2.1}
 
 
 class TestAveragedReadout:
@@ -723,22 +729,54 @@ class TestAveragedReadout:
         assert encoded == [64, 64] and decoded == [(64, 64), (64, 64)]
 
     @pytest.mark.parametrize("raw", [{"adc": {"enabled": True, "bits": 12}},
-                                     {"write_spectra": True}, {"permissive": True}])
+                                     {"write_spectra": True}])
     def test_a_run_that_needs_raw_samples_reads_the_whole_window(self, raw, monkeypatch):
         _, encoded, decoded = self._recorded_run(dict(NOISY_FDMA, **raw), monkeypatch)
         assert encoded == [4096, 4096] and decoded == [(4096, 1), (4096, 1)]
 
-    def test_the_whole_window_path_is_the_slot_by_slot_pipeline(self):
-        sc = scenario_from_dict(dict(NOISY_FDMA, write_spectra=True))
+    def test_a_permissive_run_encodes_no_slot_and_reads_its_noise_at_q(self, monkeypatch):
+        noise_streams, read = [], []
+        noise, coefficients = caossim.runner.add_noise, caossim.runner.carrier_coefficients
+
+        def recording_noise(stream, cfg, slot_index):
+            noise_streams.append((len(stream), stream.windows, slot_index))
+            return noise(stream, cfg, slot_index)
+
+        def recording_coefficients(stream, freqs):
+            read.append((len(stream), stream.windows))
+            return coefficients(stream, freqs)
+
+        monkeypatch.setattr(caossim.runner, "add_noise", recording_noise)
+        monkeypatch.setattr(caossim.runner, "carrier_coefficients", recording_coefficients)
+        _, encoded, decoded = self._recorded_run(dict(NOISY_FDMA, permissive=True), monkeypatch)
+        assert encoded == [] and decoded == []
+        assert noise_streams == [(4096, 1, 0), (4096, 1, 1)]
+        # both slots drive the same 4 carriers: 4 unit responses, then one noise read per slot
+        assert read == [(4096, 1)] * 6
+
+    @pytest.mark.parametrize("doc", [
+        dict(NOISY_FDMA, write_spectra=True),
+        dict(NOISY_FDMA, noise=dict(NOISY_FDMA["noise"], dark_offset=0.2), adc=NOISY_ADC),
+        dict(NOISY_FDMA, noise=dict(NOISY_FDMA["noise"], dark_offset=0.2), adc=NOISY_ADC,
+             permissive=True),
+        dict(NOISY_FDMA, write_spectra=True, permissive=True),
+    ], ids=["spectra", "adc-strict", "adc-permissive", "spectra-permissive"])
+    def test_the_whole_window_path_is_the_slot_by_slot_pipeline(self, doc):
+        sc = scenario_from_dict(doc)
         plan = caossim.runner._build_plan(sc)
         scene = build_scene(sc.target, sc.grid)
         slots = schedule_fdma_tdma(sc.grid.num_pixels, plan).slots
-        want = {}
+        adc = sc.adc_config(auto_full_scale=1.0)  # unused: the ADC runs set their full scale
+        want, clipped = {}, 0
         for i, slot in enumerate(slots):
-            stream = add_noise(encode_slot(scene, slot, plan.window()), sc.noise_config(), i)
+            stream = encode_slot(scene, slot, plan.window(), strict=not sc.permissive)
+            stream, c = quantize(add_noise(stream, sc.noise_config(), i), adc)
+            clipped += c
             want.update(decode_slot_free(stream, slot))
-        got = run(sc).image.estimates.ravel()
+        report = run(sc)
+        got = report.image.estimates.ravel()
         assert got.tobytes() == np.array([want[i] for i in range(got.size)]).tobytes()
+        assert report.clip_count == clipped
 
 
 class TestCdmaAutoFullScale:
