@@ -12,12 +12,16 @@ usually hands over the slot's L-sample average instead of its Q samples
 (``SampledSignal.windows`` = Q / L); the same readout then needs no fold
 and gives the same estimate.  No run computes the full FFT;
 ``fft_radix2`` survives only as a name perfbench/tracing.py wraps.
-The readout has two steps: ``carrier_coefficients`` returns the complex
-carrier-bin values, which are linear in the stream, and
-``carrier_estimates`` scales their magnitudes.  ``decode_slot_free`` is
-the two in turn.  A permissive run with the ADC off uses the linearity:
-it sums each carrier's unit response, weighted by the pixel irradiances,
-plus the coefficients of the slot's noise, and forms no slot stream
+
+The readout works on blocks: rows of slots that share their carriers,
+folded along the last axis and read by one batched ``np.fft.rfft``, which
+gives each row the bits of its own transform.  It has two steps:
+``block_coefficients`` returns the complex carrier-bin values, which are
+linear in the rows, and ``block_estimates`` scales their magnitudes.
+``decode_block`` is the two in turn, and ``decode_slot_free`` is its
+one-row case.  A permissive run with the ADC off uses the linearity: it
+sums each carrier's unit response, weighted by the pixel irradiances,
+plus the coefficients of the slots' noise, and forms no slot stream
 (``runner``).
 CDMA streams are decoded by bipolar Walsh correlation of the per-bit
 means; the zero-mean code rows annihilate the DC term introduced by on/off
@@ -61,8 +65,9 @@ __all__ = [
     "fft_radix2",
     "decode_slot",
     "decode_slot_free",
-    "carrier_coefficients",
-    "carrier_estimates",
+    "block_coefficients",
+    "block_estimates",
+    "decode_block",
     "decode_cdma",
     "assemble_image",
 ]
@@ -113,61 +118,67 @@ def decode_slot(
     return decode_slot_free(stream, slot)
 
 
-def carrier_coefficients(stream: SampledSignal, freqs: Sequence[float]) -> np.ndarray:
-    """X[b] at each carrier f's nearest bin b, in the order of ``freqs``, with X
-    the full-slot FFT, computed without X.
+def block_coefficients(rows: np.ndarray, fs: float, freqs: Sequence[float]) -> np.ndarray:
+    """X[b] at each carrier f's nearest bin b, in the order of ``freqs``, for every
+    row of a block of q-sample streams sampled at fs, with X the row's full FFT,
+    computed without X: an (S x k) complex array.
 
-    With b_i the carriers' nearest bins, X[b_i] depends on the stream only
+    With b_i the carriers' nearest bins, X[b_i] depends on a row only
     through its fold x_L[n] = sum_m x[n + m L] to L = Q / gcd(Q, b_1, ...),
     where it is bin b_i L / Q of the length-L DFT (``fold_windows``, the
     pairwise order of a decimation-in-frequency FFT).  On a
     plan ladder L is the longest carrier period; a carrier on an odd bin,
-    as off-grid carriers often are, leaves L = Q.
+    as off-grid carriers often are, leaves L = Q.  The whole block is
+    folded along its last axis and read by one batched ``np.fft.rfft``,
+    which gives each row the bits of its own transform.
 
-    The stream may already be that average, x_avg = (L / Q) x_L of L
-    samples (``stream.windows`` = Q / L).  Its length-L DFT is
+    A row may already be that average, x_avg = (L / Q) x_L of L
+    samples.  Its length-L DFT is
     X_avg[k] = (L / Q) sum_{n < Q} x[n] e^{-2 pi i k n / L} = (L / Q) X[k Q / L],
     so with q = L this reads bin b L / Q and folds nothing: the result is
     (L / Q) X[b].  The scale L / Q is a power of two, so the two forms
     differ only in where the noise terms were rounded when they were summed.
     """
-    q = len(stream)
+    q = rows.shape[-1]
     _check_power_of_two(q)
-    delta_f = stream.fs / q
+    delta_f = fs / q
     bins = [nearest_bin(f, delta_f, q) for f in freqs]
     period = q // math.gcd(q, *bins)
-    coeffs = np.fft.rfft(fold_windows(stream.samples, period))
-    return coeffs[[b * period // q for b in bins]]
+    coeffs = np.fft.rfft(fold_windows(rows, period), axis=-1)
+    return coeffs[..., [b * period // q for b in bins]]
 
 
-def carrier_estimates(
-    coeffs: np.ndarray, slot: Sequence[tuple[int, float]], q: int, fs: float
-) -> dict[int, float]:
-    """|c| / (q a1(fs/f)) for each (pixel, carrier f) of the slot and its
-    coefficient c, read from a q-sample stream sampled at fs.
+def block_estimates(
+    coeffs: np.ndarray, freqs: Sequence[float], q: int, fs: float
+) -> np.ndarray:
+    """|c| / (q a1(fs/f)) for each coefficient c of carrier f (column) in each
+    row of ``block_coefficients``, read from q-sample streams sampled at fs.
 
     The magnitude is np.hypot of the parts, which agrees bit for bit with
     Python's abs() of a complex scalar; np.abs of a complex array may not.
     """
-    mags = np.hypot(coeffs.real, coeffs.imag)
-    return {
-        pix: float(m / (q * fundamental_coefficient(fs / f)))
-        for (pix, f), m in zip(slot, mags)
-    }
+    scale = np.array([q * fundamental_coefficient(fs / f) for f in freqs])
+    return np.hypot(coeffs.real, coeffs.imag) / scale
+
+
+def decode_block(rows: np.ndarray, fs: float, freqs: Sequence[float]) -> np.ndarray:
+    """|X[b]| / (Q a1(fs/f)) for every row (slot) and carrier f (column) of a
+    block, with X the row's full FFT and b the carrier's nearest bin:
+    ``block_estimates`` of ``block_coefficients``.  a1 takes a real-valued
+    N = fs/f, so a carrier off the bin grid decodes with the leakage the plan
+    audit prevents.  Rows that average Q / L windows of L samples give
+    (L / Q) X[b], which divided by L a1 is the same estimate.
+    """
+    return block_estimates(block_coefficients(rows, fs, freqs), freqs, rows.shape[-1], fs)
 
 
 def decode_slot_free(
     stream: SampledSignal, slot: Sequence[tuple[int, float]]
 ) -> dict[int, float]:
-    """|X[b]| / (Q a1(fs/f)) at every (pixel, carrier f) of the slot, with X the
-    full-slot FFT and b the carrier's nearest bin, computed without X
-    (``carrier_coefficients``) and without decode_slot's plan checks.  a1
-    takes a real-valued N = fs/f, so a carrier off the bin grid decodes with
-    the leakage the plan audit prevents.  An averaged stream of L samples
-    gives (L / Q) X[b], which divided by L a1 is the same estimate.
-    """
-    coeffs = carrier_coefficients(stream, [f for _, f in slot])
-    return carrier_estimates(coeffs, slot, len(stream), stream.fs)
+    """The one-row ``decode_block`` of a slot's stream, without decode_slot's
+    plan checks: pixel -> estimate for each (pixel, carrier) of the slot."""
+    estimates = decode_block(stream.samples[None], stream.fs, [f for _, f in slot])[0]
+    return dict(zip([pix for pix, _ in slot], estimates.tolist()))
 
 
 def decode_cdma(

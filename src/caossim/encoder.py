@@ -19,7 +19,9 @@ mirrors:
 Every TDMA slot drives the same carriers on the same frame clock; only the
 pixel amplitudes change from slot to slot.  Each carrier is therefore
 synthesised once per (frequency, window, strict) as a boolean mask of its
-high samples, and a slot adds each pixel's amplitude where its mask is set.
+high samples, and ``encode_block`` encodes a block of slots that share
+their carriers as one (S x Q) array, one masked add of the pixels'
+amplitudes per carrier.  ``encode_slot`` is its one-row case.
 
 Pixels outside the active slot are parked toward the complementary
 detector and contribute nothing to the primary stream.
@@ -53,6 +55,7 @@ __all__ = [
     "fwht",
     "encode_cdma",
     "schedule_fdma_tdma",
+    "encode_block",
     "encode_slot",
     "encode_fm_tdma",
 ]
@@ -206,28 +209,44 @@ def schedule_fdma_tdma(npix: int, plan: FrequencyPlan) -> TdmaSchedule:
     return TdmaSchedule(slots=tuple(slots))
 
 
+def encode_block(
+    scene: Scene,
+    pixels: np.ndarray,
+    freqs: Sequence[float],
+    window: SamplingWindow,
+    strict: bool = True,
+) -> np.ndarray:
+    """Rows of slots that drive the same carriers: row s is the superposition
+    of pixel pixels[s, j]'s irradiance-weighted square carrier freqs[j].
+
+    One masked add per carrier over the whole (S x Q) block.  Each carrier
+    is synthesised once per (frequency, window, strict) and reused by every
+    later block; a carrier whose pixels are all dark is skipped.
+    strict=False samples misconfigured carriers with partial cycles instead
+    of rejecting them (crosstalk demonstrations).
+    """
+    amps = scene.irradiance.ravel()[np.asarray(pixels, dtype=np.intp)]
+    out = np.zeros((len(amps), window.Q))
+    for j, freq in enumerate(freqs):
+        column = amps[:, j : j + 1]
+        if not column.any():
+            continue
+        # out starts at +0.0 and every amp >= 0, so a masked-off sample equals adding 0.0
+        np.add(out, column, out=out, where=_carrier_mask(freq, window, strict))
+    return out
+
+
 def encode_slot(
     scene: Scene,
     slot: Sequence[tuple[int, float]],
     window: SamplingWindow,
     strict: bool = True,
 ) -> SampledSignal:
-    """Superposition of the slot's irradiance-weighted square carriers.
-
-    Each carrier is synthesised once per (frequency, window, strict) and
-    reused by every later slot; zero-irradiance pixels are skipped.
-    strict=False samples misconfigured carriers with partial cycles instead
-    of rejecting them (crosstalk demonstrations).
-    """
-    flat = scene.irradiance.ravel()
-    out = np.zeros(window.Q)
-    for pix, freq in slot:
-        amp = flat[pix]
-        if amp == 0.0:
-            continue
-        # out starts at +0.0 and amp >= 0, so skipping the low samples equals adding 0.0
-        np.add(out, amp, out=out, where=_carrier_mask(freq, window, strict))
-    return SampledSignal(out, window.fs)
+    """One slot's superposition of its irradiance-weighted square carriers:
+    the one-row ``encode_block``."""
+    pixels = [[pix for pix, _ in slot]]
+    row = encode_block(scene, pixels, [f for _, f in slot], window, strict)[0]
+    return SampledSignal(row, window.fs)
 
 
 @functools.lru_cache(maxsize=64)

@@ -33,10 +33,11 @@ def _write_csv(path: str | Path, matrix: np.ndarray, header: str | None = None) 
     writes "0.0", which is its repr; every other value, -0.0, nan, +-inf
     and subnormals included, goes through repr.  A spectrum of 50%-duty
     carriers is mostly exact zeros (its even harmonics), so only its
-    nonzero cells pay for repr.  Cells become strings, and lines one
-    string, a block of whole rows and about CSV_BLOCK_CELLS cells at a
-    time: a whole 32769-row spectrum or a large image at once would hold
-    megabytes of strings.
+    nonzero cells pay for repr, and in one column a run of zero rows is
+    one repeated "0.0\n" string.  Lines are joined into one string per
+    block of whole rows, about CSV_BLOCK_CELLS cells at a time: a whole
+    32769-row spectrum or a large image at once would hold megabytes of
+    strings.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     cols = m.shape[1]
@@ -48,11 +49,18 @@ def _write_csv(path: str | Path, matrix: np.ndarray, header: str | None = None) 
             block = m[start : start + block_rows]
             flat = block.ravel()
             set_bits = np.flatnonzero(flat.view(np.uint64))
+            if cols == 1:
+                pieces, row = [], 0
+                for i, v in zip(set_bits.tolist(), flat[set_bits].tolist()):
+                    pieces += ["0.0\n" * (i - row), f"{v!r}\n"]
+                    row = i + 1
+                pieces.append("0.0\n" * (flat.size - row))
+                fh.write("".join(pieces))
+                continue
             cells = ["0.0"] * flat.size
             for i, v in zip(set_bits.tolist(), flat[set_bits].tolist()):
                 cells[i] = repr(v)
-            if cols != 1:
-                cells = [",".join(cells[r * cols : (r + 1) * cols]) for r in range(len(block))]
+            cells = [",".join(cells[r * cols : (r + 1) * cols]) for r in range(len(block))]
             fh.write("\n".join(cells) + "\n")
 
 

@@ -167,7 +167,12 @@ def plan_from_frequencies(
     still be scheduled and decoded for crosstalk demonstrations; a carrier
     above fs/2 has no bin and is rejected.
     """
-    return _plan(SamplingWindow.design(T, p), p, None, tuple(float(f) for f in frequencies))
+    w = SamplingWindow.design(T, p)
+    for f in frequencies:
+        # nearest_bin would accept f within half a bin above fs/2, which no sampler can reach
+        if f > w.fs / 2:
+            raise ValueError(f"{f} Hz lies outside the spectrum 0..{w.fs / 2:g} Hz")
+    return _plan(w, p, None, tuple(float(f) for f in frequencies))
 
 
 def _plan(w: SamplingWindow, p: int, m: int | None, channels: tuple[float, ...]) -> FrequencyPlan:

@@ -1,30 +1,40 @@
 """Scenario execution: synth -> encode -> channel -> decode -> metrics.
 
-Slots are processed one at a time, in slot order, on the calling thread
-(encode, impair, decode, discard), so long acquisitions never hold every
-stream in memory.  A TDMA slot is read from its carrier bins, which
-depend on the Q-sample stream only through its average over windows of
-L samples, one period of every carrier (``decoder.decode_slot_free``).
-So when neither the ADC nor ``spectra.csv`` needs the raw samples, a slot
-is encoded over one period and carries the average of each noise term
-(``SampledSignal.windows`` = Q / L); with the ADC on or with spectra, L = Q
-and the slot is the raw stream.  A permissive run with neither forms no
-slot stream: the readout is linear, so each carrier set's unit responses
-are read once per run and a slot's carrier coefficients are their sum
-weighted by its pixel irradiances, plus the readout of its noise-only
-stream (``_superposed``).  A silent channel
-(``NoiseConfig.is_silent``) skips ``add_noise``: its result would be a
-copy of a stream the encoder has already checked to be finite.  Only the
-noise draw runs ahead: inside ``channel.draws_ahead`` a small thread pool
-draws the Gaussian terms of the next few slots (CDMA frames) at Q samples,
-and averages them, while the current one is processed.  The counter-based
-noise keying makes the result independent of processing order and of that
-pool, and all output files are written with stable formatting, so a rerun
-of the same scenario is byte-identical.
+A TDMA run is processed in blocks, in slot order, on the calling thread.
+A block is a run of consecutive slots that drive the same carriers (every
+full slot of the schedule, then the short last slot) and holds at most
+BLOCK_BYTES of slot rows, so long acquisitions never hold every stream in
+memory.  It is encoded as one array (``encoder.encode_block``), each row
+gets its own slot's ``add_noise`` and ``quantize``, and the whole block is
+read by one fold and one batched real FFT along its rows
+(``decoder.decode_block``), whose estimates go straight into the image.
+A batched FFT gives each row the bits of its own transform, so a run is
+the slot-by-slot pipeline encode_slot -> add_noise -> quantize ->
+decode_slot_free bit for bit, wherever the block boundaries fall.
+A strict slot repeats every L samples, one period of every carrier, so a
+block is encoded over one period and, where its rows hold more, tiled.
+A slot is read from its carrier bins, which depend on the Q-sample stream
+only through its average over windows of L samples.  So when neither the
+ADC nor ``spectra.csv`` needs the raw samples, a row holds one period and
+the average of each noise term (``SampledSignal.windows`` = Q / L); with
+the ADC on or with spectra, a row is the raw Q-sample stream.  A
+permissive run with neither forms no slot stream: the readout is linear,
+so each carrier set's unit responses are read once per run and a block's
+carrier coefficients are their sum weighted by its pixel irradiances,
+plus the readout of its slots' noise-only streams (``_superposed``).  A silent
+channel (``NoiseConfig.is_silent``) skips ``add_noise``: its result would
+be a copy of the encoded stream.  Only the noise draw runs ahead: inside
+``channel.draws_ahead`` a small thread pool draws the Gaussian terms of
+the next few slots (CDMA frames) at Q samples, and averages them, while
+the current one is processed.  The counter-based noise keying makes the
+result independent of processing order and of that pool, and all output
+files are written with stable formatting, so a rerun of the same scenario
+is byte-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import warnings
@@ -35,22 +45,25 @@ import numpy as np
 
 from . import fileio, metrics
 from .channel import add_noise, draws_ahead, quantize
+# names marked "traced" are not called here; perfbench/tracing.py wraps them
 from .decoder import (
     DecodedImage,
-    assemble_image,
-    carrier_coefficients,
-    carrier_estimates,
+    assemble_image,  # traced
+    block_coefficients,
+    block_estimates,
+    decode_block,
     decode_cdma,
-    decode_slot,  # not called here; perfbench/tracing.py wraps this name
-    decode_slot_free,
-    fft_radix2,  # not called here; perfbench/tracing.py wraps this name
+    decode_slot,  # traced
+    decode_slot_free,  # traced
+    fft_radix2,  # traced
 )
 from .encoder import (
     CdmaConfig,
     WalshAssignment,
     _carrier_mask,
+    encode_block,
     encode_cdma,
-    encode_slot,
+    encode_slot,  # traced
     schedule_fdma_tdma,
 )
 from .freq_plan import (
@@ -80,6 +93,8 @@ __all__ = ["PlanRejectedError", "StripeReport", "RunReport", "run"]
 
 OUTDIR_ENV = "CAOSSIM_OUTDIR"
 FULL_SCALE_HEADROOM = 1.25
+# the most bytes of slot rows a TDMA block holds
+BLOCK_BYTES = 1 << 20
 
 
 class PlanRejectedError(ScenarioError):
@@ -172,11 +187,17 @@ def _build_plan(scenario: Scenario) -> FrequencyPlan:
     return design_plan(spec.T, spec.p, spec.m, spec.P)
 
 
-def _stream_peak(scene: Scene, schedule) -> float:
+def _stream_peak(flat: np.ndarray, blocks) -> float:
     """Noiseless peak over slots: carriers share phase, so the first sample
-    of a slot is the sum of its pixel irradiances."""
-    flat = scene.irradiance.ravel()
-    return max(sum(flat[p] for p, _ in slot) for slot in schedule.slots)
+    of a slot is the sum of its pixel irradiances, added in carrier order."""
+    peak = 0.0
+    for _, pixels, _ in blocks:
+        amps = flat[pixels]
+        first = amps[:, 0].copy()
+        for j in range(1, amps.shape[1]):
+            first += amps[:, j]
+        peak = max(peak, first.max())
+    return peak
 
 
 def _attach_patch_report(run: RunReport, grid: CaosGrid) -> None:
@@ -189,57 +210,71 @@ def _attach_patch_report(run: RunReport, grid: CaosGrid) -> None:
     run.patch = metrics.patch_report(run.image.estimates, masks, designed, dark)
 
 
-def _read_period(scenario: Scenario, plan: FrequencyPlan) -> int:
-    """L, the samples a slot is encoded and read over: Q / gcd(Q, carrier bins).
+def _slot_period(scenario: Scenario, plan: FrequencyPlan) -> int:
+    """L0, the samples every slot stream repeats over: Q / gcd(Q, carrier bins).
 
-    A passing plan puts every carrier at fs / 2^k, so each slot stream
-    repeats every L samples, its longest carrier period.  The ADC and
-    ``spectra.csv`` need the raw samples, and a permissive run's free
+    A passing plan puts every carrier at fs / 2^k, and synth_square tiles
+    each carrier from one period, so a strict slot repeats every L0 samples,
+    its longest carrier period, bit for bit.  A permissive run's free
     sampler need not repeat its first period bit for bit (nor, off the bin
-    grid, at all), so these read the whole window, L = Q.  A permissive run
-    without the ADC or spectra forms no slot stream (``_superposed``): only
-    its unit carriers and its noise-only streams are read at Q.
+    grid, at all), so its L0 is the whole window, Q.
     """
-    if scenario.adc_enabled or scenario.write_spectra or scenario.permissive:
+    if scenario.permissive:
         return plan.Q
     return plan.Q // math.gcd(plan.Q, *plan.bins)
+
+
+def _read_period(scenario: Scenario, plan: FrequencyPlan) -> int:
+    """L, the samples a slot row holds and is read over: L0 (``_slot_period``),
+    or the whole window Q when the ADC or ``spectra.csv`` need the raw samples.
+    A permissive run without either forms no slot stream (``_superposed``):
+    only its unit carriers and its noise-only streams are read at Q.
+    """
+    if scenario.adc_enabled or scenario.write_spectra:
+        return plan.Q
+    return _slot_period(scenario, plan)
+
+
+def _blocks(slots, max_rows: int):
+    """(first slot index, pixel ids (S x k), carriers) of each block: a run of at
+    most ``max_rows`` consecutive slots that drive the same carriers."""
+    first = 0
+    for freqs, group in itertools.groupby(slots, key=lambda slot: tuple(f for _, f in slot)):
+        pixels = np.array([[pix for pix, _ in slot] for slot in group], dtype=np.intp)
+        for start in range(0, len(pixels), max_rows):
+            yield first + start, pixels[start : start + max_rows], freqs
+        first += len(pixels)
 
 
 def _unit_responses(freqs: tuple[float, ...], window: SamplingWindow) -> np.ndarray:
     """Row p: the coefficients at the bins of ``freqs`` of carrier p's unit
     permissive mask over the window, from one float copy of a mask at a time."""
     return np.array([
-        carrier_coefficients(
-            SampledSignal(_carrier_mask(f, window, False).astype(np.float64), window.fs), freqs
-        )
+        block_coefficients(_carrier_mask(f, window, False)[None].astype(np.float64), window.fs,
+                           freqs)[0]
         for f in freqs
     ])
 
 
 def _superposed(
-    flat: np.ndarray,
-    slot,
-    window: SamplingWindow,
-    responses: dict,
-    noise: SampledSignal | None,
-) -> dict[int, float]:
-    """A permissive, ADC-off slot's estimates without its stream.
+    amps: np.ndarray, freqs: tuple[float, ...], window: SamplingWindow, responses: dict
+) -> np.ndarray:
+    """The carrier coefficients of a block of permissive, ADC-off slots without
+    their streams, noise left out.
 
-    The carrier-bin readout is linear, so a slot's coefficients are
-    sum_p a_p R_p over its pixels' irradiances a_p and their carriers' unit
-    responses R_p (``_unit_responses``, built once per carrier tuple and
-    kept in ``responses``), plus the coefficients of the slot's noise-only
-    stream ``noise``.  They equal the slot-by-slot readout of
-    encode_slot -> add_noise to rounding.
+    The carrier-bin readout is linear, so row s's coefficients are
+    sum_p a_sp R_p over its pixels' irradiances a_sp (``amps``, S x k) and
+    their carriers' unit responses R_p (``_unit_responses``, built once per
+    carrier tuple and kept in ``responses``), summed over carriers in turn.
+    They equal the slot-by-slot readout of encode_slot to rounding.
     """
-    freqs = tuple(f for _, f in slot)
     if freqs not in responses:
         responses[freqs] = _unit_responses(freqs, window)
-    amps = flat[[pix for pix, _ in slot]]
-    coeffs = (amps[:, None] * responses[freqs]).sum(axis=0)
-    if noise is not None:
-        coeffs += carrier_coefficients(noise, freqs)
-    return carrier_estimates(coeffs, slot, window.Q, window.fs)
+    unit = responses[freqs]
+    coeffs = amps[:, :1] * unit[0]
+    for p in range(1, len(freqs)):
+        coeffs += amps[:, p : p + 1] * unit[p]
+    return coeffs
 
 
 def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
@@ -251,45 +286,64 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
 
     window = plan.window()
     schedule = schedule_fdma_tdma(grid.num_pixels, plan)
-    noise_cfg = scenario.noise_config()
-    adc_cfg = scenario.adc_config(
-        auto_full_scale=FULL_SCALE_HEADROOM * max(_stream_peak(scene, schedule), 1e-12)
-    )
-
+    # a row holds `period` samples (a permissive slot's noise row: Q), averaging `windows`
     period = _read_period(scenario, plan)
     windows = window.Q // period
-    # the window's first period: same fs, T and delta_f scaled by a power of two
-    read_window = SamplingWindow(
-        fs=window.fs, T=window.T / windows, Q=period, delta_f=window.delta_f * windows
+    blocks = list(_blocks(schedule.slots, max(1, BLOCK_BYTES // (8 * period))))
+    flat = scene.irradiance.ravel()
+    noise_cfg = scenario.noise_config()
+    adc_cfg = scenario.adc_config(
+        auto_full_scale=FULL_SCALE_HEADROOM * max(_stream_peak(flat, blocks), 1e-12)
     )
 
+    # a block is encoded over the window's first L0 samples (same fs, T and delta_f scaled by
+    # a power of two) and tiled to its rows' length
+    encoded = _slot_period(scenario, plan)
+    reps = window.Q // encoded
+    encode_window = SamplingWindow(
+        fs=window.fs, T=window.T / reps, Q=encoded, delta_f=window.delta_f * reps
+    )
     # with the ADC off and no spectra, a permissive slot needs only its carrier bins
     superposed = scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
-    flat = scene.irradiance.ravel()
     silence = SampledSignal(np.zeros(window.Q), window.fs) if superposed else None
     responses: dict[tuple[float, ...], np.ndarray] = {}
 
-    estimates = []
-    spectra_mags = [] if scenario.write_spectra else None
+    nslots = len(schedule.slots)
+    est, chan = np.empty(grid.num_pixels), np.empty(grid.num_pixels)
+    slot_of = np.empty(grid.num_pixels, dtype=np.intp)
+    spectra = np.empty((window.Q // 2 + 1, nslots)) if scenario.write_spectra else None
     clip_total = 0
-    with draws_ahead(noise_cfg, window.Q, window.fs, len(schedule.slots), period):
-        for i, slot in enumerate(schedule.slots):
+    with draws_ahead(noise_cfg, window.Q, window.fs, nslots, period):
+        for first, pixels, freqs in blocks:
+            slots = range(first, first + len(pixels))
             if superposed:
-                noise = None if noise_cfg.is_silent else add_noise(silence, noise_cfg, slot_index=i)
-                estimates.append(_superposed(flat, slot, window, responses, noise))
-                continue
-            stream = encode_slot(scene, slot, read_window, strict=not scenario.permissive)
-            if windows > 1:
-                stream = SampledSignal(stream.samples, stream.fs, windows)
-            if not noise_cfg.is_silent:
-                stream = add_noise(stream, noise_cfg, slot_index=i)
-            stream, clipped = quantize(stream, adc_cfg)
-            clip_total += clipped
-            if spectra_mags is not None:
-                spectra_mags.append(np.abs(np.fft.rfft(stream.samples)))
-            estimates.append(decode_slot_free(stream, slot))
+                coeffs = _superposed(flat[pixels], freqs, window, responses)
+                if not noise_cfg.is_silent:
+                    noise = np.stack([add_noise(silence, noise_cfg, i).samples for i in slots])
+                    coeffs += block_coefficients(noise, window.fs, freqs)
+                est[pixels] = block_estimates(coeffs, freqs, window.Q, window.fs)
+            else:
+                block = encode_block(scene, pixels, freqs, encode_window, not scenario.permissive)
+                if encoded < period:
+                    block = np.tile(block, period // encoded)
+                # each slot's noise and ADC, in slot order on this thread
+                for i, row in zip(slots, block):
+                    stream = SampledSignal(row, window.fs, windows)
+                    if not noise_cfg.is_silent:
+                        stream = add_noise(stream, noise_cfg, slot_index=i)
+                    stream, clipped = quantize(stream, adc_cfg)
+                    clip_total += clipped
+                    if stream.samples is not row:
+                        row[:] = stream.samples
+                if spectra is not None:
+                    spectra[:, slots.start : slots.stop] = np.abs(np.fft.rfft(block, axis=-1)).T
+                est[pixels] = decode_block(block, window.fs, freqs)
+            chan[pixels] = freqs
+            slot_of[pixels] = np.array(slots)[:, None]
 
-    image = assemble_image(estimates, schedule, grid, mode=scenario.mode)
+    shape = (grid.rows, grid.cols)
+    image = DecodedImage(est.reshape(shape), scenario.mode, slot_of.reshape(shape),
+                         chan.reshape(shape))
 
     t_this = metrics.encoding_time(grid.num_pixels, plan.num_channels, plan.T)
     t_single = metrics.encoding_time(grid.num_pixels, 1, plan.T)
@@ -301,9 +355,8 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
         encoding_time_s=t_this,
         speedup_vs_single_channel=metrics.speedup(t_single, t_this),
         clip_count=clip_total,
+        spectra=spectra,
     )
-    if spectra_mags is not None:
-        run_report.spectra = np.column_stack(spectra_mags)
     if scenario.target.kind == "hdr-patches":
         _attach_patch_report(run_report, grid)
     run_report.metrics_text = _tdma_metrics_text(run_report, plan, adc_cfg)

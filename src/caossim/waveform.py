@@ -244,23 +244,24 @@ def fold_bin(b: int, q: int) -> int:
 
 
 def fold_windows(x: np.ndarray, period: int, out: np.ndarray | None = None) -> np.ndarray:
-    """x_L[n] = sum_m x[n + m L] over x's windows of L = ``period`` samples.
+    """x_L[..., n] = sum_m x[..., n + m L] over the windows of L = ``period`` samples
+    along x's last axis, each row of a 2-D block alike.
 
-    Sums by repeated halving, x[:h] + x[h:2h]: the pairwise order of the
-    first decimation-in-frequency stages of a len(x)-point FFT.  The
+    Sums by repeated halving, x[..., :h] + x[..., h:2h]: the pairwise order of
+    the first decimation-in-frequency stages of an FFT of the row.  The
     carrier-bin readout and the averaged noise terms both fold here, so
-    they round alike.  The partial sums go to ``out`` (len(x) samples; x
-    itself folds in place) or, by default, to fresh arrays.  With
-    period == len(x), returns x untouched.
+    they round alike.  The partial sums go to ``out`` (x's shape; x itself
+    folds in place) or, by default, to fresh arrays.  With period equal to
+    the row length, returns x untouched.
     """
-    q = len(x)
+    q = x.shape[-1]
     windows = q // period
     if windows * period != q or windows & (windows - 1):
         raise ValueError(f"{q} samples are not a power-of-two count of {period}-sample windows")
     h = q
     while h > period:
         h //= 2
-        x = np.add(x[:h], x[h : 2 * h], out=None if out is None else out[:h])
+        x = np.add(x[..., :h], x[..., h : 2 * h], out=None if out is None else out[..., :h])
     return x
 
 

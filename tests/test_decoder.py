@@ -14,7 +14,8 @@ import caossim.runner
 from caossim.channel import NoiseConfig, add_noise, quantize
 from caossim.decoder import (
     assemble_image,
-    carrier_coefficients,
+    block_coefficients,
+    decode_block,
     decode_cdma,
     decode_slot,
     decode_slot_free,
@@ -192,11 +193,24 @@ class TestCarrierReadout:
     def test_magnitude_is_python_abs_of_each_coefficient_bit_for_bit(self, case):
         # np.abs of a complex array rounds differently from abs() of a complex scalar
         stream, slot = case
-        coeffs = carrier_coefficients(stream, [f for _, f in slot])
+        coeffs = block_coefficients(stream.samples[None], stream.fs, [f for _, f in slot])[0]
         got = decode_slot_free(stream, slot)
         for (pix, f), c in zip(slot, coeffs):
             want = abs(c) / (len(stream) * fundamental_coefficient(stream.fs / f))
             assert np.float64(got[pix]).tobytes() == np.float64(want).tobytes(), (pix, f)
+
+    @given(_slot_streams(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_block_readout_is_each_row_read_alone(self, case, seed):
+        # one fold and one batched rfft give each row the bits of its own readout
+        stream, slot = case
+        rng = np.random.default_rng(seed)
+        rows = np.stack([stream.samples, rng.random(len(stream)), 3.0 * stream.samples])
+        freqs = [f for _, f in slot]
+        block = decode_block(rows, stream.fs, freqs)
+        for row, got in zip(rows, block):
+            want = decode_slot_free(SampledSignal(row, stream.fs), slot)
+            assert got.tobytes() == np.array([want[pix] for pix, _ in slot]).tobytes()
 
     def test_table5_precision_no_worse_than_full_fft(self):
         # the 1e-7 channel sets acceptance 1's 140 dB dynamic range, where

@@ -196,19 +196,21 @@ def test_failing_run_propagates_and_joins_its_workers(monkeypatch):
     scenario = _reduced("hdr66-fm")
     want = run(scenario)
     baseline = threading.active_count()
-    original = caossim.runner.decode_slot_free
+    original = caossim.runner.decode_block
     calls = []
 
-    def fail_at_slot_3(stream, slot):
-        calls.append(None)
+    def fail_at_slot_3(rows, fs, freqs):
+        calls.append(len(rows))
         if len(calls) == 4:
             raise RuntimeError("decode failed at slot 3")
-        return original(stream, slot)
+        return original(rows, fs, freqs)
 
     with monkeypatch.context() as mp:
-        mp.setattr(caossim.runner, "decode_slot_free", fail_at_slot_3)
+        mp.setattr(caossim.runner, "BLOCK_BYTES", 1)  # one slot per block
+        mp.setattr(caossim.runner, "decode_block", fail_at_slot_3)
         with pytest.raises(RuntimeError, match="slot 3"):
             run(scenario)
+    assert calls == [1] * 4
     assert threading.active_count() == baseline
     assert caossim.channel._DRAWN.get() is None
     _assert_same_run(run(scenario), want)

@@ -13,6 +13,7 @@ from caossim.encoder import (
     CdmaConfig,
     TdmaSchedule,
     WalshAssignment,
+    encode_block,
     encode_cdma,
     encode_fm_tdma,
     encode_slot,
@@ -205,6 +206,31 @@ class TestEncodeSlot:
         n_slowest = int(plan.fs / min(plan.channels))
         x = stream.samples
         assert np.array_equal(x, np.tile(x[:n_slowest], window.Q // n_slowest))
+
+
+class TestEncodeBlock:
+    def test_rows_are_the_slots_encoded_one_at_a_time(self):
+        # 11 carriers, dark pixels and an all-dark carrier column
+        plan = design_plan(T=1.0, p=14, m=2, P=11)
+        window = plan.window()
+        values = np.random.default_rng(3).random((4, 11)) * (np.arange(11) != 5)
+        values[1, ::3] = 0.0
+        scene = Scene(values)
+        slots = schedule_fdma_tdma(44, plan).slots
+        pixels = [[pix for pix, _ in slot] for slot in slots]
+        block = encode_block(scene, pixels, [f for _, f in slots[0]], window)
+        assert block.shape == (4, window.Q)
+        for row, slot in zip(block, slots):
+            assert row.tobytes() == encode_slot(scene, slot, window).samples.tobytes()
+
+    def test_a_dark_carrier_is_never_synthesised(self):
+        # strict synthesis would reject 3 Hz (fs/f = 16/3); a dark pixel never asks for it
+        window = SamplingWindow.design(1.0, 4)
+        scene = Scene(np.array([[1.0, 0.0], [0.5, 0.0]]))
+        block = encode_block(scene, [[0, 1], [2, 3]], [4.0, 3.0], window)
+        assert np.array_equal(block, np.array([[1.0], [0.5]]) * np.tile([1.0, 1.0, 0.0, 0.0], 4))
+        with pytest.raises(ValueError, match="not an integer"):
+            encode_block(Scene(np.ones((1, 2))), [[0, 1]], [4.0, 3.0], window)
 
 
 class TestEncodeFmTdma:

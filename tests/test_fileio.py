@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caossim.fileio import (
     CSV_BLOCK_CELLS,
@@ -108,6 +110,31 @@ def test_one_column_csv_matches_general_row_path(tmp_path, rows, fill):
     if rows:
         back = read_matrix_csv(tmp_path / "m.csv")
         assert back.tobytes() == m.tobytes()
+
+
+@st.composite
+def sparse_columns(draw):
+    """A column of runs of exact +0.0 between nonzero cells, specials among them; the runs
+    are long enough to span CSV_BLOCK_CELLS-row blocks."""
+    cells = st.one_of(st.sampled_from(NONZERO_SPECIALS),
+                      st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+    column = []
+    for _ in range(draw(st.integers(0, 12))):
+        column += [0.0] * draw(st.sampled_from([0, 1, 2, 511, CSV_BLOCK_CELLS - 1,
+                                                CSV_BLOCK_CELLS, 2 * CSV_BLOCK_CELLS + 5]))
+        column += draw(st.lists(cells, max_size=4))
+    return np.array(column, dtype=np.float64).reshape(-1, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_columns())
+def test_sparse_column_csv_is_repr_of_every_cell(tmp_path_factory, col):
+    # zero runs are written as repeated "0.0" rows; every other cell, -0.0 and subnormals
+    # included, through repr
+    path = tmp_path_factory.mktemp("csv") / "c.csv"
+    write_columns_csv(path, col)
+    want = "slot_0\n" + "".join(f"{v!r}\n" for v in col.ravel().tolist())
+    assert path.read_text(encoding="ascii") == want
 
 
 @pytest.mark.parametrize(

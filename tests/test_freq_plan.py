@@ -258,6 +258,12 @@ class TestPlanFromFrequencies:
             plan_from_frequencies([40000.0, 4096.0], T=1.0, p=16)
         assert plan_from_frequencies([32768.0], T=1.0, p=16).bins == (32768,)
 
+    def test_carrier_within_half_a_bin_above_half_fs_is_rejected(self):
+        # 8.3 Hz has a nearest bin, 8 = Q/2, but lies above fs/2 = 8 Hz
+        with pytest.raises(ValueError, match="8.3 Hz lies outside the spectrum 0..8 Hz"):
+            plan_from_frequencies([2.0, 8.3], T=1.0, p=4)
+        assert plan_from_frequencies([2.0, 8.0], T=1.0, p=4).bins == (2, 8)
+
     def test_wraps_invalid_set_with_nearest_bins(self):
         plan = plan_from_frequencies(INVALID_SET, T=0.25, p=14)
         assert plan.m is None

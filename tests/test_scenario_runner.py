@@ -203,11 +203,22 @@ class TestScenarioParsing:
             ({"T": 1.0, "p": 16, "frequencies": [40000.0, 4096.0]}, "plan.frequencies"),  # > fs/2
             ({"T": 1.0, "p": 2000, "frequencies": [4.0]}, "plan.p"),  # fs beyond a float
             ({"T": 1e-320, "p": 16, "m": 7, "P": 1}, "plan.T"),
+            # 8.3 Hz rounds to bin 8 = fs/2 but lies above it: no sampler reaches it
+            ({"T": 1.0, "p": 4, "frequencies": [2.0, 8.3]}, "plan.frequencies"),
         ],
     )
     def test_plan_that_cannot_be_built_rejected_at_parse(self, plan, key):
         with pytest.raises(ScenarioError, match=re.escape(repr(key))):
             scenario_from_dict(dict(TINY_FDMA, plan=plan))
+
+    def test_permissive_carrier_above_nyquist_rejected_at_parse_not_in_the_run(self):
+        doc = {"mode": "fdma-tdma", "grid": {"rows": 1, "cols": 2},
+               "target": {"kind": "uniform", "level": 1.0},
+               "plan": {"T": 1.0, "p": 4, "frequencies": [2.0, 8.3]}, "permissive": True}
+        with pytest.raises(ScenarioError, match=r"'plan.frequencies' .* 8\.3 Hz lies outside"):
+            scenario_from_dict(doc)
+        # at fs/2 exactly the carrier parses and runs
+        run(scenario_from_dict(dict(doc, plan=dict(doc["plan"], frequencies=[2.0, 8.0]))))
 
     def test_low_carrier_warns_once_in_the_run_not_at_parse(self):
         doc = dict(TINY_FDMA, plan={"T": 1.0, "p": 12, "m": 1, "P": 4})
@@ -707,18 +718,18 @@ class TestAveragedReadout:
     @staticmethod
     def _recorded_run(doc, monkeypatch):
         encoded, decoded = [], []
-        encode, decode = caossim.runner.encode_slot, caossim.runner.decode_slot_free
+        encode, decode = caossim.runner.encode_block, caossim.runner.decode_block
 
-        def recording_encode(scene, slot, window, strict=True):
-            encoded.append(window.Q)
-            return encode(scene, slot, window, strict)
+        def recording_encode(scene, pixels, freqs, window, strict=True):
+            encoded.extend([window.Q] * len(pixels))
+            return encode(scene, pixels, freqs, window, strict)
 
-        def recording_decode(stream, slot):
-            decoded.append((len(stream), stream.windows))
-            return decode(stream, slot)
+        def recording_decode(rows, fs, freqs):
+            decoded.extend([rows.shape[-1]] * len(rows))
+            return decode(rows, fs, freqs)
 
-        monkeypatch.setattr(caossim.runner, "encode_slot", recording_encode)
-        monkeypatch.setattr(caossim.runner, "decode_slot_free", recording_decode)
+        monkeypatch.setattr(caossim.runner, "encode_block", recording_encode)
+        monkeypatch.setattr(caossim.runner, "decode_block", recording_decode)
         report = run(scenario_from_dict(doc))
         monkeypatch.undo()
         return report, encoded, decoded
@@ -726,33 +737,35 @@ class TestAveragedReadout:
     def test_slots_are_encoded_and_read_over_one_carrier_period(self, monkeypatch):
         # carriers on bins 64..512 of Q = 4096: L = 4096 / 64
         _, encoded, decoded = self._recorded_run(NOISY_FDMA, monkeypatch)
-        assert encoded == [64, 64] and decoded == [(64, 64), (64, 64)]
+        assert encoded == [64, 64] and decoded == [64, 64]
 
     @pytest.mark.parametrize("raw", [{"adc": {"enabled": True, "bits": 12}},
                                      {"write_spectra": True}])
     def test_a_run_that_needs_raw_samples_reads_the_whole_window(self, raw, monkeypatch):
         _, encoded, decoded = self._recorded_run(dict(NOISY_FDMA, **raw), monkeypatch)
-        assert encoded == [4096, 4096] and decoded == [(4096, 1), (4096, 1)]
+        # a strict slot is encoded over one carrier period and tiled to its Q raw samples
+        assert encoded == [64, 64] and decoded == [4096, 4096]
 
     def test_a_permissive_run_encodes_no_slot_and_reads_its_noise_at_q(self, monkeypatch):
         noise_streams, read = [], []
-        noise, coefficients = caossim.runner.add_noise, caossim.runner.carrier_coefficients
+        noise, coefficients = caossim.runner.add_noise, caossim.runner.block_coefficients
 
         def recording_noise(stream, cfg, slot_index):
             noise_streams.append((len(stream), stream.windows, slot_index))
             return noise(stream, cfg, slot_index)
 
-        def recording_coefficients(stream, freqs):
-            read.append((len(stream), stream.windows))
-            return coefficients(stream, freqs)
+        def recording_coefficients(rows, fs, freqs):
+            read.append(rows.shape)
+            return coefficients(rows, fs, freqs)
 
         monkeypatch.setattr(caossim.runner, "add_noise", recording_noise)
-        monkeypatch.setattr(caossim.runner, "carrier_coefficients", recording_coefficients)
+        monkeypatch.setattr(caossim.runner, "block_coefficients", recording_coefficients)
         _, encoded, decoded = self._recorded_run(dict(NOISY_FDMA, permissive=True), monkeypatch)
         assert encoded == [] and decoded == []
         assert noise_streams == [(4096, 1, 0), (4096, 1, 1)]
-        # both slots drive the same 4 carriers: 4 unit responses, then one noise read per slot
-        assert read == [(4096, 1)] * 6
+        # both slots drive the same 4 carriers: 4 unit responses, then one read of the
+        # block of both slots' noise
+        assert read == [(1, 4096)] * 4 + [(2, 4096)]
 
     @pytest.mark.parametrize("doc", [
         dict(NOISY_FDMA, write_spectra=True),
