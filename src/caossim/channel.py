@@ -286,8 +286,10 @@ def quantize(stream: SampledSignal, cfg: AdcConfig) -> tuple[SampledSignal, int]
             f"the ADC quantizes raw samples, but this stream averages {stream.windows} windows"
         )
     step = cfg.full_scale / 2**cfg.bits
-    code = np.round(stream.samples / step)
+    code = stream.samples / step
+    np.round(code, out=code)
     top = 2**cfg.bits - 1
-    clipped = int(np.count_nonzero((code < 0) | (code > top)))
-    code = np.clip(code, 0, top)
-    return SampledSignal(code * step, stream.fs), clipped
+    clipped = int(np.count_nonzero(code < 0)) + int(np.count_nonzero(code > top))
+    np.clip(code, 0, top, out=code)
+    code *= step
+    return SampledSignal(code, stream.fs), clipped

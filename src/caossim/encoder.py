@@ -30,7 +30,6 @@ detector and contribute nothing to the primary stream.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -55,6 +54,7 @@ __all__ = [
     "fwht",
     "encode_cdma",
     "schedule_fdma_tdma",
+    "schedule_runs",
     "encode_block",
     "encode_slot",
     "encode_fm_tdma",
@@ -191,22 +191,25 @@ class TdmaSchedule:
                 seen.add(pix)
 
 
-def schedule_fdma_tdma(npix: int, plan: FrequencyPlan) -> TdmaSchedule:
-    """Group pixels in raster order, P per slot, lowest carrier first.
-
-    The final partial slot fills the lowest carriers first; the slot count
-    is ceil(npix / P).
+def schedule_runs(npix: int, plan: FrequencyPlan) -> list[tuple]:
+    """The FDMA-TDMA schedule as runs of slots that drive the same carriers,
+    (first slot, carriers, S x k pixel ids): pixels in raster order, P per
+    slot, lowest carrier first; every full slot, then the short last slot.
     """
     if npix < 1:
         raise ValueError("npix must be >= 1")
-    channels = sorted(plan.channels)
-    P = len(channels)
-    slots = []
-    for start in range(0, npix, P):
-        group = range(start, min(start + P, npix))
-        slots.append(tuple((pix, channels[j]) for j, pix in enumerate(group)))
-    assert len(slots) == math.ceil(npix / P)
-    return TdmaSchedule(slots=tuple(slots))
+    channels = tuple(sorted(plan.channels))
+    full, rest = divmod(npix, len(channels))
+    runs = [(0, channels, np.arange(npix - rest).reshape(full, -1))] if full else []
+    if rest:
+        runs.append((full, channels[:rest], np.arange(npix - rest, npix)[None]))
+    return runs
+
+
+def schedule_fdma_tdma(npix: int, plan: FrequencyPlan) -> TdmaSchedule:
+    """``schedule_runs`` slot by slot: each slot's (pixel id, carrier Hz) pairs."""
+    runs = schedule_runs(npix, plan)
+    return TdmaSchedule(tuple(tuple(zip(row, f)) for _, f, px in runs for row in px.tolist()))
 
 
 def encode_block(

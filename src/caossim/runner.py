@@ -1,40 +1,38 @@
 """Scenario execution: synth -> encode -> channel -> decode -> metrics.
 
 A TDMA run is processed in blocks, in slot order, on the calling thread.
-A block is a run of consecutive slots that drive the same carriers (every
-full slot of the schedule, then the short last slot) and holds at most
-BLOCK_BYTES of slot rows, so long acquisitions never hold every stream in
-memory.  It is encoded as one array (``encoder.encode_block``), each row
-gets its own slot's ``add_noise`` and ``quantize``, and the whole block is
-read by one fold and one batched real FFT along its rows
-(``decoder.decode_block``), whose estimates go straight into the image.
-A batched FFT gives each row the bits of its own transform, so a run is
-the slot-by-slot pipeline encode_slot -> add_noise -> quantize ->
-decode_slot_free bit for bit, wherever the block boundaries fall.
-A strict slot repeats every L samples, one period of every carrier, so a
-block is encoded over one period and, where its rows hold more, tiled.
-A slot is read from its carrier bins, which depend on the Q-sample stream
-only through its average over windows of L samples.  So when neither the
-ADC nor ``spectra.csv`` needs the raw samples, a row holds one period and
-the average of each noise term (``SampledSignal.windows`` = Q / L); with
-the ADC on or with spectra, a row is the raw Q-sample stream.  A
-permissive run with neither forms no slot stream: the readout is linear,
-so each carrier set's unit responses are read once per run and a block's
-carrier coefficients are their sum weighted by its pixel irradiances,
-plus the readout of its slots' noise-only streams (``_superposed``).  A silent
-channel (``NoiseConfig.is_silent``) skips ``add_noise``: its result would
-be a copy of the encoded stream.  Only the noise draw runs ahead: inside
+A block is a slice of one of ``encoder.schedule_runs``' runs of slots that
+drive the same carriers and holds at most BLOCK_BYTES of slot rows, so
+long acquisitions never hold every stream in memory.  It is encoded as one
+array (``encoder.encode_block``) and read by one fold and one batched real
+FFT along its rows (``decoder.decode_block``), whose estimates go straight
+into the image.  Between them every frame, a TDMA block or a CDMA band's
+stream as a one-row block, passes one step (``_impair``): each row gets its
+own slot's ``add_noise``, in slot order, then one ``quantize`` reads the
+block.  The ADC acts sample by sample and a batched FFT gives each row the
+bits of its own transform, so a run is the slot-by-slot pipeline
+encode_slot -> add_noise -> quantize -> decode_slot_free bit for bit,
+wherever the block boundaries fall.  A strict slot repeats every L
+samples, one period of every carrier, so a block is encoded over one
+period and, where its rows hold more, tiled.  A slot is read from its
+carrier bins, which depend on the Q-sample stream only through its
+average over windows of L samples.  So when neither the ADC nor
+``spectra.csv`` needs the raw samples, a row holds one period and the
+average of each noise term (``SampledSignal.windows`` = Q / L); else a
+row is the raw Q-sample stream.  A permissive run with neither forms no
+slot stream: the readout is linear, so a block's carrier coefficients are
+its carriers' unit responses, read once per run, weighted by its pixel
+irradiances, plus the readout of its slots' noise-only rows
+(``_superposed``).  Only the noise draw runs ahead: inside
 ``channel.draws_ahead`` a small thread pool draws the Gaussian terms of
-the next few slots (CDMA frames) at Q samples, and averages them, while
-the current one is processed.  The counter-based noise keying makes the
-result independent of processing order and of that pool, and all output
-files are written with stable formatting, so a rerun of the same scenario
-is byte-identical.
+the next few slots (CDMA frames) while the current one is processed.  The
+counter-based noise keying makes the result independent of processing
+order and of that pool, and all output files are written with stable
+formatting, so a rerun of the same scenario is byte-identical.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import warnings
@@ -64,7 +62,7 @@ from .encoder import (
     encode_block,
     encode_cdma,
     encode_slot,  # traced
-    schedule_fdma_tdma,
+    schedule_runs,
 )
 from .freq_plan import (
     FrequencyPlan,
@@ -191,7 +189,7 @@ def _stream_peak(flat: np.ndarray, blocks) -> float:
     """Noiseless peak over slots: carriers share phase, so the first sample
     of a slot is the sum of its pixel irradiances, added in carrier order."""
     peak = 0.0
-    for _, pixels, _ in blocks:
+    for _, _, pixels in blocks:
         amps = flat[pixels]
         first = amps[:, 0].copy()
         for j in range(1, amps.shape[1]):
@@ -235,17 +233,6 @@ def _read_period(scenario: Scenario, plan: FrequencyPlan) -> int:
     return _slot_period(scenario, plan)
 
 
-def _blocks(slots, max_rows: int):
-    """(first slot index, pixel ids (S x k), carriers) of each block: a run of at
-    most ``max_rows`` consecutive slots that drive the same carriers."""
-    first = 0
-    for freqs, group in itertools.groupby(slots, key=lambda slot: tuple(f for _, f in slot)):
-        pixels = np.array([[pix for pix, _ in slot] for slot in group], dtype=np.intp)
-        for start in range(0, len(pixels), max_rows):
-            yield first + start, pixels[start : start + max_rows], freqs
-        first += len(pixels)
-
-
 def _unit_responses(freqs: tuple[float, ...], window: SamplingWindow) -> np.ndarray:
     """Row p: the coefficients at the bins of ``freqs`` of carrier p's unit
     permissive mask over the window, from one float copy of a mask at a time."""
@@ -277,6 +264,19 @@ def _superposed(
     return coeffs
 
 
+def _impair(
+    rows: np.ndarray, first: int, noise_cfg, adc_cfg, fs: float, windows: int = 1
+) -> tuple[np.ndarray, int]:
+    """Noise, then the ADC, for a block of frames: row s gets frame first + s's
+    ``add_noise`` in place (none on a silent channel, where it would copy the
+    row), then one ``quantize`` reads the block.  Returns it and its clips."""
+    if not noise_cfg.is_silent:
+        for i, row in enumerate(rows, first):
+            row[:] = add_noise(SampledSignal(row, fs, windows), noise_cfg, slot_index=i).samples
+    stream, clipped = quantize(SampledSignal(rows.ravel(), fs, windows), adc_cfg)
+    return stream.samples.reshape(rows.shape), clipped
+
+
 def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     plan = _build_plan(scenario)
     report = validate_plan(plan.channels, plan.delta_f, plan.fs)
@@ -285,11 +285,13 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
         raise PlanRejectedError(report)
 
     window = plan.window()
-    schedule = schedule_fdma_tdma(grid.num_pixels, plan)
     # a row holds `period` samples (a permissive slot's noise row: Q), averaging `windows`
     period = _read_period(scenario, plan)
     windows = window.Q // period
-    blocks = list(_blocks(schedule.slots, max(1, BLOCK_BYTES // (8 * period))))
+    rows = max(1, BLOCK_BYTES // (8 * period))
+    blocks = [(first + s, freqs, pixels[s : s + rows])
+              for first, freqs, pixels in schedule_runs(grid.num_pixels, plan)
+              for s in range(0, len(pixels), rows)]
     flat = scene.irradiance.ravel()
     noise_cfg = scenario.noise_config()
     adc_cfg = scenario.adc_config(
@@ -305,36 +307,29 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     )
     # with the ADC off and no spectra, a permissive slot needs only its carrier bins
     superposed = scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
-    silence = SampledSignal(np.zeros(window.Q), window.fs) if superposed else None
     responses: dict[tuple[float, ...], np.ndarray] = {}
 
-    nslots = len(schedule.slots)
+    nslots = math.ceil(grid.num_pixels / plan.num_channels)
     est, chan = np.empty(grid.num_pixels), np.empty(grid.num_pixels)
     slot_of = np.empty(grid.num_pixels, dtype=np.intp)
     spectra = np.empty((window.Q // 2 + 1, nslots)) if scenario.write_spectra else None
     clip_total = 0
     with draws_ahead(noise_cfg, window.Q, window.fs, nslots, period):
-        for first, pixels, freqs in blocks:
+        for first, freqs, pixels in blocks:
             slots = range(first, first + len(pixels))
             if superposed:
                 coeffs = _superposed(flat[pixels], freqs, window, responses)
                 if not noise_cfg.is_silent:
-                    noise = np.stack([add_noise(silence, noise_cfg, i).samples for i in slots])
+                    noise, _ = _impair(np.zeros((len(pixels), window.Q)), first, noise_cfg,
+                                       adc_cfg, window.fs)
                     coeffs += block_coefficients(noise, window.fs, freqs)
                 est[pixels] = block_estimates(coeffs, freqs, window.Q, window.fs)
             else:
                 block = encode_block(scene, pixels, freqs, encode_window, not scenario.permissive)
                 if encoded < period:
                     block = np.tile(block, period // encoded)
-                # each slot's noise and ADC, in slot order on this thread
-                for i, row in zip(slots, block):
-                    stream = SampledSignal(row, window.fs, windows)
-                    if not noise_cfg.is_silent:
-                        stream = add_noise(stream, noise_cfg, slot_index=i)
-                    stream, clipped = quantize(stream, adc_cfg)
-                    clip_total += clipped
-                    if stream.samples is not row:
-                        row[:] = stream.samples
+                block, clipped = _impair(block, first, noise_cfg, adc_cfg, window.fs, windows)
+                clip_total += clipped
                 if spectra is not None:
                     spectra[:, slots.start : slots.stop] = np.abs(np.fft.rfft(block, axis=-1)).T
                 est[pixels] = decode_block(block, window.fs, freqs)
@@ -393,15 +388,13 @@ def _run_cdma(scenario: Scenario, grid: CaosGrid) -> RunReport:
     q = spec.code_length * spec.samples_per_bit
     with draws_ahead(noise_cfg, q, cfg.fs, len(band_scenes)):
         for i, (band, scene) in enumerate(band_scenes):
-            stream = encode_cdma(scene, assignment, cfg)
-            adc_cfg = scenario.adc_config(
-                auto_full_scale=FULL_SCALE_HEADROOM * max(float(stream.samples.max()), 1e-12)
-            )
-            if not noise_cfg.is_silent:
-                stream = add_noise(stream, noise_cfg, slot_index=i)
-            stream, clipped = quantize(stream, adc_cfg)
+            frame = encode_cdma(scene, assignment, cfg).samples
+            peak = max(float(frame.max()), 1e-12)
+            adc_cfg = scenario.adc_config(auto_full_scale=FULL_SCALE_HEADROOM * peak)
+            # a one-row block: band i's frame is noise slot i
+            (frame,), clipped = _impair(frame[None], i, noise_cfg, adc_cfg, cfg.fs)
             run_report.clip_count += clipped
-            image = decode_cdma(stream, assignment, cfg, grid)
+            image = decode_cdma(SampledSignal(frame, cfg.fs), assignment, cfg, grid)
             run_report.scenes.append(scene)
             run_report.images.append(image)
             if band is not None:

@@ -1,6 +1,7 @@
 """Noise injection determinism and ADC quantization bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,34 @@ class TestQuantize:
         unclipped = stream.samples <= top_code_edge
         assert err[unclipped].max() <= 0.5 / 2**bits + 1e-15
         assert clips == int(np.count_nonzero(~unclipped))
+
+    @given(st.integers(2, 24), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_codes_and_clips_follow_the_formula_in_a_fresh_array(self, bits, seed):
+        x = np.random.default_rng(seed).uniform(-0.2, 1.2, 257)
+        cfg = AdcConfig(bits=bits, full_scale=1.0)
+        step, top = cfg.full_scale / 2**bits, 2**bits - 1
+        code = np.round(x / step)
+        want = np.clip(code, 0, top) * step
+        want_clips = int(np.count_nonzero((code < 0) | (code > top)))
+        stream = SampledSignal(x.copy(), 8.0)
+        out, clips = quantize(stream, cfg)
+        assert out.samples.tobytes() == want.tobytes() and clips == want_clips
+        assert stream.samples.tobytes() == x.tobytes()
+        assert not np.shares_memory(out.samples, stream.samples)
+
+    def test_peak_memory_is_one_stream_sized_array(self):
+        x = np.random.default_rng(3).uniform(-0.1, 1.1, 2**20)
+        stream = SampledSignal(x, 8.0)
+        tracemalloc.start()
+        try:
+            out, clips = quantize(stream, AdcConfig(bits=10, full_scale=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert clips > 0
+        # the result itself, plus at most one boolean mask
+        assert peak <= 1.25 * x.nbytes
 
 
 class TestQuantizedDecodeFloor:

@@ -274,20 +274,28 @@ class TestCarrierReadout:
         if expected.spectra is not None:
             assert np.array_equal(got.spectra, expected.spectra)
 
-    @pytest.mark.parametrize("preset", ["table5", "fig6"])
-    def test_spectra_columns_are_the_full_fft_magnitudes(self, preset, monkeypatch):
-        streams = []
+    # table5 and fig6 read one slot; fig9-valid's 83 slots of 2^14 samples come in blocks of 8
+    @pytest.mark.parametrize("preset, spectra", [("table5", False), ("fig6", False),
+                                                 ("fig9-valid", True)])
+    def test_spectra_columns_are_the_full_fft_magnitudes(self, preset, spectra, monkeypatch):
+        blocks = []
 
-        def keep_stream(stream, cfg):
+        def keep_block(stream, cfg):
             out = quantize(stream, cfg)
-            streams.append(out[0])
+            blocks.append(out[0].samples)
             return out
 
-        monkeypatch.setattr(caossim.runner, "quantize", keep_stream)
-        report = run(load_preset(preset))
-        assert report.spectra.shape[1] == len(streams) > 0
-        for column, stream in zip(report.spectra.T, streams):
-            full = np.abs(np.fft.fft(stream.samples)[: len(stream) // 2 + 1])
+        monkeypatch.setattr(caossim.runner, "quantize", keep_block)
+        scenario = load_preset(preset)
+        if spectra:
+            scenario = dataclasses.replace(scenario, write_spectra=True)
+        report = run(scenario)
+        q = 2 * (report.spectra.shape[0] - 1)
+        rows = [row for block in blocks for row in block.reshape(-1, q)]
+        assert report.spectra.shape[1] == len(rows) > 0
+        assert max(len(block) // q for block in blocks) == (8 if spectra else 1)
+        for column, row in zip(report.spectra.T, rows):
+            full = np.abs(np.fft.fft(row)[: q // 2 + 1])
             assert np.abs(column - full).max() <= 1e-12 * full.max()
 
 

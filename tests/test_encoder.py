@@ -19,6 +19,7 @@ from caossim.encoder import (
     encode_slot,
     fwht,
     schedule_fdma_tdma,
+    schedule_runs,
     walsh_matrix,
 )
 from caossim.freq_plan import design_plan
@@ -172,6 +173,26 @@ class TestSchedule:
         assert len(sched.slots) == math.ceil(npix / P)
         pixels = [p for slot in sched.slots for p, _ in slot]
         assert sorted(pixels) == list(range(npix))
+
+    @pytest.mark.parametrize("P", range(1, 9))
+    def test_runs_flatten_to_the_slots(self, P):
+        plan = design_plan(T=1.0, p=16, m=2, P=P)
+        channels = sorted(plan.channels)
+        for npix in range(1, 41):
+            runs = schedule_runs(npix, plan)
+            slots = tuple(
+                tuple(zip(row, freqs)) for _, freqs, pixels in runs for row in pixels.tolist()
+            )
+            assert slots == schedule_fdma_tdma(npix, plan).slots
+            # the raster rule: pixels start..start+P-1 on the lowest carriers first
+            assert slots == tuple(
+                tuple((pix, channels[pix - start]) for pix in range(start, min(start + P, npix)))
+                for start in range(0, npix, P)
+            )
+            # each run starts where the one before it ends, on other carriers
+            firsts = [first for first, _, _ in runs]
+            assert firsts == [0, len(runs[0][2])][: len(runs)]
+            assert len({freqs for _, freqs, _ in runs}) == len(runs)
 
     def test_duplicate_pixel_rejected(self):
         with pytest.raises(ValueError, match="more than one slot"):

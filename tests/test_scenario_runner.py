@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import caossim.channel
 import caossim.runner
-from caossim.channel import add_noise, quantize
-from caossim.decoder import decode_slot_free
+from caossim.channel import AdcConfig, add_noise, quantize
+from caossim.decoder import decode_cdma, decode_slot_free
 from caossim.encoder import (
     CdmaConfig,
     WalshAssignment,
@@ -25,7 +25,12 @@ from caossim.encoder import (
 )
 from caossim.freq_plan import MainsGuardWarning, validate_plan
 from caossim.runner import FULL_SCALE_HEADROOM, PlanRejectedError, build_scene, run
-from caossim.scene_optics import hdr_patch_masks
+from caossim.scene_optics import (
+    OpticsConfig,
+    SpectralAnchor,
+    hdr_patch_masks,
+    make_spectral_line_scene,
+)
 from caossim.scenario import (
     NESTED,
     Scenario,
@@ -704,6 +709,23 @@ class TestSilentChannel:
         _, calls = self._counted_run(dict(SILENT_RUNS[name], noise=noise), monkeypatch)
         assert calls == list(range(SLOTS[name]))
 
+    @pytest.mark.parametrize("block_rows", [None, 10])
+    def test_silent_adc_off_run_makes_one_adc_call_per_block(self, block_rows, monkeypatch):
+        calls = []
+
+        def counting(stream, cfg):
+            calls.append(len(stream))
+            return quantize(stream, cfg)
+
+        if block_rows is not None:
+            monkeypatch.setattr(caossim.runner, "BLOCK_BYTES", block_rows * 512 * 8)
+        monkeypatch.setattr(caossim.runner, "quantize", counting)
+        run(load_preset("fig9-valid"))
+        # 576 pixels, 7 per slot: a run of 82 full slots, then one short slot, each read over
+        # one 512-sample carrier period
+        rows = block_rows or 82
+        assert calls == [min(rows, 82 - s) * 512 for s in range(0, 82, rows)] + [512]
+
 
 NOISY_FDMA = dict(TINY_FDMA, grid={"rows": 2, "cols": 4},
                   target={"kind": "uniform", "level": 0.5},
@@ -812,6 +834,40 @@ class TestCdmaAutoFullScale:
         adc = dict(self.DOC["adc"], full_scale=FULL_SCALE_HEADROOM * peak)
         explicit = scenario_from_dict(dict(self.DOC, seed=seed, adc=adc))
         assert np.array_equal(run(auto).image.estimates, run(explicit).image.estimates)
+
+
+class TestCdmaAgainstTheLibrary:
+    """A noisy, ADC-on CDMA run is, band by band, the library chain encode_cdma ->
+    add_noise (slot = band) -> quantize at the band's auto full scale -> decode_cdma."""
+
+    NOISE = {"awgn_sigma": 0.01, "pink_sigma": 0.004, "mains_amplitude": 0.003,
+             "dark_offset": 0.01}
+
+    @pytest.mark.filterwarnings("ignore:noise.dark_offset")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_band_is_the_library_chain_bit_for_bit(self, workers, monkeypatch):
+        doc = dict(load_preset("spectral-line").to_dict(), noise=self.NOISE,
+                   adc={"enabled": True, "bits": 10})
+        sc = scenario_from_dict(doc)
+        spec, grid, target = sc.cdma, sc.grid, sc.target
+        cfg = CdmaConfig(bit_rate=spec.bit_rate, samples_per_bit=spec.samples_per_bit)
+        assignment = WalshAssignment.sequential(grid.num_pixels, spec.code_length)
+        anchors = [SpectralAnchor(w, c) for w, c in sc.anchors]
+        want, clipped = [], 0
+        for band, ((center, bw), row) in enumerate(zip(target.bands, target.band_rows)):
+            scene = make_spectral_line_scene(grid, row, center, bw, OpticsConfig(), anchors,
+                                             target.source_temp_k)
+            stream = encode_cdma(scene, assignment, cfg)
+            adc = AdcConfig(bits=10, full_scale=FULL_SCALE_HEADROOM * stream.samples.max())
+            stream, c = quantize(add_noise(stream, sc.noise_config(), slot_index=band), adc)
+            clipped += c
+            want.append(decode_cdma(stream, assignment, cfg, grid).estimates)
+        monkeypatch.setattr(caossim.channel, "_draw_workers", lambda: workers)
+        report = run(sc)
+        assert len(want) == 7 and clipped > 0
+        assert report.clip_count == clipped
+        for image, estimates in zip(report.images, want, strict=True):
+            assert image.estimates.tobytes() == estimates.tobytes()
 
 
 class TestAdcBelowOneLsb:
