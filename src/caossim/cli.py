@@ -5,8 +5,9 @@ Subcommands:
   simulate <scenario.json>       run a scenario file
   reproduce <preset>             run a packaged preset experiment
 
-Exit codes: 0 success, 1 validation failure, 2 I/O failure.  The output
-directory can be forced with the CAOSSIM_OUTDIR environment variable.
+Exit codes: 0 success, 1 validation failure or a scenario that needs more
+memory than is available, 2 I/O failure.  The output directory can be
+forced with the CAOSSIM_OUTDIR environment variable.
 """
 
 from __future__ import annotations
@@ -157,6 +158,9 @@ def _execute(scenario, args) -> int:
     except ValueError as exc:
         # ScenarioError and any precondition violation raised by the pipeline
         print(f"scenario rejected: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"scenario needs more memory than is available: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print(report.metrics_text, end="")
     if report.outdir is not None:

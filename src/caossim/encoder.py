@@ -13,15 +13,16 @@ mirrors:
   and is kept only as the reference oracle.
 * FM-TDMA (``encode_fm_tdma``): one pixel per slot, square-modulated at a
   single carrier.
-* FDMA-TDMA (``encode_slot`` on each slot of ``schedule_fdma_tdma``): P
-  pixels per slot on distinct plan carriers, summed on the detector.
+* FDMA-TDMA (``encode_block`` on the runs of ``schedule_runs``): P pixels
+  per slot on distinct plan carriers, summed on the detector.
 
 Every TDMA slot drives the same carriers on the same frame clock; only the
 pixel amplitudes change from slot to slot.  Each carrier is therefore
 synthesised once per (frequency, window, strict) as a boolean mask of its
 high samples, and ``encode_block`` encodes a block of slots that share
-their carriers as one (S x Q) array, one masked add of the pixels'
-amplitudes per carrier.  ``encode_slot`` is its one-row case.
+their carriers as one 2-D array, one masked add of the pixels' amplitudes
+per carrier, synthesised over one period of the block and tiled to the
+row length asked for.  ``encode_slot`` is its one-row case.
 
 Pixels outside the active slot are parked toward the complementary
 detector and contribute nothing to the primary stream.
@@ -30,6 +31,7 @@ detector and contribute nothing to the primary stream.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -43,6 +45,7 @@ from .waveform import (
     SquareWaveSpec,
     sample_square_free,
     synth_square,
+    whole_number,
 )
 
 __all__ = [
@@ -218,25 +221,37 @@ def encode_block(
     freqs: Sequence[float],
     window: SamplingWindow,
     strict: bool = True,
+    length: int | None = None,
 ) -> np.ndarray:
     """Rows of slots that drive the same carriers: row s is the superposition
-    of pixel pixels[s, j]'s irradiance-weighted square carrier freqs[j].
+    of pixel pixels[s, j]'s irradiance-weighted square carrier freqs[j] over
+    the window's first ``length`` samples (default Q).
 
-    One masked add per carrier over the whole (S x Q) block.  Each carrier
-    is synthesised once per (frequency, window, strict) and reused by every
-    later block; a carrier whose pixels are all dark is skipped.
-    strict=False samples misconfigured carriers with partial cycles instead
-    of rejecting them (crosstalk demonstrations).
+    One masked add per carrier over one period P of the block, tiled to
+    ``length``, a multiple of P.  Strict carriers on whole bins repeat every
+    P = Q / gcd(Q, their bins) samples; otherwise P is Q, where strict
+    synthesis rejects a carrier off the grid.  Each carrier is synthesised
+    once per (frequency, window, strict); a carrier whose pixels are all
+    dark is skipped.  strict=False samples misconfigured carriers with
+    partial cycles instead of rejecting them (crosstalk demonstrations).
     """
+    synth, bins = window, [whole_number(f / window.delta_f) for f in freqs]
+    if strict and bins and all(b is not None and 0 < b <= window.Q // 2 for b in bins):
+        reps = math.gcd(window.Q, *bins)  # the first P samples: same fs, T and delta_f scaled
+        synth = SamplingWindow(window.fs, window.T / reps, window.Q // reps, window.delta_f * reps)
+    length = window.Q if length is None else length
+    if not 0 < length <= window.Q or length % synth.Q:
+        raise ValueError(f"a row of {length} samples is not a whole number of the block's"
+                         f" {synth.Q}-sample periods up to Q = {window.Q}")
     amps = scene.irradiance.ravel()[np.asarray(pixels, dtype=np.intp)]
-    out = np.zeros((len(amps), window.Q))
+    out = np.zeros((len(amps), synth.Q))
     for j, freq in enumerate(freqs):
         column = amps[:, j : j + 1]
         if not column.any():
             continue
         # out starts at +0.0 and every amp >= 0, so a masked-off sample equals adding 0.0
-        np.add(out, column, out=out, where=_carrier_mask(freq, window, strict))
-    return out
+        np.add(out, column, out=out, where=_carrier_mask(freq, synth, strict))
+    return np.tile(out, length // synth.Q) if length > synth.Q else out
 
 
 def encode_slot(
@@ -263,7 +278,7 @@ def _carrier_mask(freq: float, window: SamplingWindow, strict: bool) -> np.ndarr
     samples has at most p - 1 carriers, so 64 entries hold every carrier of
     such a plan; the cache holds at most 64 * Q bytes of the largest
     window used (4 MiB at Q = 2**16).  A permissive explicit list of more
-    than 64 carriers falls back to one synthesis per carrier per slot.
+    than 64 carriers falls back to one synthesis per carrier per block.
     """
     synth = synth_square if strict else sample_square_free
     mask = synth(SquareWaveSpec(frequency=freq), window).samples != 0.0

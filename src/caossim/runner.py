@@ -12,23 +12,23 @@ own slot's ``add_noise``, in slot order, then one ``quantize`` reads the
 block.  The ADC acts sample by sample and a batched FFT gives each row the
 bits of its own transform, so a run is the slot-by-slot pipeline
 encode_slot -> add_noise -> quantize -> decode_slot_free bit for bit,
-wherever the block boundaries fall.  A strict slot repeats every L
-samples, one period of every carrier, so a block is encoded over one
-period and, where its rows hold more, tiled.  A slot is read from its
-carrier bins, which depend on the Q-sample stream only through its
-average over windows of L samples.  So when neither the ADC nor
-``spectra.csv`` needs the raw samples, a row holds one period and the
-average of each noise term (``SampledSignal.windows`` = Q / L); else a
-row is the raw Q-sample stream.  A permissive run with neither forms no
-slot stream: the readout is linear, so a block's carrier coefficients are
-its carriers' unit responses, read once per run, weighted by its pixel
-irradiances, plus the readout of its slots' noise-only rows
-(``_superposed``).  Only the noise draw runs ahead: inside
-``channel.draws_ahead`` a small thread pool draws the Gaussian terms of
-the next few slots (CDMA frames) while the current one is processed.  The
-counter-based noise keying makes the result independent of processing
-order and of that pool, and all output files are written with stable
-formatting, so a rerun of the same scenario is byte-identical.
+wherever the block boundaries fall.  A slot is read from its carrier
+bins, which depend on the Q-sample stream only through its average over
+windows of L = Q / gcd(Q, carrier bins) samples, one period of every
+carrier.  So unless the ADC, ``spectra.csv`` or a permissive plan needs
+the raw samples, a row holds one period and the average of each noise
+term (``SampledSignal.windows`` = Q / L), else the raw Q-sample stream
+(``_row_length``); the encoder tiles a strict block to that length.  A
+permissive run without the ADC or spectra forms no slot stream: the
+readout is linear, so a block's carrier coefficients are its carriers'
+unit responses, read once per run, weighted by its pixel irradiances,
+plus the readout of its slots' noise-only rows (``_superposed``).  Only
+the noise draw runs ahead: inside ``channel.draws_ahead`` a small thread
+pool draws the Gaussian terms of the next few slots (CDMA frames) while
+the current one is processed.  The counter-based noise keying makes the
+result independent of processing order and of that pool, and all output
+files are written with stable formatting, so a rerun of the same scenario
+is byte-identical.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .decoder import (
 from .encoder import (
     CdmaConfig,
     WalshAssignment,
-    _carrier_mask,
     encode_block,
     encode_cdma,
     encode_slot,  # traced
@@ -208,37 +207,21 @@ def _attach_patch_report(run: RunReport, grid: CaosGrid) -> None:
     run.patch = metrics.patch_report(run.image.estimates, masks, designed, dark)
 
 
-def _slot_period(scenario: Scenario, plan: FrequencyPlan) -> int:
-    """L0, the samples every slot stream repeats over: Q / gcd(Q, carrier bins).
-
-    A passing plan puts every carrier at fs / 2^k, and synth_square tiles
-    each carrier from one period, so a strict slot repeats every L0 samples,
-    its longest carrier period, bit for bit.  A permissive run's free
-    sampler need not repeat its first period bit for bit (nor, off the bin
-    grid, at all), so its L0 is the whole window, Q.
-    """
-    if scenario.permissive:
+def _row_length(scenario: Scenario, plan: FrequencyPlan) -> int:
+    """The samples a slot row holds: Q when the ADC, ``spectra.csv`` or a permissive
+    plan needs the raw window, else one period of every carrier, over which the
+    readout reads the same bins."""
+    if scenario.permissive or scenario.adc_enabled or scenario.write_spectra:
         return plan.Q
     return plan.Q // math.gcd(plan.Q, *plan.bins)
 
 
-def _read_period(scenario: Scenario, plan: FrequencyPlan) -> int:
-    """L, the samples a slot row holds and is read over: L0 (``_slot_period``),
-    or the whole window Q when the ADC or ``spectra.csv`` need the raw samples.
-    A permissive run without either forms no slot stream (``_superposed``):
-    only its unit carriers and its noise-only streams are read at Q.
-    """
-    if scenario.adc_enabled or scenario.write_spectra:
-        return plan.Q
-    return _slot_period(scenario, plan)
-
-
 def _unit_responses(freqs: tuple[float, ...], window: SamplingWindow) -> np.ndarray:
     """Row p: the coefficients at the bins of ``freqs`` of carrier p's unit
-    permissive mask over the window, from one float copy of a mask at a time."""
+    permissive carrier over the window, encoded one row at a time."""
+    unit = Scene([[1.0]])
     return np.array([
-        block_coefficients(_carrier_mask(f, window, False)[None].astype(np.float64), window.fs,
-                           freqs)[0]
+        block_coefficients(encode_block(unit, [[0]], [f], window, False), window.fs, freqs)[0]
         for f in freqs
     ])
 
@@ -285,8 +268,8 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
         raise PlanRejectedError(report)
 
     window = plan.window()
-    # a row holds `period` samples (a permissive slot's noise row: Q), averaging `windows`
-    period = _read_period(scenario, plan)
+    # a row holds `period` samples, the average of `windows` windows of them
+    period = _row_length(scenario, plan)
     windows = window.Q // period
     rows = max(1, BLOCK_BYTES // (8 * period))
     blocks = [(first + s, freqs, pixels[s : s + rows])
@@ -296,14 +279,6 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     noise_cfg = scenario.noise_config()
     adc_cfg = scenario.adc_config(
         auto_full_scale=FULL_SCALE_HEADROOM * max(_stream_peak(flat, blocks), 1e-12)
-    )
-
-    # a block is encoded over the window's first L0 samples (same fs, T and delta_f scaled by
-    # a power of two) and tiled to its rows' length
-    encoded = _slot_period(scenario, plan)
-    reps = window.Q // encoded
-    encode_window = SamplingWindow(
-        fs=window.fs, T=window.T / reps, Q=encoded, delta_f=window.delta_f * reps
     )
     # with the ADC off and no spectra, a permissive slot needs only its carrier bins
     superposed = scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
@@ -325,9 +300,7 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
                     coeffs += block_coefficients(noise, window.fs, freqs)
                 est[pixels] = block_estimates(coeffs, freqs, window.Q, window.fs)
             else:
-                block = encode_block(scene, pixels, freqs, encode_window, not scenario.permissive)
-                if encoded < period:
-                    block = np.tile(block, period // encoded)
+                block = encode_block(scene, pixels, freqs, window, not scenario.permissive, period)
                 block, clipped = _impair(block, first, noise_cfg, adc_cfg, window.fs, windows)
                 clip_total += clipped
                 if spectra is not None:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import caossim.channel
 from caossim.cli import main
 
 
@@ -184,6 +185,28 @@ def test_pipeline_precondition_failure_is_clean_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "scenario rejected" in err and "Traceback" not in err
     assert str(image) in err and "2x2 image" in err and "grid is 3x3" in err
+
+
+def test_out_of_memory_is_clean_exit_1(tmp_path, capsys, monkeypatch):
+    # a noisy run whose noise draw cannot be allocated, without allocating it
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 128. GiB for an array with shape (17179869184,)")
+
+    monkeypatch.setattr(caossim.channel, "_noise_terms", out_of_memory)
+    doc = {
+        "mode": "fdma-tdma",
+        "grid": {"rows": 1, "cols": 2},
+        "target": {"kind": "uniform", "level": 0.5},
+        "plan": {"T": 1.0, "p": 10, "m": 7, "P": 2},
+        "noise": {"awgn_sigma": 0.01},
+        "seed": 0,
+    }
+    path = tmp_path / "noisy.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("scenario needs more memory than is available: Unable to allocate 128. GiB"
+                   " for an array with shape (17179869184,)\n")
 
 
 @pytest.mark.parametrize(

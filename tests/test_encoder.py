@@ -254,6 +254,68 @@ class TestEncodeBlock:
             encode_block(Scene(np.ones((1, 2))), [[0, 1]], [4.0, 3.0], window)
 
 
+class TestEncodeBlockLength:
+    """A strict block repeats every P = Q / gcd(Q, its bins) samples: its rows of k P
+    samples are the first k P samples of the whole-window encode, bit for bit."""
+
+    @staticmethod
+    def _check_prefixes(freqs, window, rows=3):
+        bins = [round(f / window.delta_f) for f in freqs]
+        period = window.Q // math.gcd(window.Q, *bins)
+        scene = Scene(np.random.default_rng(len(freqs)).random((rows, len(freqs))))
+        pixels = np.arange(scene.irradiance.size).reshape(rows, -1)
+        whole = encode_block(scene, pixels, freqs, window)
+        for k in {1, min(2, window.Q // period), window.Q // period}:
+            block = encode_block(scene, pixels, freqs, window, length=k * period)
+            assert block.shape == (rows, k * period)
+            assert block.tobytes() == whole[:, : k * period].tobytes()
+        return period
+
+    @pytest.mark.parametrize("p, m, P", [(6, 1, 4), (10, 3, 5), (12, 4, 3), (14, 2, 11)])
+    def test_ladder_rows_are_prefixes_of_the_whole_window(self, p, m, P):
+        plan = design_plan(T=0.25, p=p, m=m, P=P)
+        period = self._check_prefixes(plan.channels, plan.window())
+        assert period == plan.Q // 2 ** (m - 1)
+
+    def test_a_short_slot_subset_repeats_over_its_own_period(self):
+        # carriers on bins 4, 8 and 16 of Q = 64 repeat every 16 samples, and so do the
+        # short last slot's, bins 4 and 8 (lowest first); bin 16 alone every 4
+        window = SamplingWindow.design(1.0, 6)
+        assert self._check_prefixes([4.0, 8.0, 16.0], window) == 16
+        assert self._check_prefixes([4.0, 8.0], window, rows=1) == 16
+        assert self._check_prefixes([16.0], window, rows=1) == 4
+        # a row of the whole schedule's period is a whole number of the subset's periods
+        scene = Scene(np.ones((1, 1)))
+        row = encode_block(scene, [[0]], [16.0], window, length=16)
+        assert row.tobytes() == encode_block(scene, [[0]], [16.0], window)[:, :16].tobytes()
+        # a slot without carriers is dark over the whole window
+        assert not encode_block(scene, [[]], [], window).any()
+
+    def test_a_row_that_is_not_a_whole_number_of_periods_is_rejected(self):
+        window = SamplingWindow.design(1.0, 6)
+        scene = Scene(np.ones((1, 2)))
+        # 128 is a whole number of periods, but beyond the window
+        for length in (0, 8, 24, 40, 128):
+            with pytest.raises(ValueError, match="block's 16-sample periods up to Q = 64"):
+                encode_block(scene, [[0, 1]], [4.0, 8.0], window, length=length)
+
+    @pytest.mark.parametrize("length", [32, 128])
+    def test_a_permissive_row_is_the_whole_window(self, length):
+        window = SamplingWindow.design(1.0, 6)
+        with pytest.raises(ValueError, match="64-sample periods up to Q = 64"):
+            encode_block(Scene(np.ones((1, 1))), [[0]], [4.0], window, False, length)
+
+    def test_an_off_grid_strict_carrier_keeps_its_rejection(self):
+        # 64/6 Hz has whole 6-sample periods but 10.67 cycles in the window: the whole
+        # window's synthesis rejects it, with the whole window's delta_f
+        window = SamplingWindow.design(1.0, 6)
+        scene = Scene(np.ones((1, 2)))
+        with pytest.raises(ValueError, match=r"not an integer multiple of delta_f = 1\.0 Hz"):
+            encode_block(scene, [[0, 1]], [4.0, 64 / 6], window)
+        with pytest.raises(ValueError, match="fs/f = 6.4 is not an integer"):
+            encode_block(scene, [[0, 1]], [4.0, 10.0], window)
+
+
 class TestEncodeFmTdma:
     def test_one_slot_per_pixel(self):
         grid = CaosGrid(3, 4)

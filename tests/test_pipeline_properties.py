@@ -10,7 +10,9 @@ the raw one, and to itself across modes and draw-ahead pool sizes.  A
 permissive run with the ADC off forms no slot stream: it sums unit carrier
 responses, and its estimates are held to the slot-by-slot pipeline.  A
 scenario's resolved config, here and for every preset, parses back to the
-same config and the same run.
+same config and the same run.  In every mode the noiseless decode is linear
+in the scene and one lit pixel leaks into no other, and a dark scene's
+estimates sit on the Rayleigh noise floor of their AWGN.
 """
 
 import json
@@ -334,7 +336,7 @@ def _slot_by_slot(scenario):
     peak = max(sum(flat[pix] for pix, _ in slot) for slot in schedule.slots)
     adc = scenario.adc_config(auto_full_scale=FULL_SCALE_HEADROOM * max(peak, 1e-12))
     noise = scenario.noise_config()
-    period = caossim.runner._read_period(scenario, plan)
+    period = caossim.runner._row_length(scenario, plan)
     windows = window.Q // period
     read_window = SamplingWindow(window.fs, window.T / windows, period, window.delta_f * windows)
     superposed = scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
@@ -380,7 +382,7 @@ def _block_run(scenario, width, block_rows):
         mp.setattr(caossim.channel, "_draw_workers", lambda: width)
         if block_rows is not None:
             plan = caossim.runner._build_plan(scenario)
-            row_bytes = 8 * caossim.runner._read_period(scenario, plan)
+            row_bytes = 8 * caossim.runner._row_length(scenario, plan)
             mp.setattr(caossim.runner, "BLOCK_BYTES", block_rows * row_bytes)
         return run(scenario)
 
@@ -424,7 +426,7 @@ def test_block_strategy_reaches_every_case():
             "strict": not sc.permissive,
             "permissive, superposed": not stream,
             "permissive, stream": sc.permissive and stream,
-            "averaged": caossim.runner._read_period(sc, plan) < plan.Q,
+            "averaged": caossim.runner._row_length(sc, plan) < plan.Q,
             "spectra": sc.write_spectra,
             "adc": sc.adc_enabled,
             "noise": caossim.channel._term_count(sc.noise_config()) > 0,
@@ -482,3 +484,98 @@ def test_resolved_config_reruns_the_same(doc):
 @pytest.mark.parametrize("name", preset_names())
 def test_preset_resolved_config_reruns_the_same(name):
     _rerun_of_resolved_config(load_preset(name))
+
+
+@st.composite
+def noiseless_docs(draw):
+    """A noiseless, ADC-off scenario without its target: an fm-tdma or strict fdma-tdma
+    ladder of ``tdma_docs``, or cdma with 1 to 4 samples per bit of a Walsh code that
+    has a row for every pixel."""
+    mode = draw(st.sampled_from(["fm-tdma", "fdma-tdma", "cdma"]))
+    if mode != "cdma":
+        doc = draw(tdma_docs(mode=mode))
+        del doc["target"]
+        return dict(doc, noise={})
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    return {
+        "mode": "cdma",
+        "grid": {"rows": rows, "cols": cols},
+        "cdma": {"code_length": draw(st.sampled_from([16, 32, 64])),
+                 "samples_per_bit": draw(st.integers(1, 4))},
+        "noise": {},
+        "adc": {"enabled": False},
+        "seed": 0,
+    }
+
+
+def _decode(doc, values) -> np.ndarray:
+    target = {"kind": "explicit", "values": np.asarray(values).tolist()}
+    return run(scenario_from_dict(dict(doc, target=target))).image.estimates
+
+
+def _scene_values(doc):
+    grid = doc["grid"]
+    return st.lists(levels, min_size=grid["rows"] * grid["cols"],
+                    max_size=grid["rows"] * grid["cols"]).map(
+        lambda flat: np.reshape(flat, (grid["rows"], grid["cols"])))
+
+
+@PROPERTY
+@given(st.data())
+def test_noiseless_decode_is_linear_in_the_scene(data):
+    doc = data.draw(noiseless_docs())
+    s1, s2 = data.draw(_scene_values(doc)), data.draw(_scene_values(doc))
+    a, b = data.draw(st.floats(0.0, 4.0)), data.draw(st.floats(0.0, 4.0))
+    combined = _decode(doc, a * s1 + b * s2)
+    separate = a * _decode(doc, s1) + b * _decode(doc, s2)
+    peak = max(np.max(np.abs(combined)), np.max(np.abs(separate)))
+    assert np.max(np.abs(combined - separate)) <= 1e-12 * peak
+
+
+@PROPERTY
+@given(st.data())
+def test_one_lit_pixel_leaks_into_no_other(data):
+    doc = data.draw(noiseless_docs())
+    npix = doc["grid"]["rows"] * doc["grid"]["cols"]
+    lit, level = data.draw(st.integers(0, npix - 1)), data.draw(st.floats(1e-3, 1.0))
+    values = np.zeros(npix)
+    values[lit] = level
+    decoded = _decode(doc, values.reshape(doc["grid"]["rows"], -1)).ravel()
+    assert decoded[lit] == pytest.approx(level, rel=1e-12)
+    assert np.max(np.abs(np.delete(decoded, lit)), initial=0.0) <= 1e-9 * level
+
+
+def test_noiseless_strategy_reaches_every_mode():
+    @PROPERTY
+    @given(noiseless_docs())
+    def collect(doc):
+        reached.add(doc["mode"])
+
+    reached = set()
+    collect()
+    assert reached == {"fm-tdma", "fdma-tdma", "cdma"}
+
+
+@pytest.mark.parametrize("mode, P, m", [("fm-tdma", 1, 5), ("fdma-tdma", 4, 3)])
+def test_dark_scene_noise_floor_is_the_rayleigh_scale(mode, P, m):
+    # a dark slot's carrier bin holds white noise, whose DFT value X has E|X|^2 = Q sigma^2,
+    # so E[(estimate * a1)^2] = E|X|^2 / Q^2 = sigma^2 / Q: the Rayleigh scale
+    # sigma / (a1 sqrt(2 Q)) per quadrature
+    sigma, p = 0.01, 8
+    doc = {
+        "mode": mode,
+        "grid": {"rows": 8, "cols": 16},
+        "target": {"kind": "uniform", "level": 0.0},
+        # carriers from 64 Hz up, above the mains guard
+        "plan": {"T": 1 / 16, "p": p, "m": m, "P": P},
+        "noise": {"awgn_sigma": sigma},
+        "adc": {"enabled": False},
+    }
+    power = []
+    for seed in range(40):
+        report = run(scenario_from_dict(dict(doc, seed=seed)))
+        fs = caossim.runner._build_plan(report.scenario).fs
+        a1 = np.vectorize(lambda f: fundamental_coefficient(fs / f))(report.image.channel_map)
+        power.extend(((report.image.estimates * a1) ** 2).ravel())
+    assert len(power) >= 2000
+    assert np.mean(power) == pytest.approx(sigma**2 / 2**p, rel=0.1)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caossim.channel
+import caossim.encoder
 import caossim.runner
 from caossim.channel import AdcConfig, add_noise, quantize
 from caossim.decoder import decode_cdma, decode_slot_free
@@ -739,17 +740,30 @@ class TestAveragedReadout:
 
     @staticmethod
     def _recorded_run(doc, monkeypatch):
-        encoded, decoded = [], []
+        """The run's report; each block row's (length, period the encoder synthesised),
+        or, for a 1x1 unit scene, its carrier; and each decoded row's length."""
+        encoded, decoded, synthesised = [], [], []
         encode, decode = caossim.runner.encode_block, caossim.runner.decode_block
+        mask = caossim.encoder._carrier_mask
 
-        def recording_encode(scene, pixels, freqs, window, strict=True):
-            encoded.extend([window.Q] * len(pixels))
-            return encode(scene, pixels, freqs, window, strict)
+        def recording_mask(freq, window, strict):
+            synthesised.append(window.Q)
+            return mask(freq, window, strict)
+
+        def recording_encode(scene, pixels, freqs, window, strict=True, length=None):
+            synthesised.clear()
+            block = encode(scene, pixels, freqs, window, strict, length)
+            if scene.shape == (1, 1):
+                encoded.append(("unit", scene.irradiance.item(), np.shape(pixels), *freqs))
+            else:
+                encoded.extend([(block.shape[-1], *set(synthesised))] * len(pixels))
+            return block
 
         def recording_decode(rows, fs, freqs):
             decoded.extend([rows.shape[-1]] * len(rows))
             return decode(rows, fs, freqs)
 
+        monkeypatch.setattr(caossim.encoder, "_carrier_mask", recording_mask)
         monkeypatch.setattr(caossim.runner, "encode_block", recording_encode)
         monkeypatch.setattr(caossim.runner, "decode_block", recording_decode)
         report = run(scenario_from_dict(doc))
@@ -759,14 +773,14 @@ class TestAveragedReadout:
     def test_slots_are_encoded_and_read_over_one_carrier_period(self, monkeypatch):
         # carriers on bins 64..512 of Q = 4096: L = 4096 / 64
         _, encoded, decoded = self._recorded_run(NOISY_FDMA, monkeypatch)
-        assert encoded == [64, 64] and decoded == [64, 64]
+        assert encoded == [(64, 64), (64, 64)] and decoded == [64, 64]
 
     @pytest.mark.parametrize("raw", [{"adc": {"enabled": True, "bits": 12}},
                                      {"write_spectra": True}])
     def test_a_run_that_needs_raw_samples_reads_the_whole_window(self, raw, monkeypatch):
         _, encoded, decoded = self._recorded_run(dict(NOISY_FDMA, **raw), monkeypatch)
-        # a strict slot is encoded over one carrier period and tiled to its Q raw samples
-        assert encoded == [64, 64] and decoded == [4096, 4096]
+        # a strict slot is synthesised over one carrier period and tiled to its Q raw samples
+        assert encoded == [(4096, 64), (4096, 64)] and decoded == [4096, 4096]
 
     def test_a_permissive_run_encodes_no_slot_and_reads_its_noise_at_q(self, monkeypatch):
         noise_streams, read = [], []
@@ -783,7 +797,9 @@ class TestAveragedReadout:
         monkeypatch.setattr(caossim.runner, "add_noise", recording_noise)
         monkeypatch.setattr(caossim.runner, "block_coefficients", recording_coefficients)
         _, encoded, decoded = self._recorded_run(dict(NOISY_FDMA, permissive=True), monkeypatch)
-        assert encoded == [] and decoded == []
+        # no slot of the scene is encoded: only one 1x1 unit carrier row per carrier
+        assert encoded == [("unit", 1.0, (1, 1), f) for f in (64.0, 128.0, 256.0, 512.0)]
+        assert decoded == []
         assert noise_streams == [(4096, 1, 0), (4096, 1, 1)]
         # both slots drive the same 4 carriers: 4 unit responses, then one read of the
         # block of both slots' noise
