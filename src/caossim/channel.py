@@ -9,12 +9,12 @@ Randomness is counter-based: the Gaussian draws for a slot come from a
 Philox generator keyed by (seed, slot_index), so any processing order or
 degree of concurrency reproduces the same decoded image bit for bit.
 
-That keying lets a run draw ahead: inside ``draws_ahead`` a thread pool of
-W = min(4, usable CPUs) workers draws the stochastic terms of the next W
-slots while the calling thread encodes, impairs and decodes the current
-one, and ``add_noise`` takes a slot's terms from the pool instead of
-drawing them.  Only the draw leaves the calling thread; ``add_noise``
-itself, and everything around it, runs there in slot order.
+That keying lets a run draw ahead.  ``slot_terms`` yields a run's slot
+terms in slot order, and a thread pool of W = min(4, usable CPUs) workers
+draws the next W slots while the calling thread encodes, impairs and
+decodes the current block.  The caller hands a block's terms to
+``add_terms``, which adds them to the block's rows in place.  Only the
+draw leaves the calling thread.  ``add_noise`` is the one-row form.
 
 A stream may be a synchronous average (``SampledSignal.windows`` > 1):
 the mean of the q = windows * L samples of a slot over its windows of L
@@ -27,16 +27,16 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from contextlib import contextmanager
-from contextvars import ContextVar
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
 from .waveform import SampledSignal, fold_windows
 
-__all__ = ["NoiseConfig", "AdcConfig", "add_noise", "draws_ahead", "quantize"]
+__all__ = ["NoiseConfig", "AdcConfig", "add_noise", "add_terms", "quantize", "slot_terms"]
 
 MAX_DRAW_WORKERS = 4
 # the ADC resolutions AdcConfig accepts, and a scenario's adc.bits
@@ -157,40 +157,47 @@ def _slot_terms(
     return [_window_mean(term, period) for term in _noise_terms(cfg, q, fs, slot_index, out)]
 
 
+def add_terms(
+    rows: np.ndarray, terms: Iterable[list[np.ndarray]], cfg: NoiseConfig, fs: float,
+    windows: int = 1,
+) -> None:
+    """Add noise to a block of slot rows in place, row s from slot s's ``terms``.
+
+    The dark offset and the mains tone's mean over the slot's ``windows``
+    are added to the whole block, since neither depends on the slot.  Then
+    each row's stochastic terms (``_slot_terms``) take its sum in draw
+    order: term0 + row == row + term0 bit for bit, then += term1.
+    """
+    period = rows.shape[-1]
+    if cfg.dark_offset:
+        rows += cfg.dark_offset
+    if cfg.mains_amplitude:
+        n = np.arange(period * windows)
+        tone = cfg.mains_amplitude * np.sin(
+            2.0 * np.pi * cfg.mains_freq * n / fs + cfg.mains_phase
+        )
+        rows += _window_mean(tone, period)
+    for row, slot in zip(rows, terms, strict=True):
+        if slot:
+            total = slot[0]
+            total += row
+            for term in slot[1:]:
+                total += term
+            row[:] = total
+
+
 def add_noise(stream: SampledSignal, cfg: NoiseConfig, slot_index: int) -> SampledSignal:
     """Apply dark offset, mains tone and stochastic noise to one slot.
 
     Pure function of (stream, cfg, slot_index); the input is never changed
     and the result is a fresh array.  An averaged stream (windows > 1) gets
-    each term's mean over the slot's windows, added in the same order.
-    Inside ``draws_ahead`` the stochastic terms may come from the pool,
-    drawn and averaged exactly as ``_slot_terms`` does here.
+    each term's mean over the slot's windows: ``add_terms`` on a one-row block.
     """
-    x = stream.samples
-    period = x.shape[0]
-    q = period * stream.windows
-    if cfg.dark_offset or cfg.mains_amplitude:
-        x = x.copy()
-        if cfg.dark_offset:
-            x += cfg.dark_offset
-        if cfg.mains_amplitude:
-            n = np.arange(q)
-            tone = cfg.mains_amplitude * np.sin(
-                2.0 * np.pi * cfg.mains_freq * n / stream.fs + cfg.mains_phase
-            )
-            x += _window_mean(tone, period)
-    ahead = _DRAWN.get()
-    terms = ahead.take(cfg, q, stream.fs, period, slot_index) if ahead is not None else None
-    if terms is None:
-        terms = _slot_terms(cfg, q, stream.fs, slot_index, period)
-    if not terms:
-        return SampledSignal(x.copy() if x is stream.samples else x, stream.fs, stream.windows)
-    # the first term takes the sum: z + x == x + z bit for bit
-    out = terms[0]
-    out += x
-    for term in terms[1:]:
-        out += term
-    return SampledSignal(out, stream.fs, stream.windows)
+    x = stream.samples.copy()
+    q = x.shape[0] * stream.windows
+    terms = _slot_terms(cfg, q, stream.fs, slot_index, x.shape[0])
+    add_terms(x[None], [terms], cfg, stream.fs, stream.windows)
+    return SampledSignal(x, stream.fs, stream.windows)
 
 
 def _draw_workers() -> int:
@@ -202,73 +209,40 @@ def _draw_workers() -> int:
     return min(MAX_DRAW_WORKERS, cpus)
 
 
-class _DrawAhead:
-    """Slots' noise terms submitted to a pool up to ``width`` slots ahead of
-    the last slot taken; served only to the thread that opened the block."""
+def slot_terms(
+    cfg: NoiseConfig, q: int, fs: float, period: int, slots: range
+) -> Iterator[list[np.ndarray]]:
+    """``_slot_terms`` of each of ``slots`` in turn, for ``add_terms``.
 
-    def __init__(
-        self, pool, width: int, cfg: NoiseConfig, q: int, fs: float, n: int, period: int
-    ):
-        self.pool = pool
-        self.width = width
-        self.key = (cfg, q, fs, period)
-        self.n = n
-        self.owner = threading.get_ident()
-        self.pending: dict = {}
-        self.next = 0
-        self._submit_through(width - 1)
-
-    def _submit_through(self, last: int) -> None:
-        cfg, q, fs, period = self.key
-        while self.next < self.n and self.next <= last:
-            # buffers come from this thread's heap, not from a worker's arena
-            buffers = [np.empty(q) for _ in range(_term_count(cfg))]
-            self.pending[self.next] = self.pool.submit(
-                _slot_terms, cfg, q, fs, self.next, period, buffers
-            )
-            self.next += 1
-
-    def take(
-        self, cfg: NoiseConfig, q: int, fs: float, period: int, slot_index: int
-    ) -> list | None:
-        if threading.get_ident() != self.owner or (cfg, q, fs, period) != self.key:
-            return None
-        future = self.pending.pop(slot_index, None)
-        if future is None:
-            return None
-        self._submit_through(slot_index + self.width)
-        return future.result()
-
-
-_DRAWN: ContextVar[_DrawAhead | None] = ContextVar("caossim_drawn_noise", default=None)
-
-
-@contextmanager
-def draws_ahead(cfg: NoiseConfig, q: int, fs: float, n: int, period: int | None = None):
-    """Draw the stochastic terms of slots 0..n-1 ahead on a thread pool.
-
-    While the caller works on slot i, W workers draw slots i+1..i+W at q
-    samples and reduce each term to its mean over windows of ``period``
-    samples (default q: no reduction), at most W * terms * 8 * q bytes in
-    flight.  ``add_noise(stream, cfg, i)`` on this thread takes slot i's
-    terms when (cfg, q, fs, period) match the stream; any other call draws
-    inline.  Draws are keyed by (seed, slot), so the results are
-    bit-identical either way.  With W < 2, fewer than two slots or no
-    stochastic noise, no thread is started.  On exit, also by an exception,
-    the workers finish the draws in flight and are joined.
+    With W = ``_draw_workers()`` >= 2, two or more slots and a stochastic
+    term, a pool of W threads draws up to W slots ahead of the slot last
+    yielded, into buffers allocated on the calling thread: at most
+    W * terms * 8 * q bytes in flight.  A worker's exception is raised at
+    its slot.  When the generator ends or is closed, the draws in flight
+    finish and the pool is joined.  Otherwise each slot is drawn inline
+    and no thread starts.  Draws are keyed by (seed, slot), so the terms
+    are bit-identical either way.
     """
-    width = _draw_workers()
-    if width < 2 or n < 2 or not _term_count(cfg):
-        yield
+    width, count = _draw_workers(), _term_count(cfg)
+    if width < 2 or len(slots) < 2 or not count:
+        for i in slots:
+            yield _slot_terms(cfg, q, fs, i, period)
         return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(width, thread_name_prefix="caossim-noise") as pool:
-        token = _DRAWN.set(_DrawAhead(pool, width, cfg, q, fs, n, period or q))
-        try:
-            yield
-        finally:
-            _DRAWN.reset(token)
+        todo = iter(slots)
+
+        def submit(i: int):
+            # buffers come from this thread's heap, not from a worker's arena
+            buffers = [np.empty(q) for _ in range(count)]
+            return pool.submit(_slot_terms, cfg, q, fs, i, period, buffers)
+
+        ahead = deque(submit(i) for i in islice(todo, width))
+        while ahead:
+            future = ahead.popleft()
+            ahead.extend(submit(i) for i in islice(todo, 1))
+            yield future.result()
 
 
 def quantize(stream: SampledSignal, cfg: AdcConfig) -> tuple[SampledSignal, int]:

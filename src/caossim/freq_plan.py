@@ -90,7 +90,8 @@ class ValidationReport:
     """Per-frequency audit findings; passes iff every hard-flag list is empty.
 
     below_mains_guard is a warning list: it mirrors a practical layout rule,
-    not a mathematical one, and does not affect the verdict.
+    not a mathematical one, and does not affect the verdict.  on_mains_bin
+    lists the carriers whose bin the simulated mains tone hits.
     """
 
     frequencies: tuple[float, ...]
@@ -98,6 +99,7 @@ class ValidationReport:
     not_power_of_two_ladder: tuple[float, ...]
     odd_harmonic_collision: tuple[HarmonicCollision, ...]
     below_mains_guard: tuple[float, ...]
+    on_mains_bin: tuple[float, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -105,12 +107,13 @@ class ValidationReport:
             self.not_multiple_of_delta_f
             or self.not_power_of_two_ladder
             or self.odd_harmonic_collision
+            or self.on_mains_bin
         )
 
     def flagged_indices(self) -> tuple[int, ...]:
         """Positions (0-based) of input frequencies carrying a hard flag."""
         bad = set(self.not_multiple_of_delta_f) | set(self.not_power_of_two_ladder)
-        bad |= {c.frequency for c in self.odd_harmonic_collision}
+        bad |= {c.frequency for c in self.odd_harmonic_collision} | set(self.on_mains_bin)
         return tuple(i for i, f in enumerate(self.frequencies) if f in bad)
 
     def summary(self) -> str:
@@ -125,6 +128,8 @@ class ValidationReport:
             lines.append(
                 f"  {c.frequency} Hz: collides with harmonic {c.harmonic} of {c.source} Hz"
             )
+        for f in self.on_mains_bin:
+            lines.append(f"  {f} Hz: on the bin of the mains tone (noise.mains_freq)")
         for f in self.below_mains_guard:
             lines.append(f"  {f} Hz: warning, at or below {MAINS_GUARD_HZ:g} Hz mains")
         return "\n".join(lines)
@@ -191,14 +196,19 @@ def validate_plan(
     delta_f: float,
     fs: float,
     max_harmonic: int = DEFAULT_MAX_HARMONIC,
+    *,
+    mains_hz: float | None = None,
 ) -> ValidationReport:
     """Audit a carrier set against the whole-cycle and no-collision rules.
 
     Flags, per frequency: (a) not an integer multiple of delta_f, (b) fs/f
     is not a whole power of two >= 4, (c) coinciding, after alias folding
     about fs, with an odd harmonic h >= 1 (h = 1: the same bin) of another
-    bin-exact member.  A collision is charged to the channel whose bin is
-    hit, with the lowest such h.  Findings are sorted by frequency, so the
+    bin-exact member, (d) with ``mains_hz``, a mains tone on a whole bin
+    that folds onto the carrier's bin.  The tone is a pure sine, so only
+    its fundamental can land on a bin.  A collision is charged to the
+    channel whose bin is hit, with the lowest such h.  Findings are sorted
+    by frequency, so the
     report is independent of input order.  A report is always produced,
     unless fs is not a whole multiple of delta_f or max_harmonic < 1, which
     would skip even the same-bin test (ValueError).
@@ -230,6 +240,8 @@ def validate_plan(
         ]
     collisions.sort()
 
+    tone = None if mains_hz is None else whole_number(mains_hz / delta_f)
+    on_tone = [] if tone is None else [freqs[i] for i, b in bins.items() if b == fold_bin(tone, q)]
     mains = tuple(sorted(f for f in freqs if f <= MAINS_GUARD_HZ))
     return ValidationReport(
         frequencies=freqs,
@@ -237,6 +249,7 @@ def validate_plan(
         not_power_of_two_ladder=tuple(ladder_breaks),
         odd_harmonic_collision=tuple(collisions),
         below_mains_guard=mains,
+        on_mains_bin=tuple(sorted(on_tone)),
     )
 
 

@@ -7,12 +7,12 @@ long acquisitions never hold every stream in memory.  It is encoded as one
 array (``encoder.encode_block``) and read by one fold and one batched real
 FFT along its rows (``decoder.decode_block``), whose estimates go straight
 into the image.  Between them every frame, a TDMA block or a CDMA band's
-stream as a one-row block, passes one step (``_impair``): each row gets its
-own slot's ``add_noise``, in slot order, then one ``quantize`` reads the
-block.  The ADC acts sample by sample and a batched FFT gives each row the
-bits of its own transform, so a run is the slot-by-slot pipeline
-encode_slot -> add_noise -> quantize -> decode_slot_free bit for bit,
-wherever the block boundaries fall.  A slot is read from its carrier
+stream as a one-row block, passes one step (``_impair``): ``add_terms``
+adds the block's noise in place, each row its own slot's terms, then one
+``quantize`` reads the block.  The ADC acts sample by sample and a batched
+FFT gives each row the bits of its own transform, so a run is the
+slot-by-slot pipeline encode_slot -> add_noise -> quantize ->
+decode_slot_free bit for bit, wherever the block boundaries fall.  A slot is read from its carrier
 bins, which depend on the Q-sample stream only through its average over
 windows of L = Q / gcd(Q, carrier bins) samples, one period of every
 carrier.  So unless the ADC, ``spectra.csv`` or a permissive plan needs
@@ -22,13 +22,14 @@ term (``SampledSignal.windows`` = Q / L), else the raw Q-sample stream
 permissive run without the ADC or spectra forms no slot stream: the
 readout is linear, so a block's carrier coefficients are its carriers'
 unit responses, read once per run, weighted by its pixel irradiances,
-plus the readout of its slots' noise-only rows (``_superposed``).  Only
-the noise draw runs ahead: inside ``channel.draws_ahead`` a small thread
-pool draws the Gaussian terms of the next few slots (CDMA frames) while
-the current one is processed.  The counter-based noise keying makes the
-result independent of processing order and of that pool, and all output
-files are written with stable formatting, so a rerun of the same scenario
-is byte-identical.
+plus the readout of its slots' noise-only rows (``_superposed``).  Each
+run loop consumes one ``channel.slot_terms`` iterator, a block's rows at
+a time, in slot order (a CDMA band is one slot).  Only the noise draw runs
+ahead: the iterator's small thread pool draws the next few slots' terms
+while the current block is processed.  The counter-based noise keying
+makes the result independent of processing order and of that pool, and
+all output files are written with stable formatting, so a rerun of the
+same scenario is byte-identical.
 """
 
 from __future__ import annotations
@@ -36,14 +37,16 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio, metrics
-from .channel import add_noise, draws_ahead, quantize
 # names marked "traced" are not called here; perfbench/tracing.py wraps them
+from .channel import add_noise, add_terms, quantize, slot_terms  # add_noise: traced
 from .decoder import (
     DecodedImage,
     assemble_image,  # traced
@@ -248,21 +251,24 @@ def _superposed(
 
 
 def _impair(
-    rows: np.ndarray, first: int, noise_cfg, adc_cfg, fs: float, windows: int = 1
+    rows: np.ndarray, noise, noise_cfg, adc_cfg, fs: float, windows: int = 1
 ) -> tuple[np.ndarray, int]:
-    """Noise, then the ADC, for a block of frames: row s gets frame first + s's
-    ``add_noise`` in place (none on a silent channel, where it would copy the
-    row), then one ``quantize`` reads the block.  Returns it and its clips."""
+    """Noise, then the ADC, for a block of frames: the block takes the next
+    len(rows) slots' terms from the run's ``slot_terms`` iterator ``noise`` and
+    ``add_terms`` adds them in place (a silent channel takes and adds nothing),
+    then one ``quantize`` reads the block.  Returns it and its clips."""
     if not noise_cfg.is_silent:
-        for i, row in enumerate(rows, first):
-            row[:] = add_noise(SampledSignal(row, fs, windows), noise_cfg, slot_index=i).samples
+        add_terms(rows, islice(noise, len(rows)), noise_cfg, fs, windows)
     stream, clipped = quantize(SampledSignal(rows.ravel(), fs, windows), adc_cfg)
     return stream.samples.reshape(rows.shape), clipped
 
 
 def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     plan = _build_plan(scenario)
-    report = validate_plan(plan.channels, plan.delta_f, plan.fs)
+    noise_cfg = scenario.noise_config()
+    # a mains tone on a carrier's bin adds to its reading
+    mains_hz = noise_cfg.mains_freq if noise_cfg.mains_amplitude else None
+    report = validate_plan(plan.channels, plan.delta_f, plan.fs, mains_hz=mains_hz)
     # a passing audit implies every carrier check of synth_square and decode_slot
     if not report.passed and not scenario.permissive:
         raise PlanRejectedError(report)
@@ -276,7 +282,6 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
               for first, freqs, pixels in schedule_runs(grid.num_pixels, plan)
               for s in range(0, len(pixels), rows)]
     flat = scene.irradiance.ravel()
-    noise_cfg = scenario.noise_config()
     adc_cfg = scenario.adc_config(
         auto_full_scale=FULL_SCALE_HEADROOM * max(_stream_peak(flat, blocks), 1e-12)
     )
@@ -289,19 +294,19 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     slot_of = np.empty(grid.num_pixels, dtype=np.intp)
     spectra = np.empty((window.Q // 2 + 1, nslots)) if scenario.write_spectra else None
     clip_total = 0
-    with draws_ahead(noise_cfg, window.Q, window.fs, nslots, period):
+    with closing(slot_terms(noise_cfg, window.Q, window.fs, period, range(nslots))) as noise:
         for first, freqs, pixels in blocks:
             slots = range(first, first + len(pixels))
             if superposed:
                 coeffs = _superposed(flat[pixels], freqs, window, responses)
                 if not noise_cfg.is_silent:
-                    noise, _ = _impair(np.zeros((len(pixels), window.Q)), first, noise_cfg,
-                                       adc_cfg, window.fs)
-                    coeffs += block_coefficients(noise, window.fs, freqs)
+                    rows, _ = _impair(np.zeros((len(pixels), window.Q)), noise, noise_cfg,
+                                      adc_cfg, window.fs)
+                    coeffs += block_coefficients(rows, window.fs, freqs)
                 est[pixels] = block_estimates(coeffs, freqs, window.Q, window.fs)
             else:
                 block = encode_block(scene, pixels, freqs, window, not scenario.permissive, period)
-                block, clipped = _impair(block, first, noise_cfg, adc_cfg, window.fs, windows)
+                block, clipped = _impair(block, noise, noise_cfg, adc_cfg, window.fs, windows)
                 clip_total += clipped
                 if spectra is not None:
                     spectra[:, slots.start : slots.stop] = np.abs(np.fft.rfft(block, axis=-1)).T
@@ -359,13 +364,13 @@ def _run_cdma(scenario: Scenario, grid: CaosGrid) -> RunReport:
 
     run_report = RunReport(scenario=scenario)
     q = spec.code_length * spec.samples_per_bit
-    with draws_ahead(noise_cfg, q, cfg.fs, len(band_scenes)):
-        for i, (band, scene) in enumerate(band_scenes):
+    with closing(slot_terms(noise_cfg, q, cfg.fs, q, range(len(band_scenes)))) as noise:
+        for band, scene in band_scenes:
             frame = encode_cdma(scene, assignment, cfg).samples
             peak = max(float(frame.max()), 1e-12)
             adc_cfg = scenario.adc_config(auto_full_scale=FULL_SCALE_HEADROOM * peak)
             # a one-row block: band i's frame is noise slot i
-            (frame,), clipped = _impair(frame[None], i, noise_cfg, adc_cfg, cfg.fs)
+            (frame,), clipped = _impair(frame[None], noise, noise_cfg, adc_cfg, cfg.fs)
             run_report.clip_count += clipped
             image = decode_cdma(SampledSignal(frame, cfg.fs), assignment, cfg, grid)
             run_report.scenes.append(scene)

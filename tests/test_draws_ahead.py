@@ -1,20 +1,21 @@
 """Noise drawn ahead on a thread pool must not change a single bit.
 
-``channel.draws_ahead`` draws the stochastic terms of the next W slots on
-worker threads while the calling thread processes the current slot.  The
-draws are keyed by (seed, slot), so every run here must equal the run that
-draws every slot inline, at any pool size, and a failing run must leave no
-worker thread behind.
+``channel.slot_terms`` yields a run's slot terms in slot order, its pool
+drawing up to W slots ahead of the slot last yielded while the calling
+thread processes the current block.  The draws are keyed by (seed, slot),
+so every run here must equal the run that draws every slot inline, at any
+pool size, and a failing or abandoned iterator must leave no worker thread
+behind.
 """
 
-import contextlib
-import contextvars
 import dataclasses
 import filecmp
 import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 
 import caossim.channel
 import caossim.runner
-from caossim.channel import NoiseConfig, add_noise, draws_ahead
+from caossim.channel import NoiseConfig, add_noise, add_terms, slot_terms
 from caossim.cli import main
 from caossim.runner import run
 from caossim.scenario import load_preset, scenario_from_dict
@@ -74,8 +75,12 @@ SCENARIOS = {
 }
 
 
+def _inline_terms(cfg, q, fs, period, slots):
+    return (caossim.channel._slot_terms(cfg, q, fs, i, period) for i in slots)
+
+
 def _inline(monkeypatch):
-    monkeypatch.setattr(caossim.runner, "draws_ahead", lambda *a: contextlib.nullcontext())
+    monkeypatch.setattr(caossim.runner, "slot_terms", _inline_terms)
 
 
 def _workers(monkeypatch, w):
@@ -119,22 +124,23 @@ def test_noisy_scenarios_clip_and_write_spectra(inline_runs):
 @pytest.mark.parametrize("name", ["hdr66-fm", "cdma-all-noise"])
 def test_draws_run_on_the_pool_and_the_rest_on_the_caller(name, monkeypatch):
     _workers(monkeypatch, 2)
-    draws, noise_calls = [], []
-    original_terms, original_noise = caossim.channel._noise_terms, caossim.runner.add_noise
+    draws, added = [], []
+    original_terms, original_add = caossim.channel._noise_terms, caossim.runner.add_terms
 
     def recording_terms(cfg, q, fs, slot_index, out=None):
         draws.append((slot_index, threading.current_thread().name))
         return original_terms(cfg, q, fs, slot_index, out)
 
-    def recording_noise(stream, cfg, slot_index):
-        noise_calls.append(threading.current_thread() is threading.main_thread())
-        return original_noise(stream, cfg, slot_index)
+    def recording_add(rows, terms, *args):
+        added.append((len(rows), threading.current_thread() is threading.main_thread()))
+        original_add(rows, terms, *args)
 
     monkeypatch.setattr(caossim.channel, "_noise_terms", recording_terms)
-    monkeypatch.setattr(caossim.runner, "add_noise", recording_noise)
+    monkeypatch.setattr(caossim.runner, "add_terms", recording_add)
     run(SCENARIOS[name]())
-    assert all(noise_calls) and len(noise_calls) > 1
-    assert sorted(i for i, _ in draws) == list(range(len(noise_calls)))
+    slots = sum(rows for rows, _ in added)
+    assert all(on_caller for _, on_caller in added) and slots > 1
+    assert sorted(i for i, _ in draws) == list(range(slots))
     assert all(thread.startswith("caossim-noise") for _, thread in draws)
 
 
@@ -212,7 +218,6 @@ def test_failing_run_propagates_and_joins_its_workers(monkeypatch):
             run(scenario)
     assert calls == [1] * 4
     assert threading.active_count() == baseline
-    assert caossim.channel._DRAWN.get() is None
     _assert_same_run(run(scenario), want)
 
 
@@ -224,17 +229,17 @@ CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("ahead", [False, True])
+def _noise_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("caossim-noise")]
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_add_noise_never_aliases_its_input(name, ahead, monkeypatch):
-    _workers(monkeypatch, 2)
+def test_add_noise_never_aliases_its_input(name):
     cfg, q, fs, n = CONFIGS[name], 256, 256.0, 5
     rng = np.random.default_rng(0)
     streams = [SampledSignal(rng.random(q), fs) for _ in range(n)]
     kept = [s.samples.copy() for s in streams]
-    block = draws_ahead(cfg, q, fs, n) if ahead else contextlib.nullcontext()
-    with block:
-        outs = [add_noise(s, cfg, i) for i, s in enumerate(streams)]
+    outs = [add_noise(s, cfg, i) for i, s in enumerate(streams)]
     for stream, before, out, i in zip(streams, kept, outs, range(n)):
         assert np.array_equal(stream.samples, before)
         assert not np.shares_memory(out.samples, stream.samples)
@@ -243,10 +248,26 @@ def test_add_noise_never_aliases_its_input(name, ahead, monkeypatch):
         assert not any(np.shares_memory(out.samples, o.samples) for o in outs[j + 1 :])
 
 
+@pytest.mark.parametrize("windows", [1, 4])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_a_block_gets_each_rows_add_noise(name, workers, windows, monkeypatch):
+    # add_terms on a block, fed by slot_terms, is add_noise on each row, bit for bit
+    _workers(monkeypatch, workers)
+    cfg, q, fs, n = CONFIGS[name], 256, 256.0, 5
+    period = q // windows
+    block = np.random.default_rng(0).random((n, period))
+    want = [add_noise(SampledSignal(row, fs, windows), cfg, i).samples
+            for i, row in enumerate(block)]
+    with closing(slot_terms(cfg, q, fs, period, range(n))) as terms:
+        add_terms(block, terms, cfg, fs, windows)
+    assert block.tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_add_noise_sums_in_the_order_it_always_has(name):
     # ((x + dark) + mains) + awgn) + pink, each term drawn from the slot's
-    # Philox stream; the pre-drawn path adds in place but keeps these bits
+    # Philox stream; add_terms adds in place but keeps these bits
     cfg, q, fs, slot = CONFIGS[name], 512, 512.0, 9
     x = np.random.default_rng(1).random(q)
     want = x.copy()
@@ -263,61 +284,72 @@ def test_add_noise_sums_in_the_order_it_always_has(name):
     assert got.tobytes() == want.tobytes()
 
 
-def test_drawn_terms_serve_only_the_thread_that_opened_the_block(monkeypatch):
+def test_a_workers_exception_surfaces_at_its_slot(monkeypatch):
     _workers(monkeypatch, 2)
-    cfg = CONFIGS["stochastic"]
-    x = SampledSignal(np.zeros(256), 256.0)
-    want = {i: add_noise(x, cfg, i).samples for i in (1, 2)}
-    got = {}
-
-    def in_copied_context(ctx, slot):
-        # a thread that inherits the block's context draws inline, also
-        # after the block has shut its pool down
-        run_slot = lambda: got.update({slot: ctx.run(add_noise, x, cfg, slot).samples})
-        t = threading.Thread(target=run_slot)
-        t.start()
-        t.join(timeout=60)
-        assert not t.is_alive()
-
-    with draws_ahead(cfg, 256, 256.0, 10):
-        ctx = contextvars.copy_context()
-        in_copied_context(ctx, 1)
-        assert np.array_equal(add_noise(x, cfg, 1).samples, want[1])
-    in_copied_context(ctx, 2)
-    assert sorted(got) == [1, 2]
-    assert all(np.array_equal(got[i], want[i]) for i in got)
-
-
-def test_mismatched_or_out_of_order_calls_draw_inline(monkeypatch):
-    _workers(monkeypatch, 3)
-    cfg = CONFIGS["stochastic"]
-    q, fs = 512, 512.0
-    x = SampledSignal(np.linspace(0.0, 1.0, q), fs)
-    want = {i: add_noise(x, cfg, i).samples for i in range(6)}
-    other = dataclasses.replace(cfg, seed=6)
-    with draws_ahead(cfg, q, fs, 6):
-        assert np.array_equal(add_noise(x, cfg, 4).samples, want[4])  # not drawn yet
-        assert np.array_equal(add_noise(x, other, 0).samples, add_noise(x, other, 0).samples)
-        for i in (0, 1, 1, 3, 2, 5, 4):
-            assert np.array_equal(add_noise(x, cfg, i).samples, want[i])
-        short = SampledSignal(x.samples[: q // 2], fs)
-        assert np.array_equal(
-            add_noise(short, cfg, 2).samples, add_noise(short, cfg, 2).samples
-        )
-
-
-def test_no_thread_without_stochastic_noise_or_a_second_cpu(monkeypatch):
     baseline = threading.active_count()
+    original = caossim.channel._noise_terms
+
+    def fail_at_slot_3(cfg, q, fs, slot_index, out=None):
+        if slot_index == 3:
+            raise RuntimeError("draw failed at slot 3")
+        return original(cfg, q, fs, slot_index, out)
+
+    monkeypatch.setattr(caossim.channel, "_noise_terms", fail_at_slot_3)
+    cfg = CONFIGS["stochastic"]
+    terms = slot_terms(cfg, 256, 256.0, 256, range(8))
+    for _ in range(3):
+        next(terms)
+    with pytest.raises(RuntimeError, match="slot 3"):
+        next(terms)
+    assert threading.active_count() == baseline
+
+
+def test_closing_the_iterator_early_joins_its_pool(monkeypatch):
+    _workers(monkeypatch, 2)
+    baseline = threading.active_count()
+    terms = slot_terms(CONFIGS["stochastic"], 256, 256.0, 256, range(10))
+    next(terms)
+    assert _noise_threads()
+    terms.close()
+    assert _noise_threads() == [] and threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_at_most_w_slots_are_drawn_beyond_the_slot_last_yielded(workers, monkeypatch):
+    _workers(monkeypatch, workers)
+    submitted = []
+    submit = ThreadPoolExecutor.submit
+
+    def recording_submit(pool, fn, cfg, q, fs, slot_index, *args):
+        submitted.append(slot_index)
+        return submit(pool, fn, cfg, q, fs, slot_index, *args)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", recording_submit)
+    n = 7
+    with closing(slot_terms(CONFIGS["stochastic"], 256, 256.0, 256, range(n))) as terms:
+        for yielded, _ in enumerate(terms):
+            assert max(submitted) == min(yielded + workers, n - 1)
+    assert submitted == list(range(n))
+
+
+def test_no_thread_without_stochastic_noise_a_second_cpu_or_two_slots(monkeypatch):
+    baseline = threading.active_count()
+
+    def draw_all(cfg, n):
+        with closing(slot_terms(cfg, 256, 256.0, 256, range(n))) as terms:
+            for _ in terms:
+                assert threading.active_count() == baseline
+
     _workers(monkeypatch, 4)
-    with draws_ahead(CONFIGS["dark-mains"], 256, 256.0, 10):
-        assert caossim.channel._DRAWN.get() is None
-        assert threading.active_count() == baseline
-    with draws_ahead(CONFIGS["stochastic"], 256, 256.0, 1):
-        assert caossim.channel._DRAWN.get() is None
+    draw_all(CONFIGS["dark-mains"], 10)
+    draw_all(CONFIGS["stochastic"], 1)
     _workers(monkeypatch, 1)
-    with draws_ahead(CONFIGS["stochastic"], 256, 256.0, 10):
-        assert caossim.channel._DRAWN.get() is None
-        assert threading.active_count() == baseline
+    draw_all(CONFIGS["stochastic"], 10)
+    # the positive case: two CPUs, ten slots and a stochastic term start the pool
+    _workers(monkeypatch, 2)
+    with closing(slot_terms(CONFIGS["stochastic"], 256, 256.0, 256, range(10))) as terms:
+        next(terms)
+        assert len(_noise_threads()) > 0
 
 
 def test_pool_size_follows_the_usable_cpus(monkeypatch):

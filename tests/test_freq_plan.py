@@ -170,6 +170,31 @@ class TestValidatePlan:
         assert report.not_power_of_two_ladder == ladder_breaks
 
 
+class TestMainsTone:
+    """A mains tone on a carrier's bin adds to that carrier's reading."""
+
+    @pytest.mark.parametrize("mains_hz", [128.0, 1024.0 - 128.0, 1024.0 + 128.0])
+    def test_tone_on_a_carrier_bin_fails_that_carrier(self, mains_hz):
+        # directly, or folded about fs from above fs/2 or from above fs
+        report = validate_plan([64.0, 128.0], delta_f=1.0, fs=1024.0, mains_hz=mains_hz)
+        assert not report.passed and report.on_mains_bin == (128.0,)
+        assert report.flagged_indices() == (1,)
+        assert "128.0 Hz: on the bin of the mains tone (noise.mains_freq)" in report.summary()
+
+    @pytest.mark.parametrize("mains_hz", [None, 50.0, 128.5, 128 / 3, 0.0, 256.0])
+    def test_tone_off_every_carrier_bin_passes(self, mains_hz):
+        # off the bin grid, on another whole bin, at DC, or no tone at all
+        report = validate_plan([64.0, 128.0], delta_f=1.0, fs=1024.0, mains_hz=mains_hz)
+        assert report.passed and report.on_mains_bin == ()
+        assert "mains tone" not in report.summary()
+
+    def test_tone_on_the_bin_grid_of_a_coarser_window(self):
+        # 50 Hz is off the 4 Hz grid, 52 Hz is bin 13 of it
+        assert validate_plan([52.0], delta_f=4.0, fs=65536.0, mains_hz=50.0).on_mains_bin == ()
+        report = validate_plan([52.0], delta_f=4.0, fs=65536.0, mains_hz=52.0)
+        assert report.on_mains_bin == (52.0,)
+
+
 def _float_fold(frequency, fs, delta_f):
     """The float fold of the earlier audit: fmod, reflect, round within 1e-6 of a bin."""
     r = math.fmod(frequency, fs)

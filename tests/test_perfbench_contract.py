@@ -76,4 +76,5 @@ def test_traced_run_with_draw_ahead_keeps_spans_on_the_calling_thread(monkeypatc
     assert tracer.nesting_errors(wall) == []
     assert tracer.originals_restored()
     assert tracer.stray_calls == 0
-    assert tracer.counts["channel.add_noise.calls"] == 8  # 15 pixels, 2 per slot
+    # 15 pixels, 2 per slot: a block of 7 full slots, then one of the short slot
+    assert tracer.counts["channel.quantize.calls"] == 2

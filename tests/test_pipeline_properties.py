@@ -29,12 +29,13 @@ import caossim.runner
 from caossim.channel import add_noise, quantize
 from caossim.decoder import assemble_image, block_coefficients, decode_slot_free
 from caossim.encoder import encode_slot, schedule_fdma_tdma
-from caossim.runner import FULL_SCALE_HEADROOM, run
+from caossim.runner import FULL_SCALE_HEADROOM, PlanRejectedError, run
 from caossim.scenario import load_preset, preset_names, scenario_from_dict
 from caossim.scene_optics import Scene
 from caossim.waveform import (
     SampledSignal,
     SamplingWindow,
+    fold_bin,
     fundamental_coefficient,
     whole_number,
 )
@@ -83,6 +84,25 @@ def tdma_docs(draw, mode=None, channels=None):
     }
 
 
+def _mains_on_a_carrier(scenario) -> bool:
+    """The drawn mains tone sits on a whole bin that folds onto a bin-exact carrier's bin."""
+    plan = caossim.runner._build_plan(scenario)
+    tone = whole_number(scenario.noise.mains_freq / plan.delta_f)
+    carriers = {whole_number(f / plan.delta_f) for f in plan.channels}
+    return (scenario.noise.mains_amplitude > 0 and tone is not None
+            and fold_bin(tone, plan.Q) in carriers)
+
+
+def _rejected_for_mains(scenario) -> bool:
+    """Whether the plan audit stops this strict run for its mains tone on a carrier's bin.
+    Such a draw is not filtered out: the run must raise, naming noise.mains_freq."""
+    if scenario.permissive or not _mains_on_a_carrier(scenario):
+        return False
+    with pytest.raises(PlanRejectedError, match="noise.mains_freq"):
+        run(scenario)
+    return True
+
+
 def _read_rows(doc) -> tuple:
     """The run's report and the length of every slot row it decoded."""
     seen = []
@@ -101,6 +121,8 @@ def _read_rows(doc) -> tuple:
 @PROPERTY
 @given(tdma_docs())
 def test_averaged_readout_matches_the_raw_readout(doc):
+    if _rejected_for_mains(scenario_from_dict(doc)):
+        return
     averaged, lengths = _read_rows(doc)
     raw, raw_lengths = _read_rows(dict(doc, write_spectra=True))
     # carriers on bins 2**(m-1) .. : one period of the slowest is Q / 2**(m-1) samples
@@ -137,6 +159,9 @@ def test_rounding_noise_prints_alike():
 @given(tdma_docs(mode="fdma-tdma", channels=1), st.booleans())
 def test_fm_tdma_is_one_channel_fdma_tdma_bit_for_bit(doc, raw):
     doc = dict(doc, write_spectra=raw)
+    if _rejected_for_mains(scenario_from_dict(doc)):
+        assert _rejected_for_mains(scenario_from_dict(dict(doc, mode="fm-tdma")))
+        return
     fdma = run(scenario_from_dict(doc))
     fm = run(scenario_from_dict(dict(doc, mode="fm-tdma")))
     assert fm.image.estimates.tobytes() == fdma.image.estimates.tobytes()
@@ -150,6 +175,8 @@ def test_fm_tdma_is_one_channel_fdma_tdma_bit_for_bit(doc, raw):
 @given(tdma_docs())
 def test_pool_width_changes_no_bit_of_the_averaged_readout(doc):
     scenario = scenario_from_dict(doc)
+    if _rejected_for_mains(scenario):
+        return
     runs = []
     for width in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
@@ -396,13 +423,29 @@ OFF_GRID_EVEN_BINS = {
 }
 
 
+# a 0.1 mains tone on the one carrier's bin: the audit stops a strict run
+MAINS_ON_A_CARRIER = {
+    "mode": "fdma-tdma", "grid": {"rows": 1, "cols": 2},
+    "target": {"kind": "explicit", "values": [[0.5, 0.25]]},
+    "plan": {"T": 1.0, "p": 10, "m": 8, "P": 1},
+    "noise": {"mains_amplitude": 0.1, "mains_freq": 128.0},
+}
+
+
 @settings(PROPERTY, max_examples=200)
 @given(block_docs())
 @example((OFF_GRID_EVEN_BINS, 1, None))
+@example((MAINS_ON_A_CARRIER, 1, None))
+@example((dict(MAINS_ON_A_CARRIER, plan={"T": 1.0, "p": 10, "frequencies": [128.0]},
+               permissive=True), 2, None))
 def test_block_run_is_the_slot_by_slot_pipeline_bit_for_bit(case):
     doc, width, block_rows = case
     scenario = scenario_from_dict(doc)
+    if _rejected_for_mains(scenario):
+        return
     report = _block_run(scenario, width, block_rows)
+    # a permissive run records the audit's finding instead
+    assert ("noise.mains_freq" in report.metrics_text) == _mains_on_a_carrier(scenario)
     image, clipped, spectra = _slot_by_slot(scenario)
     assert report.image.estimates.tobytes() == image.estimates.tobytes()
     assert report.image.slot_map.tobytes() == image.slot_map.tobytes()
@@ -478,7 +521,9 @@ def _rerun_of_resolved_config(scenario) -> None:
 @PROPERTY
 @given(tdma_docs())
 def test_resolved_config_reruns_the_same(doc):
-    _rerun_of_resolved_config(scenario_from_dict(doc))
+    scenario = scenario_from_dict(doc)
+    if not _rejected_for_mains(scenario):
+        _rerun_of_resolved_config(scenario)
 
 
 @pytest.mark.parametrize("name", preset_names())

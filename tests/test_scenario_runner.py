@@ -6,6 +6,7 @@ import json
 import re
 import typing
 import warnings
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -645,6 +646,36 @@ def _explicit_plan(freqs, permissive=False):
     })
 
 
+class TestMainsOnACarrierBin:
+    """A 0.1 mains tone on the one carrier's bin reads +29% and +58% on this scene, where
+    one at 50 Hz, off every carrier bin, adds nothing."""
+
+    DOC = {
+        "mode": "fm-tdma",
+        "grid": {"rows": 1, "cols": 2},
+        "target": {"kind": "explicit", "values": [[0.5, 0.25]]},
+        "plan": {"T": 1.0, "p": 10, "frequencies": [128.0]},
+        "noise": {"mains_amplitude": 0.1, "mains_freq": 128.0},
+    }
+
+    def test_strict_run_is_rejected_naming_the_mains_frequency(self):
+        with pytest.raises(PlanRejectedError, match=r"noise\.mains_freq") as err:
+            run(scenario_from_dict(self.DOC))
+        assert err.value.report.on_mains_bin == (128.0,)
+
+    def test_permissive_run_records_the_finding(self):
+        report = run(scenario_from_dict(dict(self.DOC, permissive=True)))
+        assert "128.0 Hz: on the bin of the mains tone (noise.mains_freq)" in report.metrics_text
+        np.testing.assert_allclose(report.image.estimates, [[0.644091, 0.39578]], rtol=1e-5)
+
+    @pytest.mark.parametrize("noise", [{"mains_amplitude": 0.1, "mains_freq": 50.0},
+                                       {"mains_amplitude": 0.0, "mains_freq": 128.0}])
+    def test_tone_off_the_bin_or_silent_passes(self, noise):
+        report = run(scenario_from_dict(dict(self.DOC, noise=noise)))
+        assert report.validation.passed
+        np.testing.assert_allclose(report.image.estimates, [[0.5, 0.25]], rtol=1e-12)
+
+
 class TestIntegerBins:
     def test_two_carriers_on_one_bin_are_rejected_by_a_strict_run(self):
         with pytest.raises(PlanRejectedError, match="collides with harmonic 1 of 64.0 Hz"):
@@ -671,31 +702,43 @@ SILENT_RUNS = {
 SLOTS = {"fdma-tdma": 3, "cdma": 1, "cdma-spectral-line": 2}
 
 
-class TestSilentChannel:
-    """A silent channel skips add_noise, whose result would copy the encoded stream."""
+def _noise_run(doc):
+    """The run's report and what it did with noise: each ``slot_terms`` iterator it opened
+    (q, period, slots), the slots whose terms it took from them, in the order taken, and each
+    ``add_terms`` call's (block shape, windows)."""
+    noise = {"opened": [], "taken": [], "added": []}
+    slot_terms, add_terms = caossim.runner.slot_terms, caossim.runner.add_terms
 
-    @staticmethod
-    def _counted_run(doc, monkeypatch):
-        calls = []
-        original = caossim.runner.add_noise
+    def recording_terms(cfg, q, fs, period, slots):
+        noise["opened"].append((q, period, slots))
+        with closing(slot_terms(cfg, q, fs, period, slots)) as terms:
+            for i, slot in zip(slots, terms):
+                noise["taken"].append(i)
+                yield slot
 
-        def counting(stream, cfg, slot_index):
-            calls.append(slot_index)
-            return original(stream, cfg, slot_index)
+    def recording_add(rows, terms, cfg, fs, windows=1):
+        noise["added"].append((rows.shape, windows))
+        add_terms(rows, terms, cfg, fs, windows)
 
-        monkeypatch.setattr(caossim.runner, "add_noise", counting)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(caossim.runner, "slot_terms", recording_terms)
+        mp.setattr(caossim.runner, "add_terms", recording_add)
         report = run(scenario_from_dict(doc))
-        monkeypatch.setattr(caossim.runner, "add_noise", original)
-        return report, calls
+    return report, noise
+
+
+class TestSilentChannel:
+    """A silent channel takes no slot's noise terms and adds nothing to its streams."""
 
     @pytest.mark.parametrize("name", SILENT_RUNS)
     def test_silent_run_makes_no_noise_call_and_matches_the_noise_path(self, name, monkeypatch):
-        report, calls = self._counted_run(SILENT_RUNS[name], monkeypatch)
-        assert calls == []
-        # forced through add_noise, the run gives the same bits
+        report, noise = _noise_run(SILENT_RUNS[name])
+        assert (noise["taken"], noise["added"]) == ([], [])
+        # forced through add_terms, the run gives the same bits
         monkeypatch.setattr(caossim.channel.NoiseConfig, "is_silent", property(lambda _: False))
-        forced, forced_calls = self._counted_run(SILENT_RUNS[name], monkeypatch)
-        assert forced_calls == list(range(SLOTS[name]))
+        forced, forced_noise = _noise_run(SILENT_RUNS[name])
+        assert forced_noise["taken"] == list(range(SLOTS[name]))
+        assert sum(shape[0] for shape, _ in forced_noise["added"]) == SLOTS[name]
         for a, b in zip(report.images, forced.images, strict=True):
             assert a.estimates.tobytes() == b.estimates.tobytes()
         assert (report.spectra is None) == (name != "fdma-tdma")
@@ -706,9 +749,12 @@ class TestSilentChannel:
     @pytest.mark.parametrize("noise", [{"awgn_sigma": 1e-3}, {"dark_offset": 0.1},
                                        {"mains_amplitude": 0.01}])
     @pytest.mark.parametrize("name", SILENT_RUNS)
-    def test_noisy_run_makes_one_noise_call_per_slot(self, name, noise, monkeypatch):
-        _, calls = self._counted_run(dict(SILENT_RUNS[name], noise=noise), monkeypatch)
-        assert calls == list(range(SLOTS[name]))
+    def test_noisy_run_makes_one_noise_call_per_slot(self, name, noise):
+        # each slot's terms are taken once, in slot order, and added to one row
+        _, got = _noise_run(dict(SILENT_RUNS[name], noise=noise))
+        assert [slots for _, _, slots in got["opened"]] == [range(SLOTS[name])]
+        assert got["taken"] == list(range(SLOTS[name]))
+        assert sum(shape[0] for shape, _ in got["added"]) == SLOTS[name]
 
     @pytest.mark.parametrize("block_rows", [None, 10])
     def test_silent_adc_off_run_makes_one_adc_call_per_block(self, block_rows, monkeypatch):
@@ -740,8 +786,9 @@ class TestAveragedReadout:
 
     @staticmethod
     def _recorded_run(doc, monkeypatch):
-        """The run's report; each block row's (length, period the encoder synthesised),
-        or, for a 1x1 unit scene, its carrier; and each decoded row's length."""
+        """The run's noise record (``_noise_run``); each block row's (length, period the
+        encoder synthesised), or, for a 1x1 unit scene, its carrier; and each decoded row's
+        length."""
         encoded, decoded, synthesised = [], [], []
         encode, decode = caossim.runner.encode_block, caossim.runner.decode_block
         mask = caossim.encoder._carrier_mask
@@ -766,9 +813,9 @@ class TestAveragedReadout:
         monkeypatch.setattr(caossim.encoder, "_carrier_mask", recording_mask)
         monkeypatch.setattr(caossim.runner, "encode_block", recording_encode)
         monkeypatch.setattr(caossim.runner, "decode_block", recording_decode)
-        report = run(scenario_from_dict(doc))
+        _, noise = _noise_run(doc)
         monkeypatch.undo()
-        return report, encoded, decoded
+        return noise, encoded, decoded
 
     def test_slots_are_encoded_and_read_over_one_carrier_period(self, monkeypatch):
         # carriers on bins 64..512 of Q = 4096: L = 4096 / 64
@@ -783,24 +830,22 @@ class TestAveragedReadout:
         assert encoded == [(4096, 64), (4096, 64)] and decoded == [4096, 4096]
 
     def test_a_permissive_run_encodes_no_slot_and_reads_its_noise_at_q(self, monkeypatch):
-        noise_streams, read = [], []
-        noise, coefficients = caossim.runner.add_noise, caossim.runner.block_coefficients
-
-        def recording_noise(stream, cfg, slot_index):
-            noise_streams.append((len(stream), stream.windows, slot_index))
-            return noise(stream, cfg, slot_index)
+        read = []
+        coefficients = caossim.runner.block_coefficients
 
         def recording_coefficients(rows, fs, freqs):
             read.append(rows.shape)
             return coefficients(rows, fs, freqs)
 
-        monkeypatch.setattr(caossim.runner, "add_noise", recording_noise)
         monkeypatch.setattr(caossim.runner, "block_coefficients", recording_coefficients)
-        _, encoded, decoded = self._recorded_run(dict(NOISY_FDMA, permissive=True), monkeypatch)
+        noise, encoded, decoded = self._recorded_run(dict(NOISY_FDMA, permissive=True),
+                                                     monkeypatch)
         # no slot of the scene is encoded: only one 1x1 unit carrier row per carrier
         assert encoded == [("unit", 1.0, (1, 1), f) for f in (64.0, 128.0, 256.0, 512.0)]
         assert decoded == []
-        assert noise_streams == [(4096, 1, 0), (4096, 1, 1)]
+        # both slots' terms are drawn and added at Q samples, to one block of noise-only rows
+        assert noise == {"opened": [(4096, 4096, range(2))], "taken": [0, 1],
+                         "added": [((2, 4096), 1)]}
         # both slots drive the same 4 carriers: 4 unit responses, then one read of the
         # block of both slots' noise
         assert read == [(1, 4096)] * 4 + [(2, 4096)]
