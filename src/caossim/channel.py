@@ -45,6 +45,8 @@ ADC_BITS = range(2, 25)
 # to brown (2); past those ends f**(-e/2) overflows, or the term collapses onto bin 1
 NONNEGATIVE = {"rule": ("nonnegative", lambda v: v >= 0)}
 SLOPE = {"rule": ("in 0..2", lambda v: 0 <= v <= 2)}
+# a seed is the first Philox key word, so two seeds draw the same noise only if they are equal
+SEED = {"rule": ("in 0..2**64-1", lambda v: 0 <= v < 2**64)}
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class NoiseConfig:
     pink_exponent: float = field(default=1.0, metadata=SLOPE)
     pink_sigma: float = field(default=0.0, metadata=NONNEGATIVE)
     dark_offset: float = field(default=0.0, metadata=NONNEGATIVE)
-    seed: int = 0
+    seed: int = field(default=0, metadata=SEED)
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -92,7 +94,7 @@ class AdcConfig:
 
 
 def _slot_rng(seed: int, slot_index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, slot_index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    key = np.array([seed, slot_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -95,6 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_plan(args: argparse.Namespace) -> int:
     if args.plan_command == "generate":
         plan = design_plan(args.T, args.p, args.m, args.P)
+        note = validate_plan(plan.channels, plan.delta_f, plan.fs).mains_guard_note()
+        if note:
+            print(f"warning: {note}", file=sys.stderr)
         if args.json:
             print(json.dumps(dataclasses.asdict(plan), indent=2, sort_keys=True))
         else:

@@ -122,10 +122,9 @@ class WalshAssignment:
         rows = list(self.pixel_to_row.values())
         if len(set(rows)) != len(rows):
             raise ValueError("code rows must be unique")
+        # unique rows in 1..L-1 are at most L-1, one per pixel
         if any(not 1 <= r < L for r in rows):
             raise ValueError("code rows must lie in 1..L-1 (row 0 is reserved)")
-        if len(rows) > L - 1:
-            raise ValueError("more pixels than available code rows")
 
     @classmethod
     def sequential(cls, n_pixels: int, code_length: int) -> "WalshAssignment":

@@ -1,9 +1,11 @@
 """Portable, diffable file formats: CSV matrices and 16-bit binary PGM.
 
 CSV is the authoritative linear-value store (full float64 round-trip via
-repr-style formatting).  PGM is a display rendering normalized to the
-image maximum, with an optional log10 scaling for HDR viewing; it never
-replaces the CSV data.
+repr-style formatting).  ``write_matrix_csv`` is the one function that
+formats CSV text: every CSV a run writes (scenes, decoded images, spectra
+and the patch report) goes through it, row by row.  PGM is a display
+rendering normalized to the image maximum, with an optional log10 scaling
+for HDR viewing; it never replaces the CSV data.
 """
 
 from __future__ import annotations
@@ -26,46 +28,38 @@ LOG_FLOOR_DECADES = 8.0
 CSV_BLOCK_CELLS = 1024
 
 
-def _write_csv(path: str | Path, matrix: np.ndarray, header: str | None = None) -> None:
-    """Rows of float64 values in repr form (exact round trip), one line each.
+def write_matrix_csv(path: str | Path, matrix: np.ndarray, header: str | None = None) -> None:
+    """Rows of float64 values in repr form (exact round trip), one line each, under an
+    optional header line.
 
-    One cell rule: an exact +0.0 (the one float64 whose bits are all zero)
-    writes "0.0", which is its repr; every other value, -0.0, nan, +-inf
-    and subnormals included, goes through repr.  A spectrum of 50%-duty
-    carriers is mostly exact zeros (its even harmonics), so only its
-    nonzero cells pay for repr, and in one column a run of zero rows is
-    one repeated "0.0\n" string.  Lines are joined into one string per
-    block of whole rows, about CSV_BLOCK_CELLS cells at a time: a whole
-    32769-row spectrum or a large image at once would hold megabytes of
-    strings.
+    A row of exact +0.0 (no set bit) is the cached string "0.0,...,0.0\\n", repeated for
+    a run of such rows; every other row is ",".join(map(repr, row)).  repr(+0.0) is
+    "0.0", so the two agree, and -0.0, nan, +-inf and subnormals go through repr.  A
+    spectrum of 50%-duty carriers is mostly zero rows (its even harmonics), so only its
+    set rows pay for repr.  Memory bound: one write holds the whole rows of one block,
+    max(1, CSV_BLOCK_CELLS // columns) of them, zero runs included; that is about
+    CSV_BLOCK_CELLS cells, or one row when a row is wider.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    cols = m.shape[1]
-    block_rows = max(1, CSV_BLOCK_CELLS // max(cols, 1))
+    nrows, cols = m.shape
+    block = max(1, CSV_BLOCK_CELLS // max(cols, 1))
+    zero = ",".join(["0.0"] * cols) + "\n"
+    set_rows = m.view(np.uint64).any(axis=1).nonzero()[0]
+    # set_rows[bounds[k]:bounds[k + 1]] are the set rows of block k
+    bounds = set_rows.searchsorted(range(0, nrows + block, block)).tolist()
     with open(path, "w", encoding="ascii") as fh:
         if header is not None:
             fh.write(header + "\n")
-        for start in range(0, m.shape[0], block_rows):
-            block = m[start : start + block_rows]
-            flat = block.ravel()
-            set_bits = np.flatnonzero(flat.view(np.uint64))
-            if cols == 1:
-                pieces, row = [], 0
-                for i, v in zip(set_bits.tolist(), flat[set_bits].tolist()):
-                    pieces += ["0.0\n" * (i - row), f"{v!r}\n"]
-                    row = i + 1
-                pieces.append("0.0\n" * (flat.size - row))
-                fh.write("".join(pieces))
-                continue
-            cells = ["0.0"] * flat.size
-            for i, v in zip(set_bits.tolist(), flat[set_bits].tolist()):
-                cells[i] = repr(v)
-            cells = [",".join(cells[r * cols : (r + 1) * cols]) for r in range(len(block))]
-            fh.write("\n".join(cells) + "\n")
-
-
-def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
-    _write_csv(path, matrix)
+        for k, start in enumerate(range(0, nrows, block)):
+            rows = set_rows[bounds[k] : bounds[k + 1]]
+            cells = map(repr, m.take(rows, axis=0).ravel().tolist())
+            pieces, row = [], start
+            # zip(*[cells] * cols) deals the cells out in rows of `cols`
+            for r, text in zip(rows.tolist(), map(",".join, zip(*[cells] * cols))):
+                pieces += [zero * (r - row), text, "\n"]
+                row = r + 1
+            pieces.append(zero * (min(start + block, nrows) - row))
+            fh.write("".join(pieces))
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
@@ -111,6 +105,8 @@ def read_pgm16(path: str | Path) -> np.ndarray:
     if fields[0] != b"P5":
         raise ValueError("not a binary PGM file")
     width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if width < 1 or height < 1:
+        raise ValueError(f"PGM size must be positive, got {width}x{height}")
     if maxval != PGM_MAXVAL:
         raise ValueError(f"expected 16-bit PGM (maxval {PGM_MAXVAL}), got {maxval}")
     pos += 1  # single whitespace after maxval
@@ -134,5 +130,4 @@ def log_display(matrix: np.ndarray) -> np.ndarray:
 
 def write_columns_csv(path: str | Path, columns: np.ndarray) -> None:
     """A Q x S matrix with one column per slot, under a slot_<i> header."""
-    header = ",".join(f"slot_{i}" for i in range(columns.shape[1]))
-    _write_csv(path, columns, header)
+    write_matrix_csv(path, columns, ",".join(f"slot_{i}" for i in range(columns.shape[1])))

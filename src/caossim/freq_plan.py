@@ -19,7 +19,6 @@ arbitrary frequency set and reports every violation it finds.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -41,7 +40,8 @@ DEFAULT_MAX_HARMONIC = 63
 
 
 class MainsGuardWarning(UserWarning):
-    """Carrier at or below the AC mains fundamental; allowed but risky."""
+    """Carrier at or below the AC mains fundamental; allowed but risky.  A TDMA run warns
+    once from its plan's audit (``ValidationReport.mains_guard_note``)."""
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,13 @@ class ValidationReport:
         bad |= {c.frequency for c in self.odd_harmonic_collision} | set(self.on_mains_bin)
         return tuple(i for i, f in enumerate(self.frequencies) if f in bad)
 
+    def mains_guard_note(self) -> str:
+        """One line naming the carriers at or below the mains guard ('' when none is)."""
+        if not self.below_mains_guard:
+            return ""
+        low = ", ".join(f"{f:g} Hz" for f in self.below_mains_guard)
+        return f"carriers at or below the {MAINS_GUARD_HZ:g} Hz mains fundamental: {low}"
+
     def summary(self) -> str:
         lines = [f"verdict: {'pass' if self.passed else 'FAIL'}"]
         for name, entries in (
@@ -153,13 +160,6 @@ def design_plan(T: float, p: int, m: int, P: int) -> FrequencyPlan:
             "(fewer than 4 samples per period)"
         )
     f1 = 2.0 ** (m - 1) * window.delta_f
-    if f1 <= MAINS_GUARD_HZ:
-        warnings.warn(
-            f"lowest carrier {f1} Hz is at or below the {MAINS_GUARD_HZ:g} Hz mains "
-            "fundamental",
-            MainsGuardWarning,
-            stacklevel=2,
-        )
     return _plan(window, p, m, tuple(f1 * 2.0 ** (j - 1) for j in range(1, P + 1)))
 
 

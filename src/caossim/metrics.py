@@ -8,10 +8,13 @@ robustness number while honoring the word minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from . import fileio
 
 __all__ = [
     "dynamic_range_db",
@@ -106,16 +109,11 @@ class PatchReport:
 
     entries: tuple[PatchEntry, ...]
 
-    def to_csv(self) -> str:
-        lines = [
-            "designed_irradiance,measured_irradiance,designed_dr_db,measured_dr_db,min_snr"
-        ]
-        for e in self.entries:
-            lines.append(
-                f"{e.designed_irradiance!r},{e.measured_irradiance!r},"
-                f"{e.designed_dr_db!r},{e.measured_dr_db!r},{e.min_snr!r}"
-            )
-        return "\n".join(lines) + "\n"
+    def write_csv(self, path: str | Path) -> None:
+        """One row per entry under the PatchEntry field names, through the CSV writer."""
+        names = [f.name for f in fields(PatchEntry)]
+        rows = [[getattr(e, name) for name in names] for e in self.entries]
+        fileio.write_matrix_csv(path, rows, ",".join(names))
 
     def format_table(self) -> str:
         header = (

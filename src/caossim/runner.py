@@ -68,6 +68,7 @@ from .encoder import (
 )
 from .freq_plan import (
     FrequencyPlan,
+    MainsGuardWarning,
     ValidationReport,
     design_plan,
     plan_from_frequencies,
@@ -269,6 +270,8 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     # a mains tone on a carrier's bin adds to its reading
     mains_hz = noise_cfg.mains_freq if noise_cfg.mains_amplitude else None
     report = validate_plan(plan.channels, plan.delta_f, plan.fs, mains_hz=mains_hz)
+    if report.below_mains_guard:
+        warnings.warn(report.mains_guard_note(), MainsGuardWarning, stacklevel=3)
     # a passing audit implies every carrier check of synth_square and decode_slot
     if not report.passed and not scenario.permissive:
         raise PlanRejectedError(report)
@@ -564,4 +567,4 @@ def _write_outputs(run_report: RunReport) -> None:
     if run_report.spectra is not None:
         fileio.write_columns_csv(out / "spectra.csv", run_report.spectra)
     if run_report.patch is not None:
-        (out / "patch_report.csv").write_text(run_report.patch.to_csv(), encoding="ascii")
+        run_report.patch.write_csv(out / "patch_report.csv")

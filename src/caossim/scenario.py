@@ -27,14 +27,13 @@ import functools
 import json
 import sys
 import typing
-import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable
 
-from .channel import ADC_BITS, NONNEGATIVE, AdcConfig, NoiseConfig
-from .freq_plan import MainsGuardWarning, design_plan, plan_from_frequencies
+from .channel import ADC_BITS, NONNEGATIVE, SEED, AdcConfig, NoiseConfig
+from .freq_plan import design_plan, plan_from_frequencies
 from .scene_optics import (
     CaosGrid, OpticsConfig, SpectralAnchor, _anchor_betas, band_columns, hdr_patch_masks,
 )
@@ -72,7 +71,8 @@ TARGET_KEYS = {
 }
 
 # Per-key rules, (phrase, test) in field metadata; _coerce applies one to every number a key
-# holds.  The noise rules sit in channel; NONNEGATIVE is shared with the target.
+# holds.  The noise rules sit in channel; NONNEGATIVE is shared with the target, SEED with
+# the scenario seed.
 POSITIVE = {"rule": ("positive", lambda v: v > 0)}
 COUNT = {"rule": ("at least 1", lambda v: v >= 1)}
 POWER_OF_TWO = {"rule": ("a power of two >= 2", lambda v: v >= 2 and not v & (v - 1))}
@@ -160,7 +160,7 @@ class Scenario:
     adc_bits: int = field(default=16, metadata=ADC_RESOLUTION)
     # None = 1.25 x noiseless stream peak
     adc_full_scale: float | None = field(default=None, metadata=POSITIVE)
-    seed: int = 0
+    seed: int = field(default=0, metadata=SEED)
     permissive: bool = False
     write_spectra: bool = False
     log_display: bool = False
@@ -216,12 +216,10 @@ class Scenario:
             raise ScenarioError(f"'plan.T' and 'plan.p' do not make a window: {exc}") from exc
         keys = "'plan.frequencies'" if spec.frequencies else "'plan.p', 'plan.m' and 'plan.P'"
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", MainsGuardWarning)
-                if spec.frequencies:
-                    plan_from_frequencies(spec.frequencies, spec.T, spec.p)
-                else:
-                    design_plan(spec.T, spec.p, spec.m, spec.P)
+            if spec.frequencies:
+                plan_from_frequencies(spec.frequencies, spec.T, spec.p)
+            else:
+                design_plan(spec.T, spec.p, spec.m, spec.P)
         except ValueError as exc:
             raise ScenarioError(f"{keys} do not make a carrier plan: {exc}") from exc
 

@@ -147,10 +147,8 @@ def samples_per_period(frequency: float, window: SamplingWindow) -> int:
         raise ValueError(
             f"fs/f = {n_float} is not an integer; partial periods are rejected"
         )
-    if n < 4:
+    if n < 4:  # so f = fs/n <= fs/4, below Nyquist
         raise ValueError(f"need at least 4 samples per period, got {n}")
-    if frequency > window.fs / 2:
-        raise ValueError("frequency above Nyquist")
     if whole_number(frequency / window.delta_f) is None:
         raise ValueError(
             f"frequency {frequency} Hz is not an integer multiple of "

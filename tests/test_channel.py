@@ -47,6 +47,16 @@ class TestAddNoise:
         b = add_noise(_tone(), cfg, slot_index=8)
         assert not np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_one_key_word_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"noise seed must be in 0\.\.2\*\*64-1"):
+            NoiseConfig(awgn_sigma=0.1, seed=seed)
+
+    def test_distinct_seeds_at_the_key_ends_draw_distinct_noise(self):
+        ends = [add_noise(_tone(), NoiseConfig(awgn_sigma=0.1, seed=s), 0).samples
+                for s in (0, 1, 2**64 - 1)]
+        assert not any(np.array_equal(a, b) for a, b in [ends[:2], ends[1:], ends[::2]])
+
     def test_awgn_unaffected_by_pink_toggle(self):
         base = NoiseConfig(awgn_sigma=0.1, seed=1)
         with_pink = NoiseConfig(awgn_sigma=0.1, seed=1, pink_sigma=0.05)

@@ -15,6 +15,15 @@ def test_plan_generate(capsys):
     assert "64, 128, 256, 512, 1024, 2048, 4096, 8192" in out
 
 
+def test_plan_generate_prints_the_mains_guard_line_on_stderr(capsys):
+    code = main(["plan", "generate", "--T", "1", "--p", "10", "--m", "6", "--P", "2"])
+    out, err = capsys.readouterr()
+    assert code == 0 and "32, 64" in out
+    assert err == "warning: carriers at or below the 50 Hz mains fundamental: 32 Hz\n"
+    main(["plan", "generate", "--T", "1", "--p", "16", "--m", "7", "--P", "8"])
+    assert capsys.readouterr().err == ""
+
+
 def test_plan_generate_json(capsys):
     code = main(["plan", "generate", "--T", "0.25", "--p", "14", "--m", "6", "--P", "7", "--json"])
     doc = json.loads(capsys.readouterr().out)
@@ -267,6 +276,13 @@ def test_reproduce_table5(tmp_path, capsys):
     assert code == 0
     assert "recovered dynamic range: 140.0000 dB" in out
     assert (tmp_path / "spectra.csv").exists()
+
+
+def test_reproduce_into_an_existing_file_is_an_io_failure(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["reproduce", "table5", "--outdir", str(taken)]) == 2
+    assert "I/O failure" in capsys.readouterr().err
 
 
 def test_reproduce_dispersion_check(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caossim.fileio
 from caossim.fileio import (
     CSV_BLOCK_CELLS,
     log_display,
@@ -57,6 +58,21 @@ def test_pgm_rejects_wrong_magic(tmp_path):
         read_pgm16(path)
 
 
+def test_pgm_header_comment_lines_are_skipped(tmp_path):
+    path = tmp_path / "c.pgm"
+    data = np.array([1, 65535], dtype=">u2").tobytes()
+    path.write_bytes(b"P5\n# written by hand\n2 1\n# 16-bit\n65535\n" + data)
+    assert read_pgm16(path).tolist() == [[1.0, 65535.0]]
+
+
+@pytest.mark.parametrize("size", [b"-2 2", b"2 -2", b"0 4", b"0 0"])
+def test_pgm_rejects_a_non_positive_size(tmp_path, size):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n" + size + b"\n65535\n" + bytes(8))
+    with pytest.raises(ValueError, match="PGM size must be positive"):
+        read_pgm16(path)
+
+
 def test_log_display_spans_unit_range():
     m = np.array([[1.0, 1e-4, 1e-9, 0.0]])
     d = log_display(m)
@@ -87,7 +103,7 @@ NONZERO_SPECIALS = [-0.0, 5e-324, -2.2e-310, np.inf, -np.inf, np.nan, 1e308]
 @pytest.mark.parametrize("fill", ["mixed", "all_zero", "no_zero"])
 @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_CELLS, CSV_BLOCK_CELLS + 1, 32769])
 def test_one_column_csv_matches_general_row_path(tmp_path, rows, fill):
-    # an exact +0.0 is written without repr; the bytes must be the row path's
+    # a run of all-zero rows is one repeated string; the bytes must be repr's, row by row
     rng = np.random.default_rng(rows)
     col = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
     if fill == "all_zero":
@@ -151,3 +167,35 @@ def test_matrix_csv_cells_follow_repr_with_zeros_and_specials(tmp_path, shape):
     want = "".join(",".join(map(repr, row)) + "\n" for row in m.tolist())
     assert (tmp_path / "m.csv").read_text(encoding="ascii") == want
     assert read_matrix_csv(tmp_path / "m.csv").tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("m", [np.zeros((10**5, 1)), np.random.default_rng(5).random((3, 5000))],
+                         ids=["zero_column", "wide_rows"])
+def test_csv_writes_hold_about_csv_block_cells(tmp_path, monkeypatch, m):
+    # one write holds whole rows, about CSV_BLOCK_CELLS cells (one row if it is wider);
+    # a long run of zero rows is cut into blocks too
+    writes = []
+
+    class Recorder:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes.append(text)
+            return self.fh.write(text)
+
+    real_open = open
+    monkeypatch.setattr(caossim.fileio, "open", lambda *a, **k: Recorder(real_open(*a, **k)),
+                        raising=False)
+    write_matrix_csv(tmp_path / "m.csv", m)
+    cells = [w.count(",") + w.count("\n") for w in writes]
+    assert sum(cells) == m.size
+    assert max(cells) <= max(CSV_BLOCK_CELLS, m.shape[1])
+    assert len(writes) == -(-m.shape[0] // max(1, CSV_BLOCK_CELLS // m.shape[1]))
+    assert "".join(writes) == "".join(",".join(map(repr, row)) + "\n" for row in m.tolist())

@@ -1,6 +1,7 @@
 """Carrier-ladder design and audit."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from caossim.freq_plan import (
     plan_from_frequencies,
     validate_plan,
 )
+from caossim.runner import run
+from caossim.scenario import scenario_from_dict
 from caossim.waveform import SamplingWindow, fold_bin, folded_harmonic_bins
 
 INVALID_SET = [1170.3, 1368.3, 1638.4, 2048.0, 2730.6, 4096.0, 8192.0]
@@ -32,10 +35,19 @@ class TestDesignPlan:
         assert plan.delta_f == 4.0 and plan.fs == 65536.0
         assert plan.channels == (128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0)
 
-    def test_minimal_plan_warns_mains(self):
-        with pytest.warns(MainsGuardWarning):
+    def test_minimal_plan_builds_silently_and_its_run_warns_once(self):
+        # the mains guard is the audit's: design_plan builds the plan, the run warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             plan = design_plan(T=1.0, p=3, m=1, P=1)
         assert plan.channels == (1.0,) and plan.fs == 8.0
+        scenario = scenario_from_dict({
+            "mode": "fm-tdma", "grid": {"rows": 1, "cols": 2},
+            "target": {"kind": "uniform", "level": 1.0},
+            "plan": {"T": 1.0, "p": 3, "m": 1, "P": 1}})
+        with pytest.warns(MainsGuardWarning) as record:
+            run(scenario)
+        assert [w.category for w in record] == [MainsGuardWarning]
 
     def test_too_fast_carrier_rejected(self):
         plan = design_plan(T=1.0, p=16, m=14, P=2)  # f_2 = 16384 = fs/4, allowed

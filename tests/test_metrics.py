@@ -1,6 +1,7 @@
 """Dynamic range, SNR, processing gain and the acquisition-time model."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -133,13 +134,17 @@ class TestPatchReport:
             assert e.measured_dr_db == pytest.approx(e.designed_dr_db, abs=1e-6)
         assert rep.measured_dr_db == pytest.approx(40.0, abs=1e-6)
 
-    def test_csv_and_table_forms(self):
+    def test_csv_and_table_forms(self, tmp_path):
         img = np.zeros((4, 4))
         m = np.zeros((4, 4), bool)
         m[1, 1] = True
         img[1, 1] = 1.0
         rep = patch_report(img, [m], [1.0], img == 0.0)
-        assert rep.to_csv().startswith("designed_irradiance,")
+        rep.write_csv(tmp_path / "p.csv")
+        lines = (tmp_path / "p.csv").read_text(encoding="ascii").splitlines()
+        assert lines[0] == ("designed_irradiance,measured_irradiance,designed_dr_db,"
+                            "measured_dr_db,min_snr")
+        assert lines[1:] == [",".join(map(repr, astuple(e))) for e in rep.entries]
         assert "Min SNR" in rep.format_table()
 
     def test_no_dark_reference_reports_infinite_snr(self):
@@ -150,14 +155,15 @@ class TestPatchReport:
         assert rep.measured_dr_db == pytest.approx(20.0)
 
     @pytest.mark.parametrize("dim", [0.0, -0.002])
-    def test_patch_that_is_not_detected_reads_nan(self, dim):
+    def test_patch_that_is_not_detected_reads_nan(self, tmp_path, dim):
         # a patch below the floor decodes to 0 (an ADC LSB) or below it (noise)
         img = np.array([[dim, 1.0, 0.1]])
         masks = [img == v for v in (dim, 1.0, 0.1)]
         rep = patch_report(img, masks, [0.001, 1.0, 0.1], np.zeros((1, 3), bool))
         assert [math.isnan(e.measured_dr_db) for e in rep.entries] == [True, False, False]
         assert rep.measured_dr_db == pytest.approx(20.0)
-        assert ",nan," in rep.to_csv() and "nan" in rep.format_table()
+        rep.write_csv(tmp_path / "p.csv")
+        assert ",nan," in (tmp_path / "p.csv").read_text() and "nan" in rep.format_table()
 
     def test_no_patch_detected_reads_nan(self):
         img = np.array([[0.0, -1.0]])

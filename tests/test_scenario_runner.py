@@ -227,14 +227,25 @@ class TestScenarioParsing:
         # at fs/2 exactly the carrier parses and runs
         run(scenario_from_dict(dict(doc, plan=dict(doc["plan"], frequencies=[2.0, 8.0]))))
 
-    def test_low_carrier_warns_once_in_the_run_not_at_parse(self):
-        doc = dict(TINY_FDMA, plan={"T": 1.0, "p": 12, "m": 1, "P": 4})
+    @pytest.mark.parametrize(
+        "plan, low",
+        [
+            ({"T": 1.0, "p": 12, "m": 1, "P": 4}, "1 Hz, 2 Hz, 4 Hz, 8 Hz"),
+            ({"T": 1.0, "p": 10, "m": 6, "P": 2}, "32 Hz"),
+            ({"T": 1.0, "p": 10, "frequencies": [32.0, 64.0]}, "32 Hz"),
+        ],
+        ids=["designed-1-to-8-Hz", "designed-32-Hz", "listed-32-Hz"],
+    )
+    def test_low_carrier_warns_once_in_the_run_not_at_parse(self, plan, low):
+        # both plan kinds warn from the run's audit, naming every low carrier
+        doc = dict(TINY_FDMA, plan=plan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scenario = scenario_from_dict(doc)
         with pytest.warns(MainsGuardWarning) as record:
             run(scenario)
         assert [w.category for w in record] == [MainsGuardWarning]
+        assert str(record[0].message).endswith(f"mains fundamental: {low}")
 
     def test_unknown_preset(self):
         with pytest.raises(ScenarioError, match="unknown preset"):
@@ -301,12 +312,13 @@ def _replace_cell(value, index, cell):
     return value
 
 
-# candidate values that break a rule, by the JSON type of the number it holds
-BREAKERS = {int: [0, -1, 3, 25], float: [0.0, -1.0]}
+# candidate values that break a rule, by the JSON type of the number it holds; a seed is
+# one Philox key word, so -1 and 2**64 must not parse (they would draw as 2**64-1 and 0)
+BREAKERS = {int: [0, -1, 3, 25, 2**64], float: [0.0, -1.0]}
 
 # every key some preset sets that a rule bounds
 RULED_KEYS = {
-    "grid.rows", "grid.cols", "adc.bits", "adc.full_scale", "n_columns",
+    "seed", "grid.rows", "grid.cols", "adc.bits", "adc.full_scale", "n_columns",
     "plan.T", "plan.p", "plan.m", "plan.P", "plan.frequencies",
     "cdma.code_length", "cdma.bit_rate", "cdma.samples_per_bit",
     "noise.awgn_sigma", "noise.mains_amplitude", "noise.pink_sigma", "noise.dark_offset",
@@ -531,6 +543,12 @@ class TestRunnerCore:
         text = (tmp_path / "resolved_config.json").read_text()
         again = scenario_from_dict(json.loads(text))
         assert again.to_json() == text
+
+    def test_output_dir_key_makes_the_run_write_there(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CAOSSIM_OUTDIR", raising=False)
+        report = run(scenario_from_dict(dict(TINY_FDMA, output_dir=str(tmp_path / "key"))))
+        assert report.outdir == tmp_path / "key"
+        assert (tmp_path / "key" / "decoded.csv").exists()
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CAOSSIM_OUTDIR", str(tmp_path / "env"))
@@ -1079,6 +1097,20 @@ class TestImageFileTarget:
         }
         report = run(scenario_from_dict(doc))
         np.testing.assert_allclose(report.image.estimates, read_pgm16(path), rtol=1e-9)
+
+    def test_pgm_with_a_non_positive_size_rejected_by_path(self, tmp_path):
+        # numpy would read a count of -4 as "all" and infer the -2 axis: a 2x2 image
+        path = tmp_path / "scene.pgm"
+        path.write_bytes(b"P5\n-2 2\n65535\n" + bytes(8))
+        doc = {
+            "mode": "fdma-tdma",
+            "grid": {"rows": 2, "cols": 2},
+            "target": {"kind": "image-file", "path": str(path)},
+            "plan": {"T": 1.0, "p": 12, "m": 7, "P": 2},
+        }
+        message = f"'target.path' {path} is not a usable image: PGM size must be positive"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            run(scenario_from_dict(doc))
 
     @pytest.mark.parametrize("mode", ["fdma-tdma", "cdma"])
     @pytest.mark.parametrize("shape", [(4, 4), (2, 2), (3, 4)])
