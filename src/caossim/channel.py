@@ -70,9 +70,13 @@ class NoiseConfig:
                 raise ValueError(f"noise {f.name} must be {phrase}, got {value}")
 
     @property
+    def is_time_invariant(self) -> bool:
+        """No AWGN, pink or mains term: at most a constant dark offset, so slots repeat."""
+        return not (self.awgn_sigma or self.pink_enabled or self.mains_amplitude)
+
+    @property
     def is_silent(self) -> bool:
-        return not (self.awgn_sigma or self.pink_enabled or self.mains_amplitude
-                    or self.dark_offset)
+        return self.is_time_invariant and not self.dark_offset
 
     @property
     def pink_enabled(self) -> bool:

@@ -11,7 +11,7 @@ read from the full Q-point FFT X to floating-point rounding.  The runner
 usually hands over the slot's L-sample average instead of its Q samples
 (``SampledSignal.windows`` = Q / L); the same readout then needs no fold
 and gives the same estimate.  The readout never computes the full FFT;
-only ``spectra.csv`` takes a full rfft of each raw row (``runner``), and
+only ``spectra.csv`` takes an rfft of each whole row (``runner``), and
 ``fft_radix2`` survives only as a name perfbench/tracing.py wraps.
 
 The readout works on blocks: rows of slots that share their carriers,

@@ -62,9 +62,12 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray, header: str | None = 
             fh.write("".join(pieces))
 
 
-def read_matrix_csv(path: str | Path) -> np.ndarray:
+def read_matrix_csv(path: str | Path, header: bool = False) -> np.ndarray:
+    """The float64 rows ``write_matrix_csv`` wrote, skipping its first line when ``header``."""
     rows = []
     with open(path, "r", encoding="ascii") as fh:
+        if header:
+            next(fh, None)
         for line in fh:
             line = line.strip()
             if line:

@@ -1,4 +1,4 @@
-"""Figures of merit: dynamic range, SNR, FFT processing gain, encode timing.
+"""Figures of merit: dynamic range, SNR, FFT processing gain, noise floor, encode timing.
 
 SNR values are linear ratios; "minimum SNR" of a patch is the minimum over
 its pixels of pixel / dark-region mean, which collapses a patch to a single
@@ -15,12 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from . import fileio
+from .waveform import fundamental_coefficient
 
 __all__ = [
     "dynamic_range_db",
     "measure_snr",
     "processing_gain_db",
     "processing_gain_notes",
+    "noise_equivalent_irradiance",
     "encoding_time",
     "speedup",
     "PatchEntry",
@@ -79,6 +81,12 @@ def processing_gain_notes(Q: int) -> list[str]:
             " reproduces 36.12"
         )
     return lines
+
+
+def noise_equivalent_irradiance(sigma: float, q: int, samples_per_period: float) -> float:
+    """sigma / (a1(N) sqrt(2 Q)), the Rayleigh scale of a dark carrier's estimate: white
+    noise puts E|X|^2 = Q sigma^2 in its bin, so |X| / (Q a1) has mean square 2 NEI^2."""
+    return sigma / (fundamental_coefficient(samples_per_period) * math.sqrt(2 * q))
 
 
 def encoding_time(npix: int, channels: int, T: float) -> float:

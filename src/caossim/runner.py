@@ -15,25 +15,29 @@ slot-by-slot pipeline encode_slot -> add_noise -> quantize ->
 decode_slot_free bit for bit, wherever the block boundaries fall.  A slot is read from its carrier
 bins, which depend on the Q-sample stream only through its average over
 windows of L = Q / gcd(Q, carrier bins) samples, one period of every
-carrier.  So unless the ADC, ``spectra.csv`` or a permissive plan needs
-the raw samples, a row holds one period and the average of each noise
-term (``SampledSignal.windows`` = Q / L), else the raw Q-sample stream
-(``_row_length``); the encoder tiles a strict block to that length.  A
-permissive run without the ADC or spectra forms no slot stream: the
-readout is linear, so a block's carrier coefficients are its carriers'
-unit responses, read once per run, weighted by its pixel irradiances,
-plus the readout of its slots' noise-only rows (``_superposed``).  Each
-run loop consumes one ``channel.slot_terms`` iterator, a block's rows at
-a time, in slot order (a CDMA band is one slot).  Only the noise draw runs
-ahead: the iterator's small thread pool draws the next few slots' terms
-while the current block is processed.  The counter-based noise keying
-makes the result independent of processing order and of that pool, and
-all output files are written with stable formatting, so a rerun of the
-same scenario is byte-identical.
+carrier.  So unless the ADC or a permissive plan needs the raw samples,
+a row holds one period and the average of each noise term
+(``SampledSignal.windows`` = Q / L), else the raw Q-sample stream
+(``_row_length``); the encoder tiles a strict block to that length.
+``spectra.csv`` needs the raw stream only on a channel with an AWGN, pink
+or mains term: without them a slot repeats every L samples, so its
+Q-point spectrum is its period's, times Q / L, at every (Q / L)-th bin
+and zero between.  A permissive run without the ADC or spectra forms no
+slot stream: the readout is linear, so a block's carrier coefficients are
+its carriers' unit responses, read once per process, weighted by its
+pixel irradiances, plus the readout of its slots' noise-only rows
+(``_superposed``).  Each run loop consumes one ``channel.slot_terms``
+iterator, a block's rows at a time, in slot order (a CDMA band is one
+slot).  Only the noise draw runs ahead: the iterator's small thread pool
+draws the next few slots' terms while the current block is processed.
+The counter-based noise keying makes the result independent of
+processing order and of that pool, and all output files are written with
+stable formatting, so a rerun of the same scenario is byte-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -212,39 +216,41 @@ def _attach_patch_report(run: RunReport, grid: CaosGrid) -> None:
 
 
 def _row_length(scenario: Scenario, plan: FrequencyPlan) -> int:
-    """The samples a slot row holds: Q when the ADC, ``spectra.csv`` or a permissive
-    plan needs the raw window, else one period of every carrier, over which the
-    readout reads the same bins."""
-    if scenario.permissive or scenario.adc_enabled or scenario.write_spectra:
+    """The samples a slot row holds: Q when the ADC or a permissive plan needs the
+    raw window, or ``spectra.csv`` does on a channel that varies in time; else one
+    period of every carrier, over which the readout reads the same bins and whose
+    spectrum is every (Q / period)-th bin of the slot's."""
+    varying = not scenario.noise_config().is_time_invariant
+    if scenario.permissive or scenario.adc_enabled or (scenario.write_spectra and varying):
         return plan.Q
     return plan.Q // math.gcd(plan.Q, *plan.bins)
 
 
+@functools.lru_cache(maxsize=64)
 def _unit_responses(freqs: tuple[float, ...], window: SamplingWindow) -> np.ndarray:
-    """Row p: the coefficients at the bins of ``freqs`` of carrier p's unit
-    permissive carrier over the window, encoded one row at a time."""
+    """Read-only; row p: the coefficients at the bins of ``freqs`` of carrier p's
+    unit permissive carrier over the window, encoded one row at a time.  Built
+    once per (carriers, window) and process, as ``encoder._carrier_mask``."""
     unit = Scene([[1.0]])
-    return np.array([
+    responses = np.array([
         block_coefficients(encode_block(unit, [[0]], [f], window, False), window.fs, freqs)[0]
         for f in freqs
     ])
+    responses.flags.writeable = False
+    return responses
 
 
-def _superposed(
-    amps: np.ndarray, freqs: tuple[float, ...], window: SamplingWindow, responses: dict
-) -> np.ndarray:
+def _superposed(amps: np.ndarray, freqs: tuple[float, ...], window: SamplingWindow) -> np.ndarray:
     """The carrier coefficients of a block of permissive, ADC-off slots without
     their streams, noise left out.
 
     The carrier-bin readout is linear, so row s's coefficients are
     sum_p a_sp R_p over its pixels' irradiances a_sp (``amps``, S x k) and
-    their carriers' unit responses R_p (``_unit_responses``, built once per
-    carrier tuple and kept in ``responses``), summed over carriers in turn.
-    They equal the slot-by-slot readout of encode_slot to rounding.
+    their carriers' unit responses R_p (``_unit_responses``, cached per
+    process), summed over carriers in turn.  They equal the slot-by-slot
+    readout of encode_slot to rounding.
     """
-    if freqs not in responses:
-        responses[freqs] = _unit_responses(freqs, window)
-    unit = responses[freqs]
+    unit = _unit_responses(freqs, window)
     coeffs = amps[:, :1] * unit[0]
     for p in range(1, len(freqs)):
         coeffs += amps[:, p : p + 1] * unit[p]
@@ -290,18 +296,17 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     )
     # with the ADC off and no spectra, a permissive slot needs only its carrier bins
     superposed = scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
-    responses: dict[tuple[float, ...], np.ndarray] = {}
 
     nslots = math.ceil(grid.num_pixels / plan.num_channels)
     est, chan = np.empty(grid.num_pixels), np.empty(grid.num_pixels)
     slot_of = np.empty(grid.num_pixels, dtype=np.intp)
-    spectra = np.empty((window.Q // 2 + 1, nslots)) if scenario.write_spectra else None
+    spectra = np.zeros((window.Q // 2 + 1, nslots)) if scenario.write_spectra else None
     clip_total = 0
     with closing(slot_terms(noise_cfg, window.Q, window.fs, period, range(nslots))) as noise:
         for first, freqs, pixels in blocks:
             slots = range(first, first + len(pixels))
             if superposed:
-                coeffs = _superposed(flat[pixels], freqs, window, responses)
+                coeffs = _superposed(flat[pixels], freqs, window)
                 if not noise_cfg.is_silent:
                     rows, _ = _impair(np.zeros((len(pixels), window.Q)), noise, noise_cfg,
                                       adc_cfg, window.fs)
@@ -312,7 +317,9 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
                 block, clipped = _impair(block, noise, noise_cfg, adc_cfg, window.fs, windows)
                 clip_total += clipped
                 if spectra is not None:
-                    spectra[:, slots.start : slots.stop] = np.abs(np.fft.rfft(block, axis=-1)).T
+                    # a repeating slot: its period's spectrum x windows, every windows-th bin
+                    spectra[::windows, slots.start : slots.stop] = (
+                        np.abs(np.fft.rfft(block, axis=-1)).T * windows)
                 est[pixels] = decode_block(block, window.fs, freqs)
             chan[pixels] = freqs
             slot_of[pixels] = np.array(slots)[:, None]

@@ -274,29 +274,39 @@ class TestCarrierReadout:
         if expected.spectra is not None:
             assert np.array_equal(got.spectra, expected.spectra)
 
-    # table5 and fig6 read one slot; fig9-valid's 83 slots of 2^14 samples come in blocks of 8
-    @pytest.mark.parametrize("preset, spectra", [("table5", False), ("fig6", False),
-                                                 ("fig9-valid", True)])
-    def test_spectra_columns_are_the_full_fft_magnitudes(self, preset, spectra, monkeypatch):
+    # table5 and fig6 read one slot; fig9-valid's 83 slots come as one block of 82 one-period
+    # rows and one short slot when noiseless, and in blocks of 8 raw 2^14-sample rows when noisy
+    @pytest.mark.parametrize("preset, noisy, rows_per_block", [
+        ("table5", False, 1), ("fig6", False, 1), ("fig9-valid", True, 8),
+        ("fig9-valid", False, 82),
+    ], ids=["table5-False", "fig6-False", "fig9-valid-True", "fig9-valid-False"])
+    def test_spectra_columns_are_the_full_fft_magnitudes(self, preset, noisy, rows_per_block,
+                                                         monkeypatch):
         blocks = []
 
         def keep_block(stream, cfg):
             out = quantize(stream, cfg)
-            blocks.append(out[0].samples)
+            blocks.append(out[0])
             return out
 
         monkeypatch.setattr(caossim.runner, "quantize", keep_block)
-        scenario = load_preset(preset)
-        if spectra:
-            scenario = dataclasses.replace(scenario, write_spectra=True)
+        scenario = dataclasses.replace(load_preset(preset), write_spectra=True)
+        if noisy:
+            scenario = dataclasses.replace(scenario, noise=dataclasses.replace(
+                scenario.noise, awgn_sigma=0.01))
         report = run(scenario)
         q = 2 * (report.spectra.shape[0] - 1)
-        rows = [row for block in blocks for row in block.reshape(-1, q)]
+        # a time-invariant slot is read from one period, a noisy one from its Q samples
+        assert {block.windows > 1 for block in blocks} == {not noisy}
+        rows = [(row, block.windows) for block in blocks
+                for row in block.samples.reshape(-1, q // block.windows)]
         assert report.spectra.shape[1] == len(rows) > 0
-        assert max(len(block) // q for block in blocks) == (8 if spectra else 1)
-        for column, row in zip(report.spectra.T, rows):
-            full = np.abs(np.fft.fft(row)[: q // 2 + 1])
+        assert max(len(block) * block.windows // q for block in blocks) == rows_per_block
+        for column, (row, windows) in zip(report.spectra.T, rows):
+            full = np.abs(np.fft.fft(np.tile(row, windows))[: q // 2 + 1])
             assert np.abs(column - full).max() <= 1e-12 * full.max()
+            off = np.arange(q // 2 + 1) % windows != 0
+            assert not column[off].any()
 
 
 class TestDecodeCdma:

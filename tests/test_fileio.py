@@ -1,5 +1,8 @@
 """CSV and 16-bit PGM round trips."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,9 @@ from caossim.fileio import (
     write_columns_csv,
     write_pgm16,
 )
+from caossim.metrics import PatchReport
+from caossim.runner import run
+from caossim.scenario import load_preset
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -199,3 +205,20 @@ def test_csv_writes_hold_about_csv_block_cells(tmp_path, monkeypatch, m):
     assert max(cells) <= max(CSV_BLOCK_CELLS, m.shape[1])
     assert len(writes) == -(-m.shape[0] // max(1, CSV_BLOCK_CELLS // m.shape[1]))
     assert "".join(writes) == "".join(",".join(map(repr, row)) + "\n" for row in m.tolist())
+
+
+def test_headed_csv_artifacts_read_back_bit_for_bit(tmp_path):
+    # spectra.csv and patch_report.csv start with a header line; fig9-valid's patch report
+    # reads an infinite minimum SNR, and an undetected patch would read a nan DR
+    report = run(dataclasses.replace(load_preset("fig9-valid"), write_spectra=True), tmp_path)
+    spectra = read_matrix_csv(tmp_path / "spectra.csv", header=True)
+    assert spectra.tobytes() == report.spectra.tobytes()
+    undetected = dataclasses.replace(report.patch.entries[-1], measured_dr_db=math.nan)
+    with_nan = report.patch.entries[:-1] + (undetected,)
+    PatchReport(with_nan).write_csv(tmp_path / "nan.csv")
+    for name, entries in [("patch_report.csv", report.patch.entries), ("nan.csv", with_nan)]:
+        want = np.array([dataclasses.astuple(e) for e in entries])
+        assert read_matrix_csv(tmp_path / name, header=True).tobytes() == want.tobytes()
+    assert np.isinf(want).any() and np.isnan(want).any()
+    with pytest.raises(ValueError, match="slot_0"):
+        read_matrix_csv(tmp_path / "spectra.csv")

@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caossim.runner
 from caossim.metrics import (
     dynamic_range_db,
     encoding_time,
     measure_snr,
+    noise_equivalent_irradiance,
     patch_report,
     processing_gain_db,
     processing_gain_notes,
     speedup,
 )
+from caossim.scenario import load_preset
 
 
 class TestDynamicRange:
@@ -92,6 +95,22 @@ class TestProcessingGain:
     def test_notes_document_both_conventions(self):
         text = "\n".join(processing_gain_notes(65536))
         assert "45.15" in text and "48.16" in text
+
+
+class TestNoiseEquivalentIrradiance:
+    def test_hdr66_fm(self):
+        # sigma 0.021 on Q = 2^16 samples, one carrier at fs / 8
+        scenario = load_preset("hdr66-fm")
+        plan = caossim.runner._build_plan(scenario)
+        (carrier,) = plan.channels
+        nei = noise_equivalent_irradiance(scenario.noise.awgn_sigma, plan.Q, plan.fs / carrier)
+        assert nei == pytest.approx(1.8e-4, rel=0.02)
+
+    def test_is_sigma_over_a1_root_2q(self):
+        # N -> infinity: a1 -> 1 / pi
+        assert noise_equivalent_irradiance(1.0, 2, 1e9) == pytest.approx(math.pi / 2)
+        assert noise_equivalent_irradiance(0.5, 8, 4.0) == pytest.approx(
+            0.5 * 4 * math.sin(math.pi / 4) / 4)
 
 
 class TestTimingModel:

@@ -5,14 +5,17 @@ that share their carriers; it must give the bits of the slot-by-slot
 pipeline of the one-row library calls, wherever the block boundaries fall.
 With the ADC off and no spectra, a strict TDMA run reads each slot from its
 average over one carrier period; ``write_spectra`` makes the same scenario
-read the raw Q-sample slot.  These properties hold the averaged readout to
-the raw one, and to itself across modes and draw-ahead pool sizes.  A
-permissive run with the ADC off forms no slot stream: it sums unit carrier
-responses, and its estimates are held to the slot-by-slot pipeline.  A
-scenario's resolved config, here and for every preset, parses back to the
-same config and the same run.  In every mode the noiseless decode is linear
-in the scene and one lit pixel leaks into no other, and a dark scene's
-estimates sit on the Rayleigh noise floor of their AWGN.
+read the raw Q-sample slot when its channel varies in time (an AWGN, pink
+or mains term).  On a time-invariant channel a slot repeats every period,
+so spectra too are read from one period.  These properties hold the
+averaged readout to the raw one, and to itself across modes and
+draw-ahead pool sizes.  A permissive run with the ADC off forms no slot
+stream: it sums unit carrier responses, and its estimates are held to the
+slot-by-slot pipeline.  A scenario's resolved config, here and for every
+preset, parses back to the same config and the same run.  In every mode
+the noiseless decode is linear in the scene and one lit pixel leaks into
+no other, and a dark scene's estimates sit on the Rayleigh noise floor of
+their AWGN.
 """
 
 import json
@@ -29,6 +32,7 @@ import caossim.runner
 from caossim.channel import add_noise, quantize
 from caossim.decoder import assemble_image, block_coefficients, decode_slot_free
 from caossim.encoder import encode_slot, schedule_fdma_tdma
+from caossim.metrics import noise_equivalent_irradiance
 from caossim.runner import FULL_SCALE_HEADROOM, PlanRejectedError, run
 from caossim.scenario import load_preset, preset_names, scenario_from_dict
 from caossim.scene_optics import Scene
@@ -127,8 +131,11 @@ def test_averaged_readout_matches_the_raw_readout(doc):
     raw, raw_lengths = _read_rows(dict(doc, write_spectra=True))
     # carriers on bins 2**(m-1) .. : one period of the slowest is Q / 2**(m-1) samples
     q, slots = 2 ** doc["plan"]["p"], averaged.image.slot_map.max() + 1
-    assert lengths == [q // 2 ** (doc["plan"]["m"] - 1)] * slots
-    assert raw_lengths == [q] * slots
+    period = q // 2 ** (doc["plan"]["m"] - 1)
+    assert lengths == [period] * slots
+    # spectra need the raw slot only when the channel varies in time
+    varying = not raw.scenario.noise_config().is_time_invariant
+    assert raw_lengths == [q if varying else period] * slots
     got, want = averaged.image.estimates, raw.image.estimates
     # an all-dark image has no peak of its own; the terms' rounding sets the scale
     floor = caossim.runner._rounding_floor(raw)
@@ -192,10 +199,15 @@ def test_pool_width_changes_no_bit_of_the_averaged_readout(doc):
 def test_noiseless_averaged_readout_is_the_raw_readout_bit_for_bit(doc):
     # the average of an L-periodic slot is its first period exactly, and the
     # readout's 1/L against 1/Q is a power of two
-    doc = dict(doc, noise={})
-    averaged = run(scenario_from_dict(doc)).image.estimates
-    raw = run(scenario_from_dict(dict(doc, write_spectra=True))).image.estimates
-    assert averaged.tobytes() == raw.tobytes()
+    scenario = scenario_from_dict(dict(doc, noise={}))
+    averaged = run(scenario).image.estimates
+    plan = caossim.runner._build_plan(scenario)
+    scene = caossim.runner.build_scene(scenario.target, scenario.grid)
+    schedule = schedule_fdma_tdma(scenario.grid.num_pixels, plan)
+    raw = [decode_slot_free(encode_slot(scene, slot, plan.window()), slot)
+           for slot in schedule.slots]
+    image = assemble_image(raw, schedule, scenario.grid, scenario.mode)
+    assert averaged.tobytes() == image.estimates.tobytes()
 
 
 def test_strategies_reach_the_averaged_pool_path():
@@ -395,7 +407,10 @@ def _slot_by_slot(scenario):
         stream, c = quantize(stream, adc)
         clipped += c
         if scenario.write_spectra:
-            spectra.append(np.abs(np.fft.rfft(stream.samples)))
+            # a repeating slot's spectrum: its period's, times `windows`, at every windows-th bin
+            spectrum = np.zeros(window.Q // 2 + 1)
+            spectrum[::windows] = np.abs(np.fft.rfft(stream.samples)) * windows
+            spectra.append(spectrum)
         estimates.append(decode_slot_free(stream, slot))
     image = assemble_image(estimates, schedule, grid, scenario.mode)
     return image, clipped, np.column_stack(spectra) if spectra else None
@@ -423,6 +438,17 @@ OFF_GRID_EVEN_BINS = {
 }
 
 
+# strict spectra of a channel without a time-varying term, read from one period: 10 pixels
+# on 3 carriers are 3 full slots and a short one, 2 rows a block
+NOISELESS_SPECTRA = {
+    "mode": "fdma-tdma", "grid": {"rows": 2, "cols": 5},
+    "target": {"kind": "explicit", "values": [[1.0, 0.5, 0.25, 0.0, 0.125],
+                                              [0.0625, 0.75, 0.0, 0.3, 1e-3]]},
+    "plan": {"T": 1.0, "p": 8, "m": 3, "P": 3},
+    "write_spectra": True,
+}
+
+
 # a 0.1 mains tone on the one carrier's bin: the audit stops a strict run
 MAINS_ON_A_CARRIER = {
     "mode": "fdma-tdma", "grid": {"rows": 1, "cols": 2},
@@ -435,6 +461,8 @@ MAINS_ON_A_CARRIER = {
 @settings(PROPERTY, max_examples=200)
 @given(block_docs())
 @example((OFF_GRID_EVEN_BINS, 1, None))
+@example((NOISELESS_SPECTRA, 1, 2))
+@example((dict(NOISELESS_SPECTRA, noise={"dark_offset": 0.05}), 2, 2))
 @example((MAINS_ON_A_CARRIER, 1, None))
 @example((dict(MAINS_ON_A_CARRIER, plan={"T": 1.0, "p": 10, "frequencies": [128.0]},
                permissive=True), 2, None))
@@ -603,9 +631,8 @@ def test_noiseless_strategy_reaches_every_mode():
 
 @pytest.mark.parametrize("mode, P, m", [("fm-tdma", 1, 5), ("fdma-tdma", 4, 3)])
 def test_dark_scene_noise_floor_is_the_rayleigh_scale(mode, P, m):
-    # a dark slot's carrier bin holds white noise, whose DFT value X has E|X|^2 = Q sigma^2,
-    # so E[(estimate * a1)^2] = E|X|^2 / Q^2 = sigma^2 / Q: the Rayleigh scale
-    # sigma / (a1 sqrt(2 Q)) per quadrature
+    # a dark slot's carrier bin holds white noise, so an estimate's mean square is
+    # sigma^2 / (a1^2 Q) = 2 NEI^2, the noise-equivalent irradiance per quadrature
     sigma, p = 0.01, 8
     doc = {
         "mode": mode,
@@ -620,7 +647,8 @@ def test_dark_scene_noise_floor_is_the_rayleigh_scale(mode, P, m):
     for seed in range(40):
         report = run(scenario_from_dict(dict(doc, seed=seed)))
         fs = caossim.runner._build_plan(report.scenario).fs
-        a1 = np.vectorize(lambda f: fundamental_coefficient(fs / f))(report.image.channel_map)
-        power.extend(((report.image.estimates * a1) ** 2).ravel())
+        nei = np.vectorize(lambda f: noise_equivalent_irradiance(sigma, 2**p, fs / f))(
+            report.image.channel_map)
+        power.extend(((report.image.estimates / nei) ** 2).ravel())
     assert len(power) >= 2000
-    assert np.mean(power) == pytest.approx(sigma**2 / 2**p, rel=0.1)
+    assert np.mean(power) == pytest.approx(2.0, rel=0.1)

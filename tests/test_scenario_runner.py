@@ -800,7 +800,8 @@ NOISY_ADC = {"enabled": True, "bits": 10, "full_scale": 2.1}
 
 
 class TestAveragedReadout:
-    """Without the ADC, spectra or a permissive run, a slot is one carrier period."""
+    """Without the ADC, a permissive plan, or spectra of a channel that varies in time, a
+    slot is one carrier period."""
 
     @staticmethod
     def _recorded_run(doc, monkeypatch):
@@ -831,6 +832,8 @@ class TestAveragedReadout:
         monkeypatch.setattr(caossim.encoder, "_carrier_mask", recording_mask)
         monkeypatch.setattr(caossim.runner, "encode_block", recording_encode)
         monkeypatch.setattr(caossim.runner, "decode_block", recording_decode)
+        # a warm cache would hide a permissive run's unit carriers
+        caossim.runner._unit_responses.cache_clear()
         _, noise = _noise_run(doc)
         monkeypatch.undo()
         return noise, encoded, decoded
@@ -846,6 +849,22 @@ class TestAveragedReadout:
         _, encoded, decoded = self._recorded_run(dict(NOISY_FDMA, **raw), monkeypatch)
         # a strict slot is synthesised over one carrier period and tiled to its Q raw samples
         assert encoded == [(4096, 64), (4096, 64)] and decoded == [4096, 4096]
+
+    def test_spectra_of_a_time_invariant_channel_read_one_period(self, monkeypatch):
+        # a dark offset is constant: each slot still repeats every 64 samples
+        doc = dict(NOISY_FDMA, noise={"dark_offset": 0.05}, write_spectra=True)
+        noise, encoded, decoded = self._recorded_run(doc, monkeypatch)
+        assert encoded == [(64, 64), (64, 64)] and decoded == [64, 64]
+        assert noise["added"] == [((2, 64), 64)]
+        sc = scenario_from_dict(doc)
+        plan = caossim.runner._build_plan(sc)
+        scene = build_scene(sc.target, sc.grid)
+        spectra = run(sc).spectra
+        for i, slot in enumerate(schedule_fdma_tdma(sc.grid.num_pixels, plan).slots):
+            stream = add_noise(encode_slot(scene, slot, plan.window()), sc.noise_config(), i)
+            full = np.abs(np.fft.rfft(stream.samples))
+            assert np.abs(spectra[:, i] - full).max() <= 1e-12 * full.max()
+            assert not spectra[np.arange(full.size) % 64 != 0, i].any()
 
     def test_a_permissive_run_encodes_no_slot_and_reads_its_noise_at_q(self, monkeypatch):
         read = []
@@ -891,6 +910,30 @@ class TestAveragedReadout:
         got = report.image.estimates.ravel()
         assert got.tobytes() == np.array([want[i] for i in range(got.size)]).tobytes()
         assert report.clip_count == clipped
+
+
+class TestUnitResponseCache:
+    """A permissive run's unit carrier responses are built once per (carriers, window) and
+    process."""
+
+    def test_warm_runs_give_the_bits_of_a_cold_run(self):
+        scenario = load_preset("fig9-invalid")
+        caossim.runner._unit_responses.cache_clear()
+        cold = run(scenario)
+        warm = [run(scenario) for _ in range(2)]
+        assert caossim.runner._unit_responses.cache_info().hits > 0
+        for report in warm:
+            assert report.image.estimates.tobytes() == cold.image.estimates.tobytes()
+            assert report.metrics_text == cold.metrics_text
+
+    def test_cached_responses_are_read_only(self):
+        window = SamplingWindow.design(T=0.25, p=10)
+        freqs = (100.5, 256.0)
+        responses = caossim.runner._unit_responses(freqs, window)
+        assert responses.shape == (2, 2)
+        assert caossim.runner._unit_responses(freqs, window) is responses
+        with pytest.raises(ValueError, match="read-only"):
+            responses[0, 0] = 0.0
 
 
 class TestCdmaAutoFullScale:
