@@ -63,16 +63,15 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray, header: str | None = 
 
 
 def read_matrix_csv(path: str | Path, header: bool = False) -> np.ndarray:
-    """The float64 rows ``write_matrix_csv`` wrote, skipping its first line when ``header``."""
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        if header:
-            next(fh, None)
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    return np.array(rows, dtype=np.float64)
+    """The float64 rows ``write_matrix_csv`` wrote, after its header line when ``header``."""
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()[int(header) :]
+    for n, line in enumerate(lines, 1 + int(header)):
+        if line.isspace():
+            raise ValueError(f"line {n} holds only whitespace")
+    if not any(lines):
+        raise ValueError("the file holds no rows")
+    return np.loadtxt(lines, delimiter=",", ndmin=2)
 
 
 def write_pgm16(path: str | Path, matrix: np.ndarray) -> None:

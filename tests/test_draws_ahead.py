@@ -5,7 +5,8 @@ drawing up to W slots ahead of the slot last yielded while the calling
 thread processes the current block.  The draws are keyed by (seed, slot),
 so every run here must equal the run that draws every slot inline, at any
 pool size, and a failing or abandoned iterator must leave no worker thread
-behind.
+behind.  The all-noise scenarios' ADC sits below 4 sigma of their dark
+offset, so each of their runs asserts the warning that says so.
 """
 
 import dataclasses
@@ -87,6 +88,15 @@ def _workers(monkeypatch, w):
     monkeypatch.setattr(caossim.channel, "_draw_workers", lambda: w)
 
 
+def _run(scenario):
+    """run(scenario).  Every ADC-on scenario here is an all-noise one, whose dark offset lies
+    below 4 sigma of its noise, so its run warns that the ADC clips the negative swings."""
+    if not scenario.adc_enabled:
+        return run(scenario)
+    with pytest.warns(UserWarning, match="noise.dark_offset"):
+        return run(scenario)
+
+
 def _assert_same_run(got, want):
     assert len(got.images) == len(want.images)
     for a, b in zip(got.images, want.images):
@@ -103,14 +113,14 @@ def _assert_same_run(got, want):
 def inline_runs():
     with pytest.MonkeyPatch.context() as mp:
         _inline(mp)
-        return {name: run(make()) for name, make in SCENARIOS.items()}
+        return {name: _run(make()) for name, make in SCENARIOS.items()}
 
 
 @pytest.mark.parametrize("workers", [1, 2, 5])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_run_is_bit_identical_at_any_pool_size(name, workers, inline_runs, monkeypatch):
     _workers(monkeypatch, workers)
-    _assert_same_run(run(SCENARIOS[name]()), inline_runs[name])
+    _assert_same_run(_run(SCENARIOS[name]()), inline_runs[name])
 
 
 def test_noisy_scenarios_clip_and_write_spectra(inline_runs):
@@ -137,7 +147,7 @@ def test_draws_run_on_the_pool_and_the_rest_on_the_caller(name, monkeypatch):
 
     monkeypatch.setattr(caossim.channel, "_noise_terms", recording_terms)
     monkeypatch.setattr(caossim.runner, "add_terms", recording_add)
-    run(SCENARIOS[name]())
+    _run(SCENARIOS[name]())
     slots = sum(rows for rows, _ in added)
     assert all(on_caller for _, on_caller in added) and slots > 1
     assert sorted(i for i, _ in draws) == list(range(slots))
@@ -167,7 +177,7 @@ def test_reproduce_outdir_files_identical_at_any_pool_size(tmp_path, monkeypatch
 def test_two_runs_in_two_threads_equal_their_serial_runs(monkeypatch):
     _workers(monkeypatch, 2)
     a, b = _reduced("hdr66-fdma"), dataclasses.replace(_noisy_tdma(), seed=11)
-    serial = [run(a), run(b)]
+    serial = [_run(a), _run(b)]
     results = [None, None]
     start = threading.Barrier(2)
 
@@ -176,11 +186,12 @@ def test_two_runs_in_two_threads_equal_their_serial_runs(monkeypatch):
         results[k] = run(scenario)
 
     threads = [threading.Thread(target=worker, args=(k, s)) for k, s in enumerate((a, b))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
-        assert not t.is_alive()
+    with pytest.warns(UserWarning, match="noise.dark_offset"):  # b's, from its thread
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
     for got, want in zip(results, serial):
         _assert_same_run(got, want)
 
@@ -191,7 +202,7 @@ def test_more_workers_than_cpus_with_rapid_thread_switches(name, inline_runs, mo
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        got = run(SCENARIOS[name]())
+        got = _run(SCENARIOS[name]())
     finally:
         sys.setswitchinterval(interval)
     _assert_same_run(got, inline_runs[name])

@@ -207,6 +207,19 @@ def test_csv_writes_hold_about_csv_block_cells(tmp_path, monkeypatch, m):
     assert "".join(writes) == "".join(",".join(map(repr, row)) + "\n" for row in m.tolist())
 
 
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (50, 1), (50, 7)])
+def test_csv_of_one_row_or_one_column_reads_back_in_its_shape(tmp_path, shape, header):
+    # a one-row or one-column file is read as a 2-D matrix, with or without its header line
+    m = np.random.default_rng(6).standard_normal(shape)
+    m.flat[: len(NONZERO_SPECIALS)] = NONZERO_SPECIALS[: m.size]
+    write = write_columns_csv if header else write_matrix_csv
+    write(tmp_path / "m.csv", m)
+    back = read_matrix_csv(tmp_path / "m.csv", header=header)
+    assert back.shape == shape
+    assert back.tobytes() == m.tobytes()
+
+
 def test_headed_csv_artifacts_read_back_bit_for_bit(tmp_path):
     # spectra.csv and patch_report.csv start with a header line; fig9-valid's patch report
     # reads an infinite minimum SNR, and an undetected patch would read a nan DR

@@ -1,8 +1,11 @@
 """Every library input check raises its own error: one row per check, with the call, the
-exception type and a fragment of its message."""
+exception type and a fragment of its message.  A check of a file's contents reads a file
+written for the call (``_csv_image``)."""
 
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +54,15 @@ WINDOW = SamplingWindow.design(T=1.0, p=3)  # fs 8, delta_f 1
 PLAN = design_plan(T=1.0, p=4, m=1, P=2)
 ONE = np.array([[True, False]])
 
+
+def _csv_image(text):
+    """build_scene of a 1x2 image-file target whose CSV file holds ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "scene.csv")
+        path.write_text(text, encoding="ascii")
+        return build_scene(TargetSpec(kind="image-file", path=str(path)), GRID)
+
+
 CHECKS = [
     # channel
     ("adc bits", lambda: AdcConfig(bits=1), ValueError, "bits must lie in 2..24"),
@@ -83,6 +95,10 @@ CHECKS = [
     # fileio
     ("pgm 1-d", lambda: write_pgm16("never-written.pgm", np.ones(3)), ValueError,
      "PGM export needs a 2-D matrix"),
+    ("csv empty", lambda: _csv_image(""), ScenarioError,
+     "is not a usable image: the file holds no rows"),
+    ("csv blank line", lambda: _csv_image("1.0,0.5\n  \n"), ScenarioError,
+     "is not a usable image: line 2 holds only whitespace"),
     # freq_plan
     ("plan no channel", lambda: FrequencyPlan(1.0, 1.0, 8.0, 8, 3, None, (), ()), ValueError,
      "plan needs at least one channel"),

@@ -1,21 +1,25 @@
-"""Pipeline properties over small random TDMA scenarios, through ``run``.
+"""Pipeline properties over small random scenarios, through ``run``.
 
 ``run`` encodes, impairs and reads a TDMA run's slots in blocks of slots
-that share their carriers; it must give the bits of the slot-by-slot
-pipeline of the one-row library calls, wherever the block boundaries fall.
+that share their carriers, and a CDMA run's bands one frame at a time; it
+must give the bits of the slot-by-slot pipeline of the one-row library calls
+(``oracles.slot_by_slot``), wherever the block boundaries fall.  Every such
+bit-for-bit check is a draw or an ``@example`` of
+``test_block_run_is_the_slot_by_slot_pipeline_bit_for_bit``, and what each
+kind of run encodes, draws, quantizes and reads is one row of ``ROUTES``,
+whose rules every preset obeys at its own size.
 With the ADC off and no spectra, a strict TDMA run reads each slot from its
 average over one carrier period; ``write_spectra`` makes the same scenario
 read the raw Q-sample slot when its channel varies in time (an AWGN, pink
 or mains term).  On a time-invariant channel a slot repeats every period,
-so spectra too are read from one period.  These properties hold the
-averaged readout to the raw one, and to itself across modes and
-draw-ahead pool sizes.  A permissive run with the ADC off forms no slot
-stream: it sums unit carrier responses, and its estimates are held to the
-slot-by-slot pipeline.  A scenario's resolved config, here and for every
-preset, parses back to the same config and the same run.  In every mode
-the noiseless decode is linear in the scene and one lit pixel leaks into
-no other, and a dark scene's estimates sit on the Rayleigh noise floor of
-their AWGN.
+so spectra too are read from one period.  A permissive run with the ADC
+off forms no slot stream: it sums unit carrier responses.  These properties
+also hold the averaged readout to the raw one, and to itself across modes
+and draw-ahead pool sizes.  A scenario's resolved config, here and for
+every preset, parses back to the same config and the same run.  In every
+mode the noiseless decode is linear in the scene and one lit pixel leaks
+into no other, and a dark scene's estimates sit on the Rayleigh noise floor
+of their AWGN.
 """
 
 import json
@@ -29,20 +33,13 @@ from hypothesis import strategies as st
 
 import caossim.channel
 import caossim.runner
-from caossim.channel import add_noise, quantize
-from caossim.decoder import assemble_image, block_coefficients, decode_slot_free
+from caossim.decoder import assemble_image, decode_slot_free
 from caossim.encoder import encode_slot, schedule_fdma_tdma
 from caossim.metrics import noise_equivalent_irradiance
-from caossim.runner import FULL_SCALE_HEADROOM, PlanRejectedError, run
+from caossim.runner import PlanRejectedError, run
 from caossim.scenario import load_preset, preset_names, scenario_from_dict
-from caossim.scene_optics import Scene
-from caossim.waveform import (
-    SampledSignal,
-    SamplingWindow,
-    fold_bin,
-    fundamental_coefficient,
-    whole_number,
-)
+from caossim.waveform import fold_bin, whole_number
+from oracles import Route, recording, slot_by_slot
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
@@ -90,6 +87,8 @@ def tdma_docs(draw, mode=None, channels=None):
 
 def _mains_on_a_carrier(scenario) -> bool:
     """The drawn mains tone sits on a whole bin that folds onto a bin-exact carrier's bin."""
+    if scenario.mode == "cdma":
+        return False
     plan = caossim.runner._build_plan(scenario)
     tone = whole_number(scenario.noise.mains_freq / plan.delta_f)
     carriers = {whole_number(f / plan.delta_f) for f in plan.channels}
@@ -102,24 +101,10 @@ def _rejected_for_mains(scenario) -> bool:
     Such a draw is not filtered out: the run must raise, naming noise.mains_freq."""
     if scenario.permissive or not _mains_on_a_carrier(scenario):
         return False
-    with pytest.raises(PlanRejectedError, match="noise.mains_freq"):
+    with pytest.raises(PlanRejectedError, match="noise.mains_freq"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an ADC below 4 sigma of dark offset
         run(scenario)
     return True
-
-
-def _read_rows(doc) -> tuple:
-    """The run's report and the length of every slot row it decoded."""
-    seen = []
-    original = caossim.runner.decode_block
-
-    def recording(rows, fs, freqs):
-        seen.extend([rows.shape[-1]] * len(rows))
-        return original(rows, fs, freqs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(caossim.runner, "decode_block", recording)
-        report = run(scenario_from_dict(doc))
-    return report, seen
 
 
 @PROPERTY
@@ -127,15 +112,8 @@ def _read_rows(doc) -> tuple:
 def test_averaged_readout_matches_the_raw_readout(doc):
     if _rejected_for_mains(scenario_from_dict(doc)):
         return
-    averaged, lengths = _read_rows(doc)
-    raw, raw_lengths = _read_rows(dict(doc, write_spectra=True))
-    # carriers on bins 2**(m-1) .. : one period of the slowest is Q / 2**(m-1) samples
-    q, slots = 2 ** doc["plan"]["p"], averaged.image.slot_map.max() + 1
-    period = q // 2 ** (doc["plan"]["m"] - 1)
-    assert lengths == [period] * slots
-    # spectra need the raw slot only when the channel varies in time
-    varying = not raw.scenario.noise_config().is_time_invariant
-    assert raw_lengths == [q if varying else period] * slots
+    averaged = run(scenario_from_dict(doc))
+    raw = run(scenario_from_dict(dict(doc, write_spectra=True)))
     got, want = averaged.image.estimates, raw.image.estimates
     # an all-dark image has no peak of its own; the terms' rounding sets the scale
     floor = caossim.runner._rounding_floor(raw)
@@ -225,195 +203,79 @@ def test_strategies_reach_the_averaged_pool_path():
     assert any(found) and not all(found)
 
 
-def test_averaged_noise_terms_are_drawn_at_q_samples():
-    doc = {
-        "mode": "fdma-tdma",
-        "grid": {"rows": 2, "cols": 4},
-        "target": {"kind": "uniform", "level": 0.5},
-        "plan": {"T": 1.0, "p": 10, "m": 5, "P": 2},
-        "noise": {"awgn_sigma": 0.01, "pink_sigma": 0.01},
-        "seed": 4,
-    }
-    drawn = []
-    original = caossim.channel._noise_terms
-
-    def recording(cfg, q, fs, slot_index, out=None):
-        drawn.append(q)
-        return original(cfg, q, fs, slot_index, out)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(caossim.channel, "_noise_terms", recording)
-        report, lengths = _read_rows(doc)
-    # 4 slots, each drawn at Q = 1024 and read as one 64-sample row
-    assert drawn == [1024] * 4 and lengths == [64] * 4
-    assert report.image.estimates.shape == (2, 4)
+# a channel whose slots repeat every carrier period: at most a dark offset
+steady = st.fixed_dictionaries({"dark_offset": st.one_of(st.just(0.0), st.floats(1e-3, 0.2))})
+adcs = st.one_of(st.just({"enabled": False}),
+                 st.integers(4, 12).map(lambda bits: {"enabled": True, "bits": bits}))
 
 
 @st.composite
-def permissive_docs(draw):
-    """A permissive, ADC-off fdma-tdma scenario with 1-4 explicit carriers, Q = 2**p <= 2**12:
-    each on a power-of-two bin (whole periods), on another whole bin, or between bins."""
-    p = draw(st.integers(4, 12))
-    q, T = 2**p, draw(st.sampled_from([0.25, 1.0]))
-    bins = st.one_of(st.integers(0, p - 2).map(lambda k: float(2**k)),
-                     st.integers(1, q // 2).map(float),
-                     st.tuples(st.integers(1, q // 2 - 1), st.floats(0.01, 0.99)).map(sum))
+def cdma_frames(draw):
+    """The grid, target and code of a cdma scenario: one explicit frame, or 1-3 spectral-line
+    bands on one row of 52 pixels, each band a frame of its own."""
+    cdma = {"code_length": 64, "samples_per_bit": draw(st.integers(1, 4))}
+    if draw(st.booleans()):
+        bands = draw(st.lists(st.tuples(st.floats(420.0, 700.0), st.floats(15.0, 40.0)),
+                              min_size=1, max_size=3))
+        target = {"kind": "spectral-line", "bands": [list(b) for b in bands], "row_step": 0}
+        return {"grid": {"rows": 1, "cols": 52}, "target": target, "cdma": cdma}
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     values = draw(st.lists(st.lists(levels, min_size=cols, max_size=cols),
                            min_size=rows, max_size=rows))
-    return {
-        "mode": "fdma-tdma",
-        "grid": {"rows": rows, "cols": cols},
-        "target": {"kind": "explicit", "values": values},
-        "plan": {"T": T, "p": p, "frequencies": [
-            b / T for b in draw(st.lists(bins, min_size=1, max_size=4, unique=True))]},
-        "noise": draw(noises()),
-        "adc": {"enabled": False},
-        "permissive": True,
-        "seed": draw(st.integers(0, 2**63 - 1)),
-    }
-
-
-def _permissive_slots(scenario):
-    plan = caossim.runner._build_plan(scenario)
-    return plan, schedule_fdma_tdma(scenario.grid.num_pixels, plan).slots
-
-
-@PROPERTY
-@given(permissive_docs())
-def test_superposed_readout_matches_the_slot_by_slot_pipeline(doc):
-    scenario = scenario_from_dict(doc)
-    report, lengths = _read_rows(doc)
-    assert lengths == []  # no slot stream is read
-    plan, slots = _permissive_slots(scenario)
-    scene = caossim.runner.build_scene(scenario.target, scenario.grid)
-    want = {}
-    for i, slot in enumerate(slots):
-        stream = encode_slot(scene, slot, plan.window(), strict=False)
-        want.update(decode_slot_free(add_noise(stream, scenario.noise_config(), i), slot))
-    want = np.array([want[i] for i in range(len(want))])
-    got = report.image.estimates.ravel()
-    floor = caossim.runner._rounding_floor(report)
-    assert np.max(np.abs(got - want)) <= max(1e-12 * np.max(np.abs(want)), floor)
-
-
-def test_permissive_strategy_reaches_every_case():
-    @PROPERTY
-    @given(permissive_docs())
-    def collect(doc):
-        sc = scenario_from_dict(doc)
-        plan, slots = _permissive_slots(sc)
-        whole = [whole_number(f / plan.delta_f) is not None for f in plan.channels]
-        first, last = ([plan.bins[plan.channels.index(f)] for _, f in s]
-                       for s in (slots[0], slots[-1]))
-        noise = sc.noise
-        cases = {
-            "on the bin grid": all(whole),
-            "off the bin grid": not any(whole),
-            "short last slot, other gcd": math.gcd(plan.Q, *first) != math.gcd(plan.Q, *last),
-            "silent": noise.is_silent,
-            "awgn": noise.awgn_sigma > 0,
-            "pink": noise.pink_enabled,
-            "dark offset": noise.dark_offset > 0,
-            "mains": noise.mains_amplitude > 0,
-        }
-        reached.update(case for case, hit in cases.items() if hit)
-
-    reached = set()
-    collect()
-    assert reached == {"on the bin grid", "off the bin grid", "short last slot, other gcd",
-                       "silent", "awgn", "pink", "dark offset", "mains"}
+    return {"grid": {"rows": rows, "cols": cols}, "target": {"kind": "explicit", "values": values},
+            "cdma": dict(cdma, code_length=16)}
 
 
 @st.composite
 def block_docs(draw):
-    """An fdma-tdma scenario for the block path, with its draw-ahead width and block size:
-    strict on a designed ladder or permissive on explicit carriers (as permissive_docs), up to
-    11 carriers, Q = 2**p <= 2**12, the ADC and spectra each on or off, and a block budget of
-    1-3 rows or the default."""
+    """A scenario for the block path, with its draw-ahead width and block size.
+
+    One in four is cdma (``cdma_frames``).  The rest are fdma-tdma on up to 11 carriers,
+    Q = 2**p <= 2**12, with a block budget of 1-3 rows or the default: strict on a designed
+    ladder, or permissive on explicit carriers, each on a power-of-two bin (whole periods),
+    on another whole bin or between bins.  A third kind is permissive with neither the ADC
+    nor spectra, which reads no slot stream; the other two draw both.  The channel draws any
+    of its terms, or only a dark offset.
+
+    Hypothesis leans to the first value of a range or a list, so some draws start at the
+    value a rare case needs: the highest ladder (the shortest period to average), 11 columns
+    (a short last slot on 2-4 or 9-10 carriers) and spectra on."""
+    seed, width = draw(st.integers(0, 2**63 - 1)), draw(st.sampled_from([1, 2]))
+    if draw(st.integers(0, 3)) == 3:
+        doc = dict(draw(cdma_frames()), mode="cdma", noise=draw(st.one_of(noises(), steady)),
+                   adc=draw(adcs), seed=seed)
+        return doc, width, None
+    kind = draw(st.sampled_from(["strict", "superposed", "permissive"]))
+    # the superposed readout adds its noise apart from the pixels: every term for it
+    noise = draw(noises() if kind == "superposed" else st.one_of(noises(), steady))
     P = draw(st.one_of(st.integers(1, 4), st.integers(9, 11)))
     p = draw(st.integers(max(4, P + 1), 12))
     q, T = 2**p, draw(st.sampled_from([0.25, 1.0]))
-    permissive = draw(st.booleans())
-    if permissive:
-        bins = st.one_of(st.integers(0, p - 2).map(lambda k: float(2**k)),
-                         st.integers(1, q // 2).map(float),
-                         st.tuples(st.integers(1, q // 2 - 1), st.floats(0.01, 0.99)).map(sum))
+    if kind == "strict":
+        plan = {"T": T, "p": p, "m": draw(st.sampled_from(range(p - P, 0, -1))), "P": P}
+    else:
+        on = st.one_of(st.integers(0, p - 2).map(lambda k: float(2**k)),
+                       st.integers(1, q // 2).map(float))
+        off = st.tuples(st.integers(1, q // 2 - 1), st.floats(0.01, 0.99)).map(sum)
+        bins = draw(st.sampled_from([st.one_of(on, off), off, on]))
         plan = {"T": T, "p": p, "frequencies": [
             b / T for b in draw(st.lists(bins, min_size=P, max_size=P, unique=True))]}
-    else:
-        plan = {"T": T, "p": p, "m": draw(st.integers(1, p - P)), "P": P}
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    rows, cols = draw(st.integers(1, 3)), draw(st.sampled_from(range(11, 0, -1)))
     values = draw(st.lists(st.lists(levels, min_size=cols, max_size=cols),
                            min_size=rows, max_size=rows))
-    adc = draw(st.one_of(st.just({"enabled": False}),
-                         st.integers(4, 12).map(lambda bits: {"enabled": True, "bits": bits})))
+    superposed = kind == "superposed"
     doc = {
         "mode": "fdma-tdma",
         "grid": {"rows": rows, "cols": cols},
         "target": {"kind": "explicit", "values": values},
         "plan": plan,
-        "noise": draw(noises()),
-        "adc": adc,
-        "write_spectra": draw(st.booleans()),
-        "permissive": permissive,
-        "seed": draw(st.integers(0, 2**63 - 1)),
+        "noise": noise,
+        "adc": {"enabled": False} if superposed else draw(adcs),
+        "write_spectra": not superposed and draw(st.sampled_from([True, False])),
+        "permissive": kind != "strict",
+        "seed": seed,
     }
-    return doc, draw(st.sampled_from([1, 2])), draw(st.one_of(st.none(), st.integers(1, 3)))
-
-
-def _slot_by_slot(scenario):
-    """The image, clip count and spectra of ``run``, one slot at a time through the one-row
-    calls: encode_slot -> add_noise -> quantize -> decode_slot_free -> assemble_image, or,
-    on a permissive run with neither the ADC nor spectra, the sum of the unit carriers'
-    coefficients weighted by the pixels, plus those of the slot's noise."""
-    plan = caossim.runner._build_plan(scenario)
-    window, grid = plan.window(), scenario.grid
-    scene = caossim.runner.build_scene(scenario.target, grid)
-    schedule = schedule_fdma_tdma(grid.num_pixels, plan)
-    flat = scene.irradiance.ravel()
-    peak = max(sum(flat[pix] for pix, _ in slot) for slot in schedule.slots)
-    adc = scenario.adc_config(auto_full_scale=FULL_SCALE_HEADROOM * max(peak, 1e-12))
-    noise = scenario.noise_config()
-    period = caossim.runner._row_length(scenario, plan)
-    windows = window.Q // period
-    read_window = SamplingWindow(window.fs, window.T / windows, period, window.delta_f * windows)
-    superposed = scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
-    estimates, spectra, clipped = [], [], 0
-    for i, slot in enumerate(schedule.slots):
-        freqs = [f for _, f in slot]
-
-        def coefficients(stream):
-            return block_coefficients(stream.samples[None], stream.fs, freqs)[0]
-
-        if superposed:
-            unit = Scene([[1.0]])
-            coeffs = 0
-            for pix, f in slot:
-                carrier = encode_slot(unit, [(0, f)], window, strict=False)
-                coeffs = coeffs + flat[pix] * coefficients(carrier)
-            if not noise.is_silent:
-                silence = SampledSignal(np.zeros(window.Q), window.fs)
-                coeffs = coeffs + coefficients(add_noise(silence, noise, i))
-            estimates.append({
-                pix: abs(c) / (window.Q * fundamental_coefficient(window.fs / f))
-                for (pix, f), c in zip(slot, coeffs)
-            })
-            continue
-        stream = encode_slot(scene, slot, read_window, strict=not scenario.permissive)
-        stream = SampledSignal(stream.samples, stream.fs, windows)
-        if not noise.is_silent:
-            stream = add_noise(stream, noise, i)
-        stream, c = quantize(stream, adc)
-        clipped += c
-        if scenario.write_spectra:
-            # a repeating slot's spectrum: its period's, times `windows`, at every windows-th bin
-            spectrum = np.zeros(window.Q // 2 + 1)
-            spectrum[::windows] = np.abs(np.fft.rfft(stream.samples)) * windows
-            spectra.append(spectrum)
-        estimates.append(decode_slot_free(stream, slot))
-    image = assemble_image(estimates, schedule, grid, scenario.mode)
-    return image, clipped, np.column_stack(spectra) if spectra else None
+    return doc, width, draw(st.one_of(st.none(), st.integers(1, 3)))
 
 
 def _block_run(scenario, width, block_rows):
@@ -428,6 +290,35 @@ def _block_run(scenario, width, block_rows):
             mp.setattr(caossim.runner, "BLOCK_BYTES", block_rows * row_bytes)
         return run(scenario)
 
+
+# 10 pixels on carriers at 64..512 Hz, Q = 4096: a block of two full slots and a block of a
+# short slot, each slot repeating every L = 4096 / 64 samples
+LADDER = {
+    "mode": "fdma-tdma", "grid": {"rows": 2, "cols": 5},
+    "target": {"kind": "uniform", "level": 0.5},
+    "plan": {"T": 1.0, "p": 12, "m": 7, "P": 4},
+    "noise": {"awgn_sigma": 0.01, "dark_offset": 0.05, "mains_amplitude": 0.01},
+}
+
+# a 10-bit ADC whose full scale lies below a full slot's peak, 2.0 plus a 0.2 dark offset, so
+# the first sample of each full slot clips
+CLIPPING = dict(LADDER, noise=dict(LADDER["noise"], dark_offset=0.2),
+                adc={"enabled": True, "bits": 10, "full_scale": 2.1})
+
+# spectral-line's 7 bands under every noise term, with a 10-bit ADC that clips
+NOISY_BANDS = dict(load_preset("spectral-line").to_dict(), adc={"enabled": True, "bits": 10},
+                   noise={"awgn_sigma": 0.01, "pink_sigma": 0.004, "mains_amplitude": 0.003,
+                          "dark_offset": 0.01})
+
+# a CDMA frame's auto full scale under AWGN far above its dark offset, 0
+CDMA_AUTO_SCALE = {
+    "mode": "cdma", "grid": {"rows": 2, "cols": 3},
+    "target": {"kind": "explicit", "values": [[1.0, 0.5, 0.25], [0.8, 0.0, 0.1]]},
+    "cdma": {"code_length": 8, "samples_per_bit": 4},
+    "noise": {"awgn_sigma": 0.05},
+    "adc": {"enabled": True, "bits": 8},
+    "seed": 1,
+}
 
 # off the bin grid on even nearest bins (gcd 2): a free-sampled slot does not repeat every Q/2
 OFF_GRID_EVEN_BINS = {
@@ -460,6 +351,12 @@ MAINS_ON_A_CARRIER = {
 
 @settings(PROPERTY, max_examples=200)
 @given(block_docs())
+@example((dict(LADDER, write_spectra=True), 1, None))
+@example((dict(LADDER, write_spectra=True, permissive=True), 2, None))
+@example((CLIPPING, 2, None))
+@example((dict(CLIPPING, permissive=True), 1, None))
+@example((NOISY_BANDS, 2, None))
+@example((CDMA_AUTO_SCALE, 1, None))
 @example((OFF_GRID_EVEN_BINS, 1, None))
 @example((NOISELESS_SPECTRA, 1, 2))
 @example((dict(NOISELESS_SPECTRA, noise={"dark_offset": 0.05}), 2, 2))
@@ -474,50 +371,164 @@ def test_block_run_is_the_slot_by_slot_pipeline_bit_for_bit(case):
     report = _block_run(scenario, width, block_rows)
     # a permissive run records the audit's finding instead
     assert ("noise.mains_freq" in report.metrics_text) == _mains_on_a_carrier(scenario)
-    image, clipped, spectra = _slot_by_slot(scenario)
-    assert report.image.estimates.tobytes() == image.estimates.tobytes()
-    assert report.image.slot_map.tobytes() == image.slot_map.tobytes()
-    assert report.image.channel_map.tobytes() == image.channel_map.tobytes()
+    images, clipped, spectra = slot_by_slot(scenario)
+    for got, want in zip(report.images, images, strict=True):
+        assert got.estimates.tobytes() == want.estimates.tobytes()
+        assert got.slot_map.tobytes() == want.slot_map.tobytes()
+        assert got.channel_map.tobytes() == want.channel_map.tobytes()
     assert report.clip_count == clipped
     assert (report.spectra is None) == (spectra is None)
     if spectra is not None:
         assert report.spectra.tobytes() == spectra.tobytes()
 
 
-def test_block_strategy_reaches_every_case():
-    @PROPERTY
-    @given(block_docs())
-    def collect(case):
-        doc, width, block_rows = case
-        sc = scenario_from_dict(doc)
+def _reached(doc, width, block_rows) -> set:
+    """The cases of test_block_strategy_reaches_every_case that one block_docs draw reaches."""
+    sc = scenario_from_dict(doc)
+    noise = sc.noise_config()
+    if sc.mode == "cdma":
+        slots = len(sc.target.bands) if sc.target.kind == "spectral-line" else 1
+        cases = {"cdma": True, "cdma, adc": sc.adc_enabled, "cdma, two or more bands": slots > 1}
+    else:
         plan = caossim.runner._build_plan(sc)
-        slots = math.ceil(sc.grid.num_pixels / plan.num_channels)
+        schedule = schedule_fdma_tdma(sc.grid.num_pixels, plan).slots
+        slots = len(schedule)
         stream = not sc.permissive or sc.adc_enabled or sc.write_spectra
+        averaged = caossim.runner._row_length(sc, plan) < plan.Q
+        whole = [whole_number(f / plan.delta_f) is not None for f in plan.channels]
+        first, last = ([plan.bins[plan.channels.index(f)] for _, f in slot]
+                       for slot in (schedule[0], schedule[-1]))
+        superposed = {
+            "on the bin grid": all(whole),
+            "off the bin grid": not any(whole),
+            "short last slot, other gcd": math.gcd(plan.Q, *first) != math.gcd(plan.Q, *last),
+            "pink": noise.pink_enabled,
+            "mains": noise.mains_amplitude > 0,
+            "dark offset": noise.dark_offset > 0,
+        }
         cases = {
             "strict": not sc.permissive,
-            "permissive, superposed": not stream,
             "permissive, stream": sc.permissive and stream,
-            "averaged": caossim.runner._row_length(sc, plan) < plan.Q,
+            "averaged": averaged,
             "spectra": sc.write_spectra,
+            # strict, ADC off, and a channel without a time-varying term
+            "time-invariant spectra": sc.write_spectra and averaged,
             "adc": sc.adc_enabled,
-            "noise": caossim.channel._term_count(sc.noise_config()) > 0,
-            "short last slot": sc.grid.num_pixels % plan.num_channels != 0 and slots > 1,
+            "short last slot": len(schedule[-1]) < plan.num_channels and slots > 1,
             # numpy sums 8 or more terms pairwise: the slot peak (ADC) and the superposition
             # add their carriers in turn
             "more than 8 carriers, adc": plan.num_channels > 8 and sc.adc_enabled,
             "more than 8 carriers, superposed": plan.num_channels > 8 and not stream,
-            "one worker": width == 1,
-            "two workers": width == 2,
-            "block boundary mid-schedule": block_rows is not None and slots > block_rows,
+            **{f"permissive, superposed, {case}": hit and not stream
+               for case, hit in superposed.items()},
         }
-        reached.update(case for case, hit in cases.items() if hit)
+    cases.update({
+        "noise": caossim.channel._term_count(noise) > 0,
+        "one worker": width == 1,
+        "two workers": width == 2,
+        "block boundary mid-schedule": block_rows is not None and slots > block_rows,
+    })
+    return {case for case, hit in cases.items() if hit}
+
+
+def test_block_strategy_reaches_every_case():
+    @settings(PROPERTY, max_examples=200)
+    @given(block_docs())
+    def collect(case):
+        reached.update(_reached(*case))
 
     reached = set()
     collect()
-    assert reached == {"strict", "permissive, superposed", "permissive, stream", "averaged",
-                       "spectra", "adc", "noise", "short last slot", "more than 8 carriers, adc",
-                       "more than 8 carriers, superposed", "one worker", "two workers",
-                       "block boundary mid-schedule"}
+    superposed = {f"permissive, superposed, {case}" for case in (
+        "on the bin grid", "off the bin grid", "short last slot, other gcd", "pink", "mains",
+        "dark offset")}
+    assert reached == {
+        "strict", "permissive, stream", "averaged", "spectra", "time-invariant spectra", "adc",
+        "short last slot", "more than 8 carriers, adc", "more than 8 carriers, superposed",
+        *superposed, "cdma", "cdma, adc", "cdma, two or more bands", "noise", "one worker",
+        "two workers", "block boundary mid-schedule"}
+
+
+ADC12 = {"enabled": True, "bits": 12}
+# two spectral-line bands on one row of 52 pixels: two 128-sample frames, two noise slots
+BANDS = {
+    "mode": "cdma", "grid": {"rows": 1, "cols": 52},
+    "target": {"kind": "spectral-line", "bands": [[600.0, 40.0], [450.0, 20.0]], "row_step": 0},
+    "cdma": {"code_length": 64, "samples_per_bit": 2},
+    "noise": LADDER["noise"],
+}
+AVERAGED, RAW = [(2, 64, 64), (1, 64, 64)], [(2, 4096, 64), (1, 4096, 64)]
+READ_AVERAGED, READ_RAW = [(2, 64), (1, 64)], [(2, 4096), (1, 4096)]
+DRAWN_AVERAGED, DRAWN_RAW = (4096, 64, range(3)), (4096, 4096, range(3))
+
+# How each kind of run is routed through the library (``oracles.recording``).  Per case: the
+# scenario; what it encodes, (rows, row length, synthesised period) per call; what it reads,
+# (rows, row length) per call; the slot_terms iterator it draws from, (q, period, slots), or
+# None; the samples of each quantize call; and its longest FFT, which on these carriers is Q
+# only where spectra need the raw slot.  The block property checks the bits of each case.
+ROUTES = {
+    "strict averaged": (LADDER, AVERAGED, READ_AVERAGED, DRAWN_AVERAGED, [128, 64], 64),
+    # a strict slot is synthesised over one carrier period and tiled to its Q raw samples
+    "adc on": (dict(LADDER, adc=ADC12), RAW, READ_RAW, DRAWN_RAW, [8192, 4096], 64),
+    "noisy spectra": (dict(LADDER, write_spectra=True), RAW, READ_RAW, DRAWN_RAW,
+                      [8192, 4096], 4096),
+    "time-invariant spectra": (dict(LADDER, write_spectra=True, noise={"dark_offset": 0.05}),
+                               AVERAGED, READ_AVERAGED, DRAWN_AVERAGED, [128, 64], 64),
+    # no slot is encoded or read: one unit carrier per carrier of each of the two carrier
+    # sets, and one block of noise-only rows per block, read at their carrier bins
+    "permissive, superposed": (dict(LADDER, permissive=True), [(1, 4096, 4096)] * 6, [],
+                               DRAWN_RAW, [8192, 4096], 64),
+    "permissive, adc": (dict(LADDER, permissive=True, adc=ADC12),
+                        [(2, 4096, 4096), (1, 4096, 4096)], READ_RAW, DRAWN_RAW,
+                        [8192, 4096], 64),
+    "silent": (dict(LADDER, noise={}), AVERAGED, READ_AVERAGED, None, [128, 64], 64),
+    "cdma band": (BANDS, [(1, 128, 128)] * 2, [(1, 128)] * 2, (128, 128, range(2)),
+                  [128, 128], None),
+    "cdma band, silent": (dict(BANDS, noise={}), [(1, 128, 128)] * 2, [(1, 128)] * 2, None,
+                          [128, 128], None),
+}
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_each_kind_of_run_is_routed_as_its_table_row(name):
+    doc, encoded, decoded, drawn, quantized, longest = ROUTES[name]
+    with recording() as route:
+        run(scenario_from_dict(doc))
+    assert route.encoded == encoded
+    assert route.decoded == decoded
+    # each slot's terms are taken once from one iterator; a silent channel takes none
+    assert route.drawn == ([] if drawn is None else [drawn] * len(drawn[2]))
+    assert [len(stream) for stream in route.quantized] == quantized
+    assert max(route.transforms, default=None) == longest
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_every_preset_is_routed_by_the_rules_of_the_table(name):
+    # the table's rules at a preset's size: each slot (each CDMA band) is read once from rows
+    # of one length, its noise terms taken once from one iterator, and no transform is
+    # longer than a row the run reads
+    scenario = load_preset(name)
+    with recording() as route:
+        report = run(scenario)
+    if scenario.mode == "optics-check":
+        assert route == Route()
+        return
+    slots = len(report.images) if scenario.mode == "cdma" else int(report.image.slot_map.max()) + 1
+    if scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra):
+        # superposed: unit carriers, one row each, and no slot stream to read
+        assert {rows for rows, _, _ in route.encoded} == {1}
+        assert route.decoded == []
+        assert max(route.transforms) <= max(length for _, length, _ in route.encoded)
+        return
+    (length,) = {length for _, length in route.decoded}
+    assert sum(rows for rows, _ in route.decoded) == slots
+    assert sum(len(stream) for stream in route.quantized) == slots * length
+    assert max(route.transforms, default=0) <= length
+    if scenario.noise_config().is_silent:
+        assert route.drawn == []
+    else:
+        q = route.drawn[0][0]
+        assert route.drawn == [(q, length, range(slots))] * slots
 
 
 @pytest.mark.parametrize("length", [2**k for k in range(1, 17)])

@@ -1,38 +1,30 @@
-"""Scenario parsing, preset integrity and runner behavior."""
+"""Scenario parsing, preset integrity and runner behavior.
 
+A run's bits against the one-row library chain, and what each kind of run
+encodes, draws, quantizes and reads, are checked in
+``test_pipeline_properties.py``; this file checks what a run reports,
+writes, warns about and rejects, and, through the same recorder
+(``oracles.recording``), that a silent channel draws no noise terms.
+"""
+
+import contextlib
 import copy
 import dataclasses
 import json
 import re
 import typing
 import warnings
-from contextlib import closing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import caossim.channel
-import caossim.encoder
 import caossim.runner
-from caossim.channel import AdcConfig, add_noise, quantize
-from caossim.decoder import decode_cdma, decode_slot_free
-from caossim.encoder import (
-    CdmaConfig,
-    WalshAssignment,
-    encode_cdma,
-    encode_slot,
-    schedule_fdma_tdma,
-)
 from caossim.freq_plan import MainsGuardWarning, validate_plan
-from caossim.runner import FULL_SCALE_HEADROOM, PlanRejectedError, build_scene, run
-from caossim.scene_optics import (
-    OpticsConfig,
-    SpectralAnchor,
-    hdr_patch_masks,
-    make_spectral_line_scene,
-)
+from caossim.runner import PlanRejectedError, run
+from caossim.scene_optics import hdr_patch_masks
 from caossim.scenario import (
     NESTED,
     Scenario,
@@ -42,6 +34,7 @@ from caossim.scenario import (
     scenario_from_dict,
 )
 from caossim.waveform import SamplingWindow
+from oracles import recording, slot_by_slot
 
 TINY_FDMA = {
     "mode": "fdma-tdma",
@@ -625,6 +618,8 @@ def _carrier_sets(draw):
 class TestAuditJudgesStrictRun:
     @settings(max_examples=150, deadline=None)
     @given(_carrier_sets())
+    # two carriers on one bin: the audit's only finding, and a plan that synthesises
+    @example((1.0, 16, [64.0, 64.00000001]))
     def test_audit_passes_exactly_when_strict_run_completes(self, case):
         T, p, freqs = case
         doc = {
@@ -645,13 +640,9 @@ class TestAuditJudgesStrictRun:
             np.testing.assert_allclose(report.image.estimates, 1.0, rtol=0, atol=1e-9)
             return
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a slot was encoded before the audit verdict")
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(caossim.runner, "encode_slot", forbidden)
-            with pytest.raises(PlanRejectedError):
-                run(scenario)
+        with recording() as route, pytest.raises(PlanRejectedError):
+            run(scenario)
+        assert route.encoded == [], "a slot was encoded before the audit verdict"
 
 
 def _explicit_plan(freqs, permissive=False):
@@ -720,196 +711,48 @@ SILENT_RUNS = {
 SLOTS = {"fdma-tdma": 3, "cdma": 1, "cdma-spectral-line": 2}
 
 
-def _noise_run(doc):
-    """The run's report and what it did with noise: each ``slot_terms`` iterator it opened
-    (q, period, slots), the slots whose terms it took from them, in the order taken, and each
-    ``add_terms`` call's (block shape, windows)."""
-    noise = {"opened": [], "taken": [], "added": []}
-    slot_terms, add_terms = caossim.runner.slot_terms, caossim.runner.add_terms
-
-    def recording_terms(cfg, q, fs, period, slots):
-        noise["opened"].append((q, period, slots))
-        with closing(slot_terms(cfg, q, fs, period, slots)) as terms:
-            for i, slot in zip(slots, terms):
-                noise["taken"].append(i)
-                yield slot
-
-    def recording_add(rows, terms, cfg, fs, windows=1):
-        noise["added"].append((rows.shape, windows))
-        add_terms(rows, terms, cfg, fs, windows)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(caossim.runner, "slot_terms", recording_terms)
-        mp.setattr(caossim.runner, "add_terms", recording_add)
-        report = run(scenario_from_dict(doc))
-    return report, noise
-
-
 class TestSilentChannel:
     """A silent channel takes no slot's noise terms and adds nothing to its streams."""
 
     @pytest.mark.parametrize("name", SILENT_RUNS)
-    def test_silent_run_makes_no_noise_call_and_matches_the_noise_path(self, name, monkeypatch):
-        report, noise = _noise_run(SILENT_RUNS[name])
-        assert (noise["taken"], noise["added"]) == ([], [])
-        # forced through add_terms, the run gives the same bits
-        monkeypatch.setattr(caossim.channel.NoiseConfig, "is_silent", property(lambda _: False))
-        forced, forced_noise = _noise_run(SILENT_RUNS[name])
-        assert forced_noise["taken"] == list(range(SLOTS[name]))
-        assert sum(shape[0] for shape, _ in forced_noise["added"]) == SLOTS[name]
-        for a, b in zip(report.images, forced.images, strict=True):
+    def test_silent_run_makes_no_noise_call_and_matches_the_noise_path(self, name):
+        scenario = scenario_from_dict(SILENT_RUNS[name])
+        with recording() as route:
+            report = run(scenario)
+        assert route.drawn == []
+        # the library chain adds every slot's (zero) terms, and gives the same bits
+        images, clipped, spectra = slot_by_slot(scenario)
+        for a, b in zip(report.images, images, strict=True):
             assert a.estimates.tobytes() == b.estimates.tobytes()
+        assert report.clip_count == clipped
         assert (report.spectra is None) == (name != "fdma-tdma")
         if report.spectra is not None:
-            assert report.spectra.tobytes() == forced.spectra.tobytes()
-        assert (report.clip_count, report.metrics_text) == (forced.clip_count, forced.metrics_text)
+            assert report.spectra.tobytes() == spectra.tobytes()
 
     @pytest.mark.parametrize("noise", [{"awgn_sigma": 1e-3}, {"dark_offset": 0.1},
-                                       {"mains_amplitude": 0.01}])
+                                       {"mains_amplitude": 0.01}, {"pink_sigma": 1e-3}])
     @pytest.mark.parametrize("name", SILENT_RUNS)
     def test_noisy_run_makes_one_noise_call_per_slot(self, name, noise):
-        # each slot's terms are taken once, in slot order, and added to one row
-        _, got = _noise_run(dict(SILENT_RUNS[name], noise=noise))
-        assert [slots for _, _, slots in got["opened"]] == [range(SLOTS[name])]
-        assert got["taken"] == list(range(SLOTS[name]))
-        assert sum(shape[0] for shape, _ in got["added"]) == SLOTS[name]
+        # the fdma-tdma run's ADC clips the negative swings of AWGN or pink noise, and says so
+        rectifies = name == "fdma-tdma" and ("awgn_sigma" in noise or "pink_sigma" in noise)
+        expected = (pytest.warns(UserWarning, match="noise.dark_offset") if rectifies
+                    else contextlib.nullcontext())
+        with recording() as route, expected:
+            run(scenario_from_dict(dict(SILENT_RUNS[name], noise=noise)))
+        # each slot's terms are taken once, from one iterator over every slot
+        assert [slots for _, _, slots in route.drawn] == [range(SLOTS[name])] * SLOTS[name]
 
     @pytest.mark.parametrize("block_rows", [None, 10])
     def test_silent_adc_off_run_makes_one_adc_call_per_block(self, block_rows, monkeypatch):
-        calls = []
-
-        def counting(stream, cfg):
-            calls.append(len(stream))
-            return quantize(stream, cfg)
-
         if block_rows is not None:
             monkeypatch.setattr(caossim.runner, "BLOCK_BYTES", block_rows * 512 * 8)
-        monkeypatch.setattr(caossim.runner, "quantize", counting)
-        run(load_preset("fig9-valid"))
+        with recording() as route:
+            run(load_preset("fig9-valid"))
         # 576 pixels, 7 per slot: a run of 82 full slots, then one short slot, each read over
         # one 512-sample carrier period
         rows = block_rows or 82
-        assert calls == [min(rows, 82 - s) * 512 for s in range(0, 82, rows)] + [512]
-
-
-NOISY_FDMA = dict(TINY_FDMA, grid={"rows": 2, "cols": 4},
-                  target={"kind": "uniform", "level": 0.5},
-                  noise={"awgn_sigma": 0.01, "dark_offset": 0.05, "mains_amplitude": 0.01})
-# below the noiseless peak, 2.0 plus a 0.2 dark offset, so the first sample of each slot clips
-NOISY_ADC = {"enabled": True, "bits": 10, "full_scale": 2.1}
-
-
-class TestAveragedReadout:
-    """Without the ADC, a permissive plan, or spectra of a channel that varies in time, a
-    slot is one carrier period."""
-
-    @staticmethod
-    def _recorded_run(doc, monkeypatch):
-        """The run's noise record (``_noise_run``); each block row's (length, period the
-        encoder synthesised), or, for a 1x1 unit scene, its carrier; and each decoded row's
-        length."""
-        encoded, decoded, synthesised = [], [], []
-        encode, decode = caossim.runner.encode_block, caossim.runner.decode_block
-        mask = caossim.encoder._carrier_mask
-
-        def recording_mask(freq, window, strict):
-            synthesised.append(window.Q)
-            return mask(freq, window, strict)
-
-        def recording_encode(scene, pixels, freqs, window, strict=True, length=None):
-            synthesised.clear()
-            block = encode(scene, pixels, freqs, window, strict, length)
-            if scene.shape == (1, 1):
-                encoded.append(("unit", scene.irradiance.item(), np.shape(pixels), *freqs))
-            else:
-                encoded.extend([(block.shape[-1], *set(synthesised))] * len(pixels))
-            return block
-
-        def recording_decode(rows, fs, freqs):
-            decoded.extend([rows.shape[-1]] * len(rows))
-            return decode(rows, fs, freqs)
-
-        monkeypatch.setattr(caossim.encoder, "_carrier_mask", recording_mask)
-        monkeypatch.setattr(caossim.runner, "encode_block", recording_encode)
-        monkeypatch.setattr(caossim.runner, "decode_block", recording_decode)
-        # a warm cache would hide a permissive run's unit carriers
-        caossim.runner._unit_responses.cache_clear()
-        _, noise = _noise_run(doc)
-        monkeypatch.undo()
-        return noise, encoded, decoded
-
-    def test_slots_are_encoded_and_read_over_one_carrier_period(self, monkeypatch):
-        # carriers on bins 64..512 of Q = 4096: L = 4096 / 64
-        _, encoded, decoded = self._recorded_run(NOISY_FDMA, monkeypatch)
-        assert encoded == [(64, 64), (64, 64)] and decoded == [64, 64]
-
-    @pytest.mark.parametrize("raw", [{"adc": {"enabled": True, "bits": 12}},
-                                     {"write_spectra": True}])
-    def test_a_run_that_needs_raw_samples_reads_the_whole_window(self, raw, monkeypatch):
-        _, encoded, decoded = self._recorded_run(dict(NOISY_FDMA, **raw), monkeypatch)
-        # a strict slot is synthesised over one carrier period and tiled to its Q raw samples
-        assert encoded == [(4096, 64), (4096, 64)] and decoded == [4096, 4096]
-
-    def test_spectra_of_a_time_invariant_channel_read_one_period(self, monkeypatch):
-        # a dark offset is constant: each slot still repeats every 64 samples
-        doc = dict(NOISY_FDMA, noise={"dark_offset": 0.05}, write_spectra=True)
-        noise, encoded, decoded = self._recorded_run(doc, monkeypatch)
-        assert encoded == [(64, 64), (64, 64)] and decoded == [64, 64]
-        assert noise["added"] == [((2, 64), 64)]
-        sc = scenario_from_dict(doc)
-        plan = caossim.runner._build_plan(sc)
-        scene = build_scene(sc.target, sc.grid)
-        spectra = run(sc).spectra
-        for i, slot in enumerate(schedule_fdma_tdma(sc.grid.num_pixels, plan).slots):
-            stream = add_noise(encode_slot(scene, slot, plan.window()), sc.noise_config(), i)
-            full = np.abs(np.fft.rfft(stream.samples))
-            assert np.abs(spectra[:, i] - full).max() <= 1e-12 * full.max()
-            assert not spectra[np.arange(full.size) % 64 != 0, i].any()
-
-    def test_a_permissive_run_encodes_no_slot_and_reads_its_noise_at_q(self, monkeypatch):
-        read = []
-        coefficients = caossim.runner.block_coefficients
-
-        def recording_coefficients(rows, fs, freqs):
-            read.append(rows.shape)
-            return coefficients(rows, fs, freqs)
-
-        monkeypatch.setattr(caossim.runner, "block_coefficients", recording_coefficients)
-        noise, encoded, decoded = self._recorded_run(dict(NOISY_FDMA, permissive=True),
-                                                     monkeypatch)
-        # no slot of the scene is encoded: only one 1x1 unit carrier row per carrier
-        assert encoded == [("unit", 1.0, (1, 1), f) for f in (64.0, 128.0, 256.0, 512.0)]
-        assert decoded == []
-        # both slots' terms are drawn and added at Q samples, to one block of noise-only rows
-        assert noise == {"opened": [(4096, 4096, range(2))], "taken": [0, 1],
-                         "added": [((2, 4096), 1)]}
-        # both slots drive the same 4 carriers: 4 unit responses, then one read of the
-        # block of both slots' noise
-        assert read == [(1, 4096)] * 4 + [(2, 4096)]
-
-    @pytest.mark.parametrize("doc", [
-        dict(NOISY_FDMA, write_spectra=True),
-        dict(NOISY_FDMA, noise=dict(NOISY_FDMA["noise"], dark_offset=0.2), adc=NOISY_ADC),
-        dict(NOISY_FDMA, noise=dict(NOISY_FDMA["noise"], dark_offset=0.2), adc=NOISY_ADC,
-             permissive=True),
-        dict(NOISY_FDMA, write_spectra=True, permissive=True),
-    ], ids=["spectra", "adc-strict", "adc-permissive", "spectra-permissive"])
-    def test_the_whole_window_path_is_the_slot_by_slot_pipeline(self, doc):
-        sc = scenario_from_dict(doc)
-        plan = caossim.runner._build_plan(sc)
-        scene = build_scene(sc.target, sc.grid)
-        slots = schedule_fdma_tdma(sc.grid.num_pixels, plan).slots
-        adc = sc.adc_config(auto_full_scale=1.0)  # unused: the ADC runs set their full scale
-        want, clipped = {}, 0
-        for i, slot in enumerate(slots):
-            stream = encode_slot(scene, slot, plan.window(), strict=not sc.permissive)
-            stream, c = quantize(add_noise(stream, sc.noise_config(), i), adc)
-            clipped += c
-            want.update(decode_slot_free(stream, slot))
-        report = run(sc)
-        got = report.image.estimates.ravel()
-        assert got.tobytes() == np.array([want[i] for i in range(got.size)]).tobytes()
-        assert report.clip_count == clipped
+        assert [len(stream) for stream in route.quantized] == [
+            min(rows, 82 - s) * 512 for s in range(0, 82, rows)] + [512]
 
 
 class TestUnitResponseCache:
@@ -934,62 +777,6 @@ class TestUnitResponseCache:
         assert caossim.runner._unit_responses(freqs, window) is responses
         with pytest.raises(ValueError, match="read-only"):
             responses[0, 0] = 0.0
-
-
-class TestCdmaAutoFullScale:
-    DOC = {
-        "mode": "cdma",
-        "grid": {"rows": 2, "cols": 3},
-        "target": {"kind": "explicit", "values": [[1.0, 0.5, 0.25], [0.8, 0.0, 0.1]]},
-        "cdma": {"code_length": 8, "samples_per_bit": 4},
-        "noise": {"awgn_sigma": 0.05},
-        "adc": {"enabled": True, "bits": 8},
-    }
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_auto_full_scale_is_headroom_times_noiseless_peak(self, seed):
-        auto = scenario_from_dict(dict(self.DOC, seed=seed))
-        grid = auto.grid
-        assignment = WalshAssignment.sequential(grid.num_pixels, 8)
-        cfg = CdmaConfig(bit_rate=auto.cdma.bit_rate, samples_per_bit=4)
-        peak = float(encode_cdma(build_scene(auto.target, grid), assignment, cfg).samples.max())
-        adc = dict(self.DOC["adc"], full_scale=FULL_SCALE_HEADROOM * peak)
-        explicit = scenario_from_dict(dict(self.DOC, seed=seed, adc=adc))
-        assert np.array_equal(run(auto).image.estimates, run(explicit).image.estimates)
-
-
-class TestCdmaAgainstTheLibrary:
-    """A noisy, ADC-on CDMA run is, band by band, the library chain encode_cdma ->
-    add_noise (slot = band) -> quantize at the band's auto full scale -> decode_cdma."""
-
-    NOISE = {"awgn_sigma": 0.01, "pink_sigma": 0.004, "mains_amplitude": 0.003,
-             "dark_offset": 0.01}
-
-    @pytest.mark.filterwarnings("ignore:noise.dark_offset")
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_band_is_the_library_chain_bit_for_bit(self, workers, monkeypatch):
-        doc = dict(load_preset("spectral-line").to_dict(), noise=self.NOISE,
-                   adc={"enabled": True, "bits": 10})
-        sc = scenario_from_dict(doc)
-        spec, grid, target = sc.cdma, sc.grid, sc.target
-        cfg = CdmaConfig(bit_rate=spec.bit_rate, samples_per_bit=spec.samples_per_bit)
-        assignment = WalshAssignment.sequential(grid.num_pixels, spec.code_length)
-        anchors = [SpectralAnchor(w, c) for w, c in sc.anchors]
-        want, clipped = [], 0
-        for band, ((center, bw), row) in enumerate(zip(target.bands, target.band_rows)):
-            scene = make_spectral_line_scene(grid, row, center, bw, OpticsConfig(), anchors,
-                                             target.source_temp_k)
-            stream = encode_cdma(scene, assignment, cfg)
-            adc = AdcConfig(bits=10, full_scale=FULL_SCALE_HEADROOM * stream.samples.max())
-            stream, c = quantize(add_noise(stream, sc.noise_config(), slot_index=band), adc)
-            clipped += c
-            want.append(decode_cdma(stream, assignment, cfg, grid).estimates)
-        monkeypatch.setattr(caossim.channel, "_draw_workers", lambda: workers)
-        report = run(sc)
-        assert len(want) == 7 and clipped > 0
-        assert report.clip_count == clipped
-        for image, estimates in zip(report.images, want, strict=True):
-            assert image.estimates.tobytes() == estimates.tobytes()
 
 
 class TestAdcBelowOneLsb:
