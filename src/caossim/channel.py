@@ -9,18 +9,19 @@ Randomness is counter-based: the Gaussian draws for a slot come from a
 Philox generator keyed by (seed, slot_index), so any processing order or
 degree of concurrency reproduces the same decoded image bit for bit.
 
-That keying lets a run draw ahead.  ``slot_terms`` yields a run's slot
-terms in slot order, and a thread pool of W = min(4, usable CPUs) workers
-draws the next W slots while the calling thread encodes, impairs and
-decodes the current block.  The caller hands a block's terms to
-``add_terms``, which adds them to the block's rows in place.  Only the
-draw leaves the calling thread.  ``add_noise`` is the one-row form.
+One function, ``_slot_terms``, draws a slot's terms: AWGN, then pink.  The
+keying lets a run draw ahead: ``slot_terms`` yields a run's slot terms in
+slot order, and a thread pool of W = min(4, usable CPUs) workers draws the
+next W slots while the calling thread encodes, impairs and decodes the
+current block.  The caller hands a block's terms to ``add_terms``, which
+adds them to the block's rows in place.  Only the draw leaves the calling
+thread.  ``add_noise`` is the one-row form.
 
 A stream may be a synchronous average (``SampledSignal.windows`` > 1):
 the mean of the q = windows * L samples of a slot over its windows of L
-samples.  Every term is then still drawn at q samples from the slot's key
-and reduced to its own L-sample mean (``_window_mean``), on the workers
-when drawn ahead, so the draw and its bits do not depend on L.
+samples.  ``_slot_terms`` still draws every term at q samples from the
+slot's key and reduces it to its own L-sample mean (``_window_mean``), on
+the workers when drawn ahead, so the draw and its bits do not depend on L.
 """
 
 from __future__ import annotations
@@ -119,30 +120,6 @@ def _term_count(cfg: NoiseConfig) -> int:
     return bool(cfg.awgn_sigma) + cfg.pink_enabled
 
 
-def _noise_terms(
-    cfg: NoiseConfig, q: int, fs: float, slot_index: int, out: list | None = None
-) -> list[np.ndarray]:
-    """A slot's scaled stochastic terms in draw order: AWGN first, then pink.
-
-    The AWGN draw is consumed before the pink draw, so disabling one never
-    shifts the other.  ``out`` holds one length-q float64 buffer per term
-    (``_term_count``) to fill; without it the buffers are allocated here.
-    """
-    if out is None:
-        out = [np.empty(q) for _ in range(_term_count(cfg))]
-    if not out:
-        return out
-    rng = _slot_rng(cfg.seed, slot_index)
-    terms = iter(out)
-    if cfg.awgn_sigma:
-        z = next(terms)
-        rng.standard_normal(q, out=z)
-        z *= cfg.awgn_sigma
-    if cfg.pink_enabled:
-        np.multiply(_pink_noise(rng, q, fs, cfg.pink_exponent), cfg.pink_sigma, out=next(terms))
-    return out
-
-
 def _window_mean(x: np.ndarray, period: int) -> np.ndarray:
     """The mean of x's windows of ``period`` samples, written over x[:period].
 
@@ -159,8 +136,24 @@ def _window_mean(x: np.ndarray, period: int) -> np.ndarray:
 def _slot_terms(
     cfg: NoiseConfig, q: int, fs: float, slot_index: int, period: int, out: list | None = None
 ) -> list[np.ndarray]:
-    """``_noise_terms`` of a q-sample slot, each reduced to its period-sample mean."""
-    return [_window_mean(term, period) for term in _noise_terms(cfg, q, fs, slot_index, out)]
+    """A slot's scaled stochastic terms, each reduced to its period-sample mean.
+
+    The terms are drawn at q samples in draw order, AWGN first, then pink, so
+    disabling one never shifts the other.  ``out`` holds one length-q float64
+    buffer per term (``_term_count``) to fill; without it the buffers are
+    allocated here.
+    """
+    if out is None:
+        out = [np.empty(q) for _ in range(_term_count(cfg))]
+    if not out:
+        return out
+    rng = _slot_rng(cfg.seed, slot_index)
+    if cfg.awgn_sigma:
+        rng.standard_normal(q, out=out[0])
+        out[0] *= cfg.awgn_sigma
+    if cfg.pink_enabled:
+        np.multiply(_pink_noise(rng, q, fs, cfg.pink_exponent), cfg.pink_sigma, out=out[-1])
+    return [_window_mean(term, period) for term in out]
 
 
 def add_terms(
@@ -171,8 +164,10 @@ def add_terms(
 
     The dark offset and the mains tone's mean over the slot's ``windows``
     are added to the whole block, since neither depends on the slot.  Then
-    each row's stochastic terms (``_slot_terms``) take its sum in draw
-    order: term0 + row == row + term0 bit for bit, then += term1.
+    each row takes its stochastic terms (``_slot_terms``) in place, in draw
+    order: (((row + dark) + mains) + awgn) + pink.  The terms are only read,
+    and IEEE addition commutes (row + term == term + row bit for bit), so
+    adding into the row gives the bits of adding into the term.
     """
     period = rows.shape[-1]
     if cfg.dark_offset:
@@ -184,12 +179,8 @@ def add_terms(
         )
         rows += _window_mean(tone, period)
     for row, slot in zip(rows, terms, strict=True):
-        if slot:
-            total = slot[0]
-            total += row
-            for term in slot[1:]:
-                total += term
-            row[:] = total
+        for term in slot:
+            row += term
 
 
 def add_noise(stream: SampledSignal, cfg: NoiseConfig, slot_index: int) -> SampledSignal:

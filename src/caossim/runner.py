@@ -2,9 +2,10 @@
 
 A TDMA run is processed in blocks, in slot order, on the calling thread.
 A block is a slice of one of ``encoder.schedule_runs``' runs of slots that
-drive the same carriers and holds at most BLOCK_BYTES of slot rows, so
-long acquisitions never hold every stream in memory.  It is encoded as one
-array (``encoder.encode_block``) and read by one fold and one batched real
+drive the same carriers and holds at most BLOCK_BYTES of slot rows (or of
+carrier coefficients, where a run forms no rows), so long acquisitions never
+hold every stream in memory.  It is encoded as one array
+(``encoder.encode_block``) and read by one fold and one batched real
 FFT along its rows (``decoder.decode_block``), whose estimates go straight
 into the image.  Between them every frame, a TDMA block or a CDMA band's
 stream as a one-row block, passes one step (``_impair``): ``add_terms``
@@ -281,12 +282,17 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     # a passing audit implies every carrier check of synth_square and decode_slot
     if not report.passed and not scenario.permissive:
         raise PlanRejectedError(report)
+    _warn_if_rectified(scenario)
 
     window = plan.window()
     # a row holds `period` samples, the average of `windows` windows of them
     period = _row_length(scenario, plan)
     windows = window.Q // period
-    rows = max(1, BLOCK_BYTES // (8 * period))
+    # with the ADC off and no spectra, a permissive slot needs only its carrier bins
+    superposed = scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
+    # on a silent channel such a slot forms no row: a block holds its carrier coefficients
+    slot_bytes = 16 * plan.num_channels if superposed and noise_cfg.is_silent else 8 * period
+    rows = max(1, BLOCK_BYTES // slot_bytes)
     blocks = [(first + s, freqs, pixels[s : s + rows])
               for first, freqs, pixels in schedule_runs(grid.num_pixels, plan)
               for s in range(0, len(pixels), rows)]
@@ -294,8 +300,6 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     adc_cfg = scenario.adc_config(
         auto_full_scale=FULL_SCALE_HEADROOM * max(_stream_peak(flat, blocks), 1e-12)
     )
-    # with the ADC off and no spectra, a permissive slot needs only its carrier bins
-    superposed = scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
 
     nslots = math.ceil(grid.num_pixels / plan.num_channels)
     est, chan = np.empty(grid.num_pixels), np.empty(grid.num_pixels)
@@ -373,6 +377,7 @@ def _run_cdma(scenario: Scenario, grid: CaosGrid) -> RunReport:
         band_scenes = [(None, build_scene(scenario.target, grid))]
 
     run_report = RunReport(scenario=scenario)
+    _warn_if_rectified(scenario)
     q = spec.code_length * spec.samples_per_bit
     with closing(slot_terms(noise_cfg, q, cfg.fs, q, range(len(band_scenes)))) as noise:
         for band, scene in band_scenes:
@@ -529,7 +534,7 @@ def _warn_if_rectified(scenario: Scenario) -> None:
         warnings.warn(
             f"noise.dark_offset {noise.dark_offset!r} is below 4 sigma = {4 * sigma!r} of the"
             " stochastic noise: the ADC clips its negative swings to 0 and biases dim pixels low",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -539,7 +544,6 @@ def run(scenario: Scenario, outdir: str | Path | None = None) -> RunReport:
     if scenario.mode == "optics-check":
         report = run_optics_check(scenario)
     else:
-        _warn_if_rectified(scenario)
         grid = scenario.grid
         if scenario.mode == "cdma":
             report = _run_cdma(scenario, grid)

@@ -201,7 +201,7 @@ def test_out_of_memory_is_clean_exit_1(tmp_path, capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 128. GiB for an array with shape (17179869184,)")
 
-    monkeypatch.setattr(caossim.channel, "_noise_terms", out_of_memory)
+    monkeypatch.setattr(caossim.channel, "_slot_terms", out_of_memory)
     doc = {
         "mode": "fdma-tdma",
         "grid": {"rows": 1, "cols": 2},

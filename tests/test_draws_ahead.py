@@ -135,17 +135,17 @@ def test_noisy_scenarios_clip_and_write_spectra(inline_runs):
 def test_draws_run_on_the_pool_and_the_rest_on_the_caller(name, monkeypatch):
     _workers(monkeypatch, 2)
     draws, added = [], []
-    original_terms, original_add = caossim.channel._noise_terms, caossim.runner.add_terms
+    original_terms, original_add = caossim.channel._slot_terms, caossim.runner.add_terms
 
-    def recording_terms(cfg, q, fs, slot_index, out=None):
+    def recording_terms(cfg, q, fs, slot_index, period, out=None):
         draws.append((slot_index, threading.current_thread().name))
-        return original_terms(cfg, q, fs, slot_index, out)
+        return original_terms(cfg, q, fs, slot_index, period, out)
 
     def recording_add(rows, terms, *args):
         added.append((len(rows), threading.current_thread() is threading.main_thread()))
         original_add(rows, terms, *args)
 
-    monkeypatch.setattr(caossim.channel, "_noise_terms", recording_terms)
+    monkeypatch.setattr(caossim.channel, "_slot_terms", recording_terms)
     monkeypatch.setattr(caossim.runner, "add_terms", recording_add)
     _run(SCENARIOS[name]())
     slots = sum(rows for rows, _ in added)
@@ -298,14 +298,14 @@ def test_add_noise_sums_in_the_order_it_always_has(name):
 def test_a_workers_exception_surfaces_at_its_slot(monkeypatch):
     _workers(monkeypatch, 2)
     baseline = threading.active_count()
-    original = caossim.channel._noise_terms
+    original = caossim.channel._slot_terms
 
-    def fail_at_slot_3(cfg, q, fs, slot_index, out=None):
+    def fail_at_slot_3(cfg, q, fs, slot_index, period, out=None):
         if slot_index == 3:
             raise RuntimeError("draw failed at slot 3")
-        return original(cfg, q, fs, slot_index, out)
+        return original(cfg, q, fs, slot_index, period, out)
 
-    monkeypatch.setattr(caossim.channel, "_noise_terms", fail_at_slot_3)
+    monkeypatch.setattr(caossim.channel, "_slot_terms", fail_at_slot_3)
     cfg = CONFIGS["stochastic"]
     terms = slot_terms(cfg, 256, 256.0, 256, range(8))
     for _ in range(3):

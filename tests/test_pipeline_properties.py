@@ -101,8 +101,7 @@ def _rejected_for_mains(scenario) -> bool:
     Such a draw is not filtered out: the run must raise, naming noise.mains_freq."""
     if scenario.permissive or not _mains_on_a_carrier(scenario):
         return False
-    with pytest.raises(PlanRejectedError, match="noise.mains_freq"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an ADC below 4 sigma of dark offset
+    with pytest.raises(PlanRejectedError, match="noise.mains_freq"):
         run(scenario)
     return True
 
@@ -279,15 +278,19 @@ def block_docs(draw):
 
 
 def _block_run(scenario, width, block_rows):
-    """run(scenario) with ``width`` draw-ahead workers and, unless None, ``block_rows`` slot
-    rows per block."""
+    """run(scenario) with ``width`` draw-ahead workers and, unless None, ``block_rows`` slots
+    per block."""
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an ADC below 4 sigma of dark offset
         mp.setattr(caossim.channel, "_draw_workers", lambda: width)
         if block_rows is not None:
             plan = caossim.runner._build_plan(scenario)
-            row_bytes = 8 * caossim.runner._row_length(scenario, plan)
-            mp.setattr(caossim.runner, "BLOCK_BYTES", block_rows * row_bytes)
+            slot_bytes = 8 * caossim.runner._row_length(scenario, plan)
+            # a superposed run on a silent channel forms no rows: its blocks hold coefficients
+            if (scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
+                    and scenario.noise_config().is_silent):
+                slot_bytes = 16 * plan.num_channels
+            mp.setattr(caossim.runner, "BLOCK_BYTES", block_rows * slot_bytes)
         return run(scenario)
 
 
@@ -353,6 +356,7 @@ MAINS_ON_A_CARRIER = {
 @given(block_docs())
 @example((dict(LADDER, write_spectra=True), 1, None))
 @example((dict(LADDER, write_spectra=True, permissive=True), 2, None))
+@example((dict(LADDER, permissive=True, noise={}), 1, 1))
 @example((CLIPPING, 2, None))
 @example((dict(CLIPPING, permissive=True), 1, None))
 @example((NOISY_BANDS, 2, None))
@@ -405,6 +409,7 @@ def _reached(doc, width, block_rows) -> set:
             "pink": noise.pink_enabled,
             "mains": noise.mains_amplitude > 0,
             "dark offset": noise.dark_offset > 0,
+            "silent": noise.is_silent,
         }
         cases = {
             "strict": not sc.permissive,
@@ -441,7 +446,7 @@ def test_block_strategy_reaches_every_case():
     collect()
     superposed = {f"permissive, superposed, {case}" for case in (
         "on the bin grid", "off the bin grid", "short last slot, other gcd", "pink", "mains",
-        "dark offset")}
+        "dark offset", "silent")}
     assert reached == {
         "strict", "permissive, stream", "averaged", "spectra", "time-invariant spectra", "adc",
         "short last slot", "more than 8 carriers, adc", "more than 8 carriers, superposed",

@@ -832,6 +832,15 @@ class TestAdcBelowOneLsb:
             warnings.simplefilter("error")
             run(scenario_from_dict(quiet))
 
+    def test_a_plan_the_audit_rejects_raises_without_warning(self):
+        # a strict fig9-invalid whose ADC would rectify its AWGN: the audit stops it first
+        doc = dict(load_preset("fig9-invalid").to_dict(), permissive=False,
+                   adc={"enabled": True, "bits": 10}, noise={"awgn_sigma": 0.01})
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(PlanRejectedError):
+            warnings.simplefilter("always")
+            run(scenario_from_dict(doc))
+        assert caught == []
+
     @pytest.mark.parametrize("name", preset_names())
     def test_no_preset_warns(self, name):
         with warnings.catch_warnings():
