@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-f", "--frequencies", type=_parse_float_list, required=True,
         help="comma-separated carrier list, Hz",
     )
-    val.add_argument("--max-harmonic", type=int, default=63)
 
     slots = plan_sub.add_parser("slots", help="available even-multiple carrier slots")
     slots.add_argument("--fa", type=_positive_float, required=True, help="base carrier, Hz")
@@ -106,7 +105,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             print("bins: " + ", ".join(str(b) for b in plan.bins))
         return EXIT_OK
     if args.plan_command == "validate":
-        report = validate_plan(args.frequencies, args.df, args.fs, args.max_harmonic)
+        report = validate_plan(args.frequencies, args.df, args.fs)
         print(report.summary())
         return EXIT_OK if report.passed else EXIT_VALIDATION
     if args.plan_command == "slots":
@@ -130,7 +129,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ScenarioError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # ScenarioError, bad JSON, bad UTF-8, too deep
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return _execute(scenario, args)

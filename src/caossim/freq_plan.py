@@ -5,13 +5,14 @@ spectrum bin and no carrier may coincide with an odd harmonic of another
 (alias folds included).  Both constraints are met by the power-of-two
 ladder f_j = 2**(j-1) * f_1 with f_1 = 2**(m-1) * delta_f in a window of
 fs = 2**p * delta_f: every member is fs/2**k (k >= 2), so it has a whole,
-even number of samples per period and zero even harmonics, and its odd
-harmonics fold only onto odd multiples of itself, never onto a distinct
-power-of-two channel.
+even number of samples per period and zero even harmonics.  In Q = 2**p
+bins two bin-exact carriers collide exactly when their folded bins have the
+same largest power-of-two factor, which distinct ladder members never do.
 
 Bins are integers: a frequency becomes a bin once (``whole_number`` where it
 must be exact, ``nearest_bin`` for a plan's placements), and every fold and
-collision test after that is integer arithmetic on bins and Q.
+collision test after that is integer arithmetic on bins and Q, the lowest
+colliding odd harmonic included: it is solved for, not scanned.
 
 ``design_plan`` builds such a ladder; ``validate_plan`` audits an
 arbitrary frequency set and reports every violation it finds.
@@ -19,6 +20,7 @@ arbitrary frequency set and reports every violation it finds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -36,7 +38,6 @@ __all__ = [
 ]
 
 MAINS_GUARD_HZ = 50.0
-DEFAULT_MAX_HARMONIC = 63
 
 
 class MainsGuardWarning(UserWarning):
@@ -125,20 +126,14 @@ class ValidationReport:
 
     def summary(self) -> str:
         lines = [f"verdict: {'pass' if self.passed else 'FAIL'}"]
-        for name, entries in (
-            ("not a multiple of delta_f", self.not_multiple_of_delta_f),
-            ("breaks power-of-two ladder", self.not_power_of_two_ladder),
-        ):
-            for f in entries:
-                lines.append(f"  {f} Hz: {name}")
-        for c in self.odd_harmonic_collision:
-            lines.append(
-                f"  {c.frequency} Hz: collides with harmonic {c.harmonic} of {c.source} Hz"
-            )
-        for f in self.on_mains_bin:
-            lines.append(f"  {f} Hz: on the bin of the mains tone (noise.mains_freq)")
-        for f in self.below_mains_guard:
-            lines.append(f"  {f} Hz: warning, at or below {MAINS_GUARD_HZ:g} Hz mains")
+        lines += [f"  {f} Hz: not a multiple of delta_f" for f in self.not_multiple_of_delta_f]
+        lines += [f"  {f} Hz: breaks power-of-two ladder" for f in self.not_power_of_two_ladder]
+        lines += [f"  {c.frequency} Hz: collides with harmonic {c.harmonic} of {c.source} Hz"
+                  for c in self.odd_harmonic_collision]
+        lines += [f"  {f} Hz: on the bin of the mains tone (noise.mains_freq)"
+                  for f in self.on_mains_bin]
+        lines += [f"  {f} Hz: warning, at or below {MAINS_GUARD_HZ:g} Hz mains"
+                  for f in self.below_mains_guard]
         return "\n".join(lines)
 
 
@@ -191,11 +186,26 @@ def _on_ladder(n: int | None) -> bool:
     return n is not None and n >= 4 and n & (n - 1) == 0
 
 
+def _lowest_odd_harmonic(b: int, v: int, q: int) -> int | None:
+    """The lowest odd h with fold_bin(h * b, q) == v, or None when no odd h has it.
+
+    fold_bin(h * b, q) == v exactly when h * b = +-v (mod q).  With g = gcd(b, q)
+    and m = q / g that needs g | v, and then h = +-(v/g) * (b/g)**-1 (mod m).  Of
+    each class, the least positive member is odd, or is even and has an odd
+    member, that plus m, only when m is odd.
+    """
+    g = math.gcd(b, q)
+    if v % g:
+        return None
+    m = q // g
+    r = v // g * pow(b // g, -1, m) % m
+    return min((h if h % 2 else h + m for h in (r or m, m - r) if h % 2 or m % 2), default=None)
+
+
 def validate_plan(
     frequencies: Sequence[float],
     delta_f: float,
     fs: float,
-    max_harmonic: int = DEFAULT_MAX_HARMONIC,
     *,
     mains_hz: float | None = None,
 ) -> ValidationReport:
@@ -207,14 +217,11 @@ def validate_plan(
     bin-exact member, (d) with ``mains_hz``, a mains tone on a whole bin
     that folds onto the carrier's bin.  The tone is a pure sine, so only
     its fundamental can land on a bin.  A collision is charged to the
-    channel whose bin is hit, with the lowest such h.  Findings are sorted
-    by frequency, so the
-    report is independent of input order.  A report is always produced,
-    unless fs is not a whole multiple of delta_f or max_harmonic < 1, which
-    would skip even the same-bin test (ValueError).
+    channel whose bin is hit, with the lowest such h, however high.
+    Findings are sorted by frequency, so the report is independent of
+    input order.  A report is always produced, unless fs is not a whole
+    multiple of delta_f (ValueError).
     """
-    if max_harmonic < 1:
-        raise ValueError(f"max_harmonic must be >= 1, got {max_harmonic}")
     if not frequencies:
         raise ValueError("frequency list must be nonempty")
     freqs = tuple(float(f) for f in frequencies)
@@ -230,15 +237,11 @@ def validate_plan(
     not_multiple = tuple(sorted(f for i, f in enumerate(freqs) if i not in bins))
 
     ladder_breaks = sorted(freqs[i] for i in bins if not _on_ladder(whole_number(fs / freqs[i])))
-    collisions: list[HarmonicCollision] = []
-    for source, b in bins.items():
-        # folded bin -> the lowest odd harmonic of source on it (lower h written last)
-        lowest = {fold_bin(h * b, q): h for h in reversed(range(1, max_harmonic + 1, 2))}
-        collisions += [
-            HarmonicCollision(freqs[victim], freqs[source], lowest[bv])
-            for victim, bv in bins.items() if victim != source and bv in lowest
-        ]
-    collisions.sort()
+    collisions = sorted(
+        HarmonicCollision(freqs[victim], freqs[source], h)
+        for source, b in bins.items() for victim, v in bins.items()
+        if victim != source and (h := _lowest_odd_harmonic(b, v, q)) is not None
+    )
 
     tone = None if mains_hz is None else whole_number(mains_hz / delta_f)
     on_tone = [] if tone is None else [freqs[i] for i, b in bins.items() if b == fold_bin(tone, q)]
@@ -258,9 +261,8 @@ def available_slots(
 ) -> list[float]:
     """Even multiples of f_a still usable as additional carriers.
 
-    A multiple k*f_a (k even, k <= horizon) is available when it is not
-    already used and is not an odd harmonic (order >= 3) of any used
-    frequency.
+    A multiple k*f_a (k even, k <= horizon) is available when it is not an
+    odd harmonic h >= 1 of any used frequency (h = 1: already used).
     """
     if not used:
         raise ValueError("used list must be nonempty")
@@ -273,13 +275,5 @@ def available_slots(
             raise ValueError(f"used frequency {u} is below f_a = {f_a}")
         used_mult.append(m)
 
-    out: list[float] = []
-    for k in range(2, horizon + 1, 2):
-        if k in used_mult:
-            continue
-        blocked = any(
-            k % m == 0 and (k // m) % 2 == 1 and k // m >= 3 for m in used_mult
-        )
-        if not blocked:
-            out.append(k * f_a)
-    return out
+    return [k * f_a for k in range(2, horizon + 1, 2)
+            if not any(k % m == 0 and k // m % 2 for m in used_mult)]

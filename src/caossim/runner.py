@@ -227,6 +227,16 @@ def _row_length(scenario: Scenario, plan: FrequencyPlan) -> int:
     return plan.Q // math.gcd(plan.Q, *plan.bins)
 
 
+def _slot_layout(scenario: Scenario, plan: FrequencyPlan) -> tuple[bool, int]:
+    """(superposed, bytes a slot takes in a block).  With the ADC off and no spectra, a
+    permissive slot is superposed: it needs only its carrier bins.  A slot takes a row of
+    ``_row_length`` samples or, superposed on a silent channel, its carrier coefficients."""
+    superposed = scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
+    if superposed and scenario.noise_config().is_silent:
+        return True, 16 * plan.num_channels
+    return superposed, 8 * _row_length(scenario, plan)
+
+
 @functools.lru_cache(maxsize=64)
 def _unit_responses(freqs: tuple[float, ...], window: SamplingWindow) -> np.ndarray:
     """Read-only; row p: the coefficients at the bins of ``freqs`` of carrier p's
@@ -288,10 +298,7 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     # a row holds `period` samples, the average of `windows` windows of them
     period = _row_length(scenario, plan)
     windows = window.Q // period
-    # with the ADC off and no spectra, a permissive slot needs only its carrier bins
-    superposed = scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
-    # on a silent channel such a slot forms no row: a block holds its carrier coefficients
-    slot_bytes = 16 * plan.num_channels if superposed and noise_cfg.is_silent else 8 * period
+    superposed, slot_bytes = _slot_layout(scenario, plan)
     rows = max(1, BLOCK_BYTES // slot_bytes)
     blocks = [(first + s, freqs, pixels[s : s + rows])
               for first, freqs, pixels in schedule_runs(grid.num_pixels, plan)

@@ -76,7 +76,7 @@ def slot_by_slot(scenario):
     period = caossim.runner._row_length(scenario, plan)
     windows = window.Q // period
     read_window = SamplingWindow(window.fs, window.T / windows, period, window.delta_f * windows)
-    superposed = scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
+    superposed, _ = caossim.runner._slot_layout(scenario, plan)
     estimates, spectra, clipped = [], [], 0
     for i, slot in enumerate(schedule.slots):
         freqs = [f for _, f in slot]

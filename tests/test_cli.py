@@ -64,9 +64,15 @@ def test_plan_validate_passes_valid_set(capsys):
         (["plan", "generate", "--T", "1", "--p", "6", "--m", "2000", "--P", "1"], 1),
         (["plan", "slots", "--fa", "64", "--used", "64,100"], 1),
         (["plan", "slots", "--fa", "1e12", "--used", "100"], 1),
+        # a scenario file, given by its bytes, that the JSON reader cannot decode
+        (["simulate", b"\xff\xfe{}"], 1),
+        (["simulate", b"[" * 100_000 + b"]" * 100_000], 1),
     ],
 )
-def test_bad_plan_settings_exit_without_traceback(argv, code, capsys):
+def test_bad_plan_settings_exit_without_traceback(argv, code, capsys, tmp_path):
+    if isinstance(argv[-1], bytes):  # a scenario file's content: pass the file's path
+        (tmp_path / "scenario.json").write_bytes(argv[-1])
+        argv = [*argv[:-1], str(tmp_path / "scenario.json")]
     try:
         got = main(argv)
     except SystemExit as exc:  # argparse rejects the value
@@ -83,7 +89,6 @@ def test_bad_plan_settings_exit_without_traceback(argv, code, capsys):
         (["plan", "generate", "--T", "1", "--p", "6", "--m", "2000", "--P", "1"], "fs/4"),
         (["plan", "generate", "--T", "1", "--p", "2000", "--m", "7", "--P", "1"], "p = 2000"),
         (["plan", "validate", "--df", "3", "--fs", "65536", "-f", "3"], "whole number of bins"),
-        (["plan", "validate", "--df", "1", "-f", "64,64", "--max-harmonic", "0"], "max_harmonic"),
     ],
 )
 def test_rejected_plan_setting_is_named_on_one_line(argv, words, capsys):
@@ -97,6 +102,11 @@ def test_plan_validate_flags_duplicate_carrier(capsys):
     assert main(["plan", "validate", "--df", "1", "-f", "64,64"]) == 1
     out = capsys.readouterr().out
     assert "verdict: FAIL" in out and "collides with harmonic 1 of 64.0 Hz" in out
+
+
+def test_plan_validate_names_a_harmonic_far_beyond_the_fundamental(capsys):
+    assert main(["plan", "validate", "--df", "1", "--fs", "4096", "-f", "1,3"]) == 1
+    assert "1.0 Hz: collides with harmonic 1365 of 3.0 Hz" in capsys.readouterr().out
 
 
 def test_plan_slots(capsys):

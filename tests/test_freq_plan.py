@@ -97,11 +97,17 @@ class TestValidatePlan:
         rep = validate_plan([fa, 6 * fa], delta_f=1.0, fs=65536.0)
         assert not rep.odd_harmonic_collision
         assert rep.not_power_of_two_ladder == (6 * fa,)
-        # once 2*fa joins, 6*fa = 3 * (2*fa) collides and is charged to 6*fa
+        # once 2*fa joins, 6*fa = 3 * (2*fa) collides and is charged to 6*fa; and 2*fa, on
+        # bin 128 as 6*fa's bin 384 = 3 * 128, is its aliased harmonic 171 (171 * 384 = 65664)
         rep = validate_plan([fa, 2 * fa, 6 * fa], delta_f=1.0, fs=65536.0)
-        assert len(rep.odd_harmonic_collision) == 1
-        hit = rep.odd_harmonic_collision[0]
-        assert (hit.frequency, hit.source, hit.harmonic) == (6 * fa, 2 * fa, 3)
+        assert rep.odd_harmonic_collision == (
+            HarmonicCollision(2 * fa, 6 * fa, 171), HarmonicCollision(6 * fa, 2 * fa, 3))
+
+    def test_collision_beyond_any_fixed_harmonic_bound(self):
+        # harmonic 1365 of 3 Hz folds onto 1 Hz in 4096 bins: 1365 * 3 = 4095 = -1 (mod 4096)
+        report = validate_plan([1.0, 3.0], delta_f=1.0, fs=4096.0)
+        assert HarmonicCollision(1.0, 3.0, 1365) in report.odd_harmonic_collision
+        assert "1.0 Hz: collides with harmonic 1365 of 3.0 Hz" in report.summary()
 
     def test_aliased_collision_detected(self):
         # 3*16384 = 49152 folds about fs=65536 onto 16384: self-fold only, no flag;
@@ -152,13 +158,6 @@ class TestValidatePlan:
     def test_fs_not_a_whole_number_of_bins_rejected(self):
         with pytest.raises(ValueError, match="whole number of bins"):
             validate_plan([3.0], delta_f=3.0, fs=65536.0)
-
-    @pytest.mark.parametrize("max_harmonic", [0, -1])
-    def test_max_harmonic_below_1_rejected(self, max_harmonic):
-        # an empty harmonic range would skip even the same-bin (h = 1) test
-        with pytest.raises(ValueError, match="max_harmonic must be >= 1"):
-            validate_plan([64.0, 64.0], delta_f=1.0, fs=65536.0, max_harmonic=max_harmonic)
-        assert not validate_plan([64.0, 64.0], delta_f=1.0, fs=65536.0, max_harmonic=1).passed
 
     @pytest.mark.parametrize("freqs", [[64.0, 64.0], [64.0, 64.00000001]])
     def test_same_bin_is_a_harmonic_1_collision(self, freqs):
@@ -217,14 +216,16 @@ def _float_fold(frequency, fs, delta_f):
     return round(b)
 
 
-def _float_collisions(freqs, delta_f, fs, max_harmonic):
-    """The earlier audit's O(n^2 H) scan over odd harmonics h >= 3."""
+def _float_collisions(freqs, delta_f, fs):
+    """The earlier audit's O(n^2 Q) float scan over every odd harmonic 3 <= h < 2Q, which
+    covers each residue of h mod Q of either parity."""
+    q = round(fs / delta_f)
     hits = []
     for victim in freqs:
         for source in freqs:
             if source == victim:
                 continue
-            for h in range(3, max_harmonic + 1, 2):
+            for h in range(3, 2 * q, 2):
                 if _float_fold(h * source, fs, delta_f) == _float_fold(victim, fs, delta_f):
                     hits.append(HarmonicCollision(victim, source, h))
                     break
@@ -233,25 +234,51 @@ def _float_collisions(freqs, delta_f, fs, max_harmonic):
 
 @st.composite
 def _bin_carriers(draw):
-    """A window (Q = 2**4..2**12), 1-6 carriers k * delta_f on distinct folded bins and
-    a max_harmonic."""
-    T, p = draw(st.sampled_from([1.0, 0.25, 0.3])), draw(st.integers(4, 12))
+    """A window (Q = 2**4..2**8) and 1-6 carriers k * delta_f on distinct folded bins."""
+    T, p = draw(st.sampled_from([1.0, 0.25, 0.3])), draw(st.integers(4, 8))
     window = SamplingWindow.design(T, p)
     ks = draw(st.lists(st.integers(1, window.Q), min_size=1, max_size=6,
                        unique_by=lambda k: fold_bin(k, window.Q)))
-    return window, [k * window.delta_f for k in ks], draw(st.integers(1, 129))
+    return window, [k * window.delta_f for k in ks]
 
 
 class TestIntegerScanMatchesFloatFold:
     @settings(max_examples=300, deadline=None)
     @given(_bin_carriers())
     def test_same_collisions_as_the_float_fold(self, case):
-        window, freqs, max_harmonic = case
-        report = validate_plan(freqs, window.delta_f, window.fs, max_harmonic)
+        window, freqs = case
+        report = validate_plan(freqs, window.delta_f, window.fs)
         assert all(c.harmonic >= 3 for c in report.odd_harmonic_collision)
         assert report.odd_harmonic_collision == _float_collisions(
-            freqs, window.delta_f, window.fs, max_harmonic
+            freqs, window.delta_f, window.fs
         )
+
+
+@st.composite
+def _lit_pair(draw):
+    """Two distinct bin-exact carriers of a window (Q = 2**2..2**12, T in {1, 0.25}), up to
+    fs/2, and the index of the one whose pixel is lit."""
+    T, p = draw(st.sampled_from([1.0, 0.25])), draw(st.integers(2, 12))
+    window = SamplingWindow.design(T, p)
+    ks = draw(st.lists(st.integers(1, window.Q // 2), min_size=2, max_size=2, unique=True))
+    return window, [k * window.delta_f for k in ks], draw(st.integers(0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lit_pair())
+def test_audit_lists_a_collision_exactly_where_a_dark_carrier_reads_a_leak(case):
+    # a permissive run with one of two pixels lit: the dark pixel reads the lit carrier's
+    # harmonics on its bin, and the audit must name that carrier then and only then
+    window, freqs, lit = case
+    doc = {"mode": "fdma-tdma", "grid": {"rows": 1, "cols": 2},
+           "target": {"kind": "explicit", "values": [[1.0 - lit, float(lit)]]},
+           "plan": {"T": window.T, "p": window.Q.bit_length() - 1, "frequencies": freqs},
+           "permissive": True}
+    estimates = run(scenario_from_dict(doc)).image.estimates[0]
+    leaks = estimates[1 - lit] > 1e-9 * estimates[lit]
+    report = validate_plan(freqs, window.delta_f, window.fs)
+    listed = any(c.frequency == freqs[1 - lit] for c in report.odd_harmonic_collision)
+    assert leaks == listed, (report.summary(), estimates)
 
 
 class TestAvailableSlots:

@@ -285,11 +285,7 @@ def _block_run(scenario, width, block_rows):
         mp.setattr(caossim.channel, "_draw_workers", lambda: width)
         if block_rows is not None:
             plan = caossim.runner._build_plan(scenario)
-            slot_bytes = 8 * caossim.runner._row_length(scenario, plan)
-            # a superposed run on a silent channel forms no rows: its blocks hold coefficients
-            if (scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
-                    and scenario.noise_config().is_silent):
-                slot_bytes = 16 * plan.num_channels
+            _, slot_bytes = caossim.runner._slot_layout(scenario, plan)
             mp.setattr(caossim.runner, "BLOCK_BYTES", block_rows * slot_bytes)
         return run(scenario)
 
@@ -351,6 +347,15 @@ MAINS_ON_A_CARRIER = {
     "noise": {"mains_amplitude": 0.1, "mains_freq": 128.0},
 }
 
+# a permissive, superposed run whose short last slot has another gcd of Q and its bins: a full
+# slot on 64 and 96 Hz (gcd 32) and a short one on 64 Hz (gcd 64), under LADDER's noise
+SHORT_SLOT_OTHER_GCD = {
+    "mode": "fdma-tdma", "grid": {"rows": 1, "cols": 3},
+    "target": {"kind": "explicit", "values": [[1.0, 0.5, 0.25]]},
+    "plan": {"T": 1.0, "p": 10, "frequencies": [64.0, 96.0]},
+    "noise": LADDER["noise"], "permissive": True,
+}
+
 
 @settings(PROPERTY, max_examples=200)
 @given(block_docs())
@@ -367,6 +372,7 @@ MAINS_ON_A_CARRIER = {
 @example((MAINS_ON_A_CARRIER, 1, None))
 @example((dict(MAINS_ON_A_CARRIER, plan={"T": 1.0, "p": 10, "frequencies": [128.0]},
                permissive=True), 2, None))
+@example((SHORT_SLOT_OTHER_GCD, 2, None))
 def test_block_run_is_the_slot_by_slot_pipeline_bit_for_bit(case):
     doc, width, block_rows = case
     scenario = scenario_from_dict(doc)
@@ -397,7 +403,7 @@ def _reached(doc, width, block_rows) -> set:
         plan = caossim.runner._build_plan(sc)
         schedule = schedule_fdma_tdma(sc.grid.num_pixels, plan).slots
         slots = len(schedule)
-        stream = not sc.permissive or sc.adc_enabled or sc.write_spectra
+        stream = not caossim.runner._slot_layout(sc, plan)[0]
         averaged = caossim.runner._row_length(sc, plan) < plan.Q
         whole = [whole_number(f / plan.delta_f) is not None for f in plan.channels]
         first, last = ([plan.bins[plan.channels.index(f)] for _, f in slot]
@@ -519,7 +525,8 @@ def test_every_preset_is_routed_by_the_rules_of_the_table(name):
         assert route == Route()
         return
     slots = len(report.images) if scenario.mode == "cdma" else int(report.image.slot_map.max()) + 1
-    if scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra):
+    if scenario.mode != "cdma" and caossim.runner._slot_layout(
+            scenario, caossim.runner._build_plan(scenario))[0]:
         # superposed: unit carriers, one row each, and no slot stream to read
         assert {rows for rows, _, _ in route.encoded} == {1}
         assert route.decoded == []
