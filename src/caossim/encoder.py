@@ -18,11 +18,11 @@ mirrors:
 
 Every TDMA slot drives the same carriers on the same frame clock; only the
 pixel amplitudes change from slot to slot.  Each carrier is therefore
-synthesised once per (frequency, window, strict) as a boolean mask of its
-high samples, and ``encode_block`` encodes a block of slots that share
-their carriers as one 2-D array, one masked add of the pixels' amplitudes
-per carrier, synthesised over one period of the block and tiled to the
-row length asked for.  ``encode_slot`` is its one-row case.
+synthesised once per (frequency, window) as a boolean mask of its high
+samples, and ``encode_block`` encodes a block of slots that share their
+carriers as one 2-D array, one masked add of the pixels' amplitudes per
+carrier, synthesised over one period of the block (``repeat_period``) and
+tiled to the row length asked for.  ``encode_slot`` is its one-row case.
 
 Pixels outside the active slot are parked toward the complementary
 detector and contribute nothing to the primary stream.
@@ -31,7 +31,6 @@ detector and contribute nothing to the primary stream.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -43,8 +42,10 @@ from .waveform import (
     SampledSignal,
     SamplingWindow,
     SquareWaveSpec,
+    repeat_period,
     sample_square_free,
-    synth_square,
+    samples_per_period,
+    synth_square,  # not called here; perfbench/tracing.py wraps this name
     whole_number,
 )
 
@@ -219,37 +220,34 @@ def encode_block(
     pixels: np.ndarray,
     freqs: Sequence[float],
     window: SamplingWindow,
-    strict: bool = True,
     length: int | None = None,
 ) -> np.ndarray:
     """Rows of slots that drive the same carriers: row s is the superposition
     of pixel pixels[s, j]'s irradiance-weighted square carrier freqs[j] over
     the window's first ``length`` samples (default Q).
 
-    One masked add per carrier over one period P of the block, tiled to
-    ``length``, a multiple of P.  Strict carriers on whole bins repeat every
-    P = Q / gcd(Q, their bins) samples; otherwise P is Q, where strict
-    synthesis rejects a carrier off the grid.  Each carrier is synthesised
-    once per (frequency, window, strict); a carrier whose pixels are all
-    dark is skipped.  strict=False samples misconfigured carriers with
-    partial cycles instead of rejecting them (crosstalk demonstrations).
+    One masked add per carrier, skipping a carrier whose pixels are all dark,
+    over one period P = ``repeat_period`` of carriers on whole bins, tiled to
+    ``length``, a multiple of P; with a carrier off that grid (crosstalk
+    demonstrations) P = Q, over which its partial cycles are sampled.
     """
-    synth, bins = window, [whole_number(f / window.delta_f) for f in freqs]
-    if strict and bins and all(b is not None and 0 < b <= window.Q // 2 for b in bins):
-        reps = math.gcd(window.Q, *bins)  # the first P samples: same fs, T and delta_f scaled
-        synth = SamplingWindow(window.fs, window.T / reps, window.Q // reps, window.delta_f * reps)
+    # a P-sample period at unit rate, where bin b P / Q has an exact f/fs
+    period = repeat_period(freqs, window)
+    synth = window if period is None else SamplingWindow(float(period), 1.0, period, 1.0)
+    carriers = freqs if period is None else [
+        float(whole_number(f / window.delta_f) * period // window.Q) for f in freqs]
     length = window.Q if length is None else length
     if not 0 < length <= window.Q or length % synth.Q:
         raise ValueError(f"a row of {length} samples is not a whole number of the block's"
                          f" {synth.Q}-sample periods up to Q = {window.Q}")
     amps = scene.irradiance.ravel()[np.asarray(pixels, dtype=np.intp)]
     out = np.zeros((len(amps), synth.Q))
-    for j, freq in enumerate(freqs):
+    for j, freq in enumerate(carriers):
         column = amps[:, j : j + 1]
         if not column.any():
             continue
         # out starts at +0.0 and every amp >= 0, so a masked-off sample equals adding 0.0
-        np.add(out, column, out=out, where=_carrier_mask(freq, synth, strict))
+        np.add(out, column, out=out, where=_carrier_mask(freq, synth))
     return np.tile(out, length // synth.Q) if length > synth.Q else out
 
 
@@ -259,28 +257,26 @@ def encode_slot(
     window: SamplingWindow,
     strict: bool = True,
 ) -> SampledSignal:
-    """One slot's superposition of its irradiance-weighted square carriers:
-    the one-row ``encode_block``."""
+    """The one-row ``encode_block``, after ``strict`` checks that each carrier
+    completes whole cycles (``samples_per_period``)."""
+    if strict:
+        for _, f in slot:
+            samples_per_period(f, window)
     pixels = [[pix for pix, _ in slot]]
-    row = encode_block(scene, pixels, [f for _, f in slot], window, strict)[0]
+    row = encode_block(scene, pixels, [f for _, f in slot], window)[0]
     return SampledSignal(row, window.fs)
 
 
 @functools.lru_cache(maxsize=64)
-def _carrier_mask(freq: float, window: SamplingWindow, strict: bool) -> np.ndarray:
-    """Read-only mask of the high samples of a unit carrier over one window.
-
-    The square wave itself is defined only in waveform.py: this calls
-    synth_square (strict) or sample_square_free once per (freq, window,
-    strict) and keeps Q bytes.  A carrier set that strict mode accepts (a
-    power-of-two ladder with at least 4 samples per period) on Q = 2**p
-    samples has at most p - 1 carriers, so 64 entries hold every carrier of
-    such a plan; the cache holds at most 64 * Q bytes of the largest
-    window used (4 MiB at Q = 2**16).  A permissive explicit list of more
-    than 64 carriers falls back to one synthesis per carrier per block.
+def _carrier_mask(freq: float, window: SamplingWindow) -> np.ndarray:
+    """Read-only mask of the high samples of a unit carrier over one window, from
+    waveform.py's sample_square_free once per (freq, window).  A bin-exact mask
+    is one repeat period long; only a carrier off the grid keeps a Q-byte mask.
+    64 entries hold every carrier of a passing plan (at most p - 1 on Q = 2**p),
+    in at most 64 * Q bytes (4 MiB at Q = 2**16); a list of more than 64
+    carriers falls back to one synthesis per carrier per block.
     """
-    synth = synth_square if strict else sample_square_free
-    mask = synth(SquareWaveSpec(frequency=freq), window).samples != 0.0
+    mask = sample_square_free(SquareWaveSpec(frequency=freq), window).samples != 0.0
     mask.flags.writeable = False
     return mask
 

@@ -264,6 +264,8 @@ def available_slots(
     A multiple k*f_a (k even, k <= horizon) is available when it is not an
     odd harmonic h >= 1 of any used frequency (h = 1: already used).
     """
+    if horizon < 2:
+        raise ValueError(f"horizon {horizon} holds no even multiple of f_a; it must be >= 2")
     if not used:
         raise ValueError("used list must be nonempty")
     used_mult = []

@@ -15,18 +15,18 @@ FFT gives each row the bits of its own transform, so a run is the
 slot-by-slot pipeline encode_slot -> add_noise -> quantize ->
 decode_slot_free bit for bit, wherever the block boundaries fall.  A slot is read from its carrier
 bins, which depend on the Q-sample stream only through its average over
-windows of L = Q / gcd(Q, carrier bins) samples, one period of every
-carrier.  So unless the ADC or a permissive plan needs the raw samples,
-a row holds one period and the average of each noise term
-(``SampledSignal.windows`` = Q / L), else the raw Q-sample stream
-(``_row_length``); the encoder tiles a strict block to that length.
-``spectra.csv`` needs the raw stream only on a channel with an AWGN, pink
-or mains term: without them a slot repeats every L samples, so its
-Q-point spectrum is its period's, times Q / L, at every (Q / L)-th bin
-and zero between.  A permissive run without the ADC or spectra forms no
-slot stream: the readout is linear, so a block's carrier coefficients are
-its carriers' unit responses, read once per process, weighted by its
-pixel irradiances, plus the readout of its slots' noise-only rows
+windows of L = ``repeat_period`` samples, one period of every carrier on
+whole bins.  So unless the ADC needs the raw samples, a row holds one
+period and the average of each noise term (``SampledSignal.windows`` =
+Q / L), else the raw Q-sample stream (``_row_length``); the encoder tiles
+a block to that length.  ``spectra.csv`` needs the raw stream only on a
+channel with an AWGN, pink or mains term: without them a slot repeats
+every L samples, so its Q-point spectrum is its period's, times Q / L, at
+every (Q / L)-th bin and zero between.  A carrier off the bin grid has no
+period; without the ADC or spectra its run forms no slot stream: the
+readout is linear, so a block's carrier coefficients are its carriers'
+unit responses, read once per process, weighted by its pixel
+irradiances, plus the readout of its slots' noise-only rows
 (``_superposed``).  Each run loop consumes one ``channel.slot_terms``
 iterator, a block's rows at a time, in slot order (a CDMA band is one
 slot).  Only the noise draw runs ahead: the iterator's small thread pool
@@ -93,7 +93,7 @@ from .scene_optics import (
     make_spectral_line_scene,
     spectral_width_per_column,
 )
-from .waveform import SampledSignal, SamplingWindow
+from .waveform import SampledSignal, SamplingWindow, repeat_period
 
 __all__ = ["PlanRejectedError", "StripeReport", "RunReport", "run"]
 
@@ -211,27 +211,28 @@ def _attach_patch_report(run: RunReport, grid: CaosGrid) -> None:
     masks = hdr_patch_masks(
         grid, target.layout, len(target.attenuations_db), target.patch_radius
     )
-    dark = run.scene.irradiance == 0.0
-    designed = [10.0 ** (-a / 20.0) for a in target.attenuations_db]
-    run.patch = metrics.patch_report(run.image.estimates, masks, designed, dark)
+    irradiance = run.scene.irradiance
+    designed = [irradiance[mask][0] for mask in masks]  # each patch's one designed level
+    run.patch = metrics.patch_report(run.image.estimates, masks, designed, irradiance == 0.0)
 
 
 def _row_length(scenario: Scenario, plan: FrequencyPlan) -> int:
-    """The samples a slot row holds: Q when the ADC or a permissive plan needs the
-    raw window, or ``spectra.csv`` does on a channel that varies in time; else one
+    """The samples a slot row holds: Q when the ADC needs the raw window, or
+    ``spectra.csv`` does on a channel that varies in time; else ``repeat_period``, one
     period of every carrier, over which the readout reads the same bins and whose
-    spectrum is every (Q / period)-th bin of the slot's."""
+    spectrum is every (Q / period)-th bin of the slot's, or Q off the bin grid."""
     varying = not scenario.noise_config().is_time_invariant
-    if scenario.permissive or scenario.adc_enabled or (scenario.write_spectra and varying):
+    if scenario.adc_enabled or (scenario.write_spectra and varying):
         return plan.Q
-    return plan.Q // math.gcd(plan.Q, *plan.bins)
+    return repeat_period(plan.channels, plan.window()) or plan.Q
 
 
 def _slot_layout(scenario: Scenario, plan: FrequencyPlan) -> tuple[bool, int]:
-    """(superposed, bytes a slot takes in a block).  With the ADC off and no spectra, a
-    permissive slot is superposed: it needs only its carrier bins.  A slot takes a row of
+    """(superposed, bytes a slot takes in a block).  With the ADC off and no spectra, a slot
+    off the bin grid is superposed: it needs only its carrier bins.  A slot takes a row of
     ``_row_length`` samples or, superposed on a silent channel, its carrier coefficients."""
-    superposed = scenario.permissive and not (scenario.adc_enabled or scenario.write_spectra)
+    superposed = (repeat_period(plan.channels, plan.window()) is None
+                  and not (scenario.adc_enabled or scenario.write_spectra))
     if superposed and scenario.noise_config().is_silent:
         return True, 16 * plan.num_channels
     return superposed, 8 * _row_length(scenario, plan)
@@ -240,11 +241,11 @@ def _slot_layout(scenario: Scenario, plan: FrequencyPlan) -> tuple[bool, int]:
 @functools.lru_cache(maxsize=64)
 def _unit_responses(freqs: tuple[float, ...], window: SamplingWindow) -> np.ndarray:
     """Read-only; row p: the coefficients at the bins of ``freqs`` of carrier p's
-    unit permissive carrier over the window, encoded one row at a time.  Built
+    unit carrier over the window, encoded one row at a time.  Built
     once per (carriers, window) and process, as ``encoder._carrier_mask``."""
     unit = Scene([[1.0]])
     responses = np.array([
-        block_coefficients(encode_block(unit, [[0]], [f], window, False), window.fs, freqs)[0]
+        block_coefficients(encode_block(unit, [[0]], [f], window), window.fs, freqs)[0]
         for f in freqs
     ])
     responses.flags.writeable = False
@@ -252,8 +253,8 @@ def _unit_responses(freqs: tuple[float, ...], window: SamplingWindow) -> np.ndar
 
 
 def _superposed(amps: np.ndarray, freqs: tuple[float, ...], window: SamplingWindow) -> np.ndarray:
-    """The carrier coefficients of a block of permissive, ADC-off slots without
-    their streams, noise left out.
+    """The carrier coefficients of a block of superposed slots (``_slot_layout``)
+    without their streams, noise left out.
 
     The carrier-bin readout is linear, so row s's coefficients are
     sum_p a_sp R_p over its pixels' irradiances a_sp (``amps``, S x k) and
@@ -324,7 +325,7 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
                     coeffs += block_coefficients(rows, window.fs, freqs)
                 est[pixels] = block_estimates(coeffs, freqs, window.Q, window.fs)
             else:
-                block = encode_block(scene, pixels, freqs, window, not scenario.permissive, period)
+                block = encode_block(scene, pixels, freqs, window, period)
                 block, clipped = _impair(block, noise, noise_cfg, adc_cfg, window.fs, windows)
                 clip_total += clipped
                 if spectra is not None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "fold_windows",
     "folded_harmonic_bins",
     "nearest_bin",
+    "repeat_period",
     "whole_number",
 ]
 
@@ -133,6 +135,13 @@ def whole_number(x: float) -> int | None:
     return n if abs(x - n) <= 1e-9 * max(1.0, abs(x)) else None
 
 
+def repeat_period(freqs: Sequence[float], window: SamplingWindow) -> int | None:
+    """Q / gcd(Q, bins) when every carrier is a ``whole_number`` bin in 1..Q/2, else None."""
+    bins = [whole_number(f / window.delta_f) for f in freqs]
+    whole = bins and all(b is not None and 0 < b <= window.Q // 2 for b in bins)
+    return window.Q // math.gcd(window.Q, *bins) if whole else None
+
+
 def samples_per_period(frequency: float, window: SamplingWindow) -> int:
     """Integer number of samples in one carrier period, or raise.
 
@@ -178,7 +187,7 @@ def sample_square_free(spec: SquareWaveSpec, window: SamplingWindow) -> SampledS
     This is the misconfigured-carrier path: a wave whose period does not
     divide the window leaks energy across the whole spectrum, which is
     exactly the artifact the channel-selection rule exists to prevent.
-    Valid carriers produce the same samples as synth_square.
+    A carrier whose f/fs is exactly 1/N gives synth_square's samples.
     """
     if spec.frequency > window.fs / 2:
         raise ValueError("frequency above Nyquist")

@@ -58,8 +58,8 @@ def slot_by_slot(scenario):
 
     TDMA: encode_slot -> add_noise -> quantize -> decode_slot_free -> assemble_image, the
     ADC's full scale FULL_SCALE_HEADROOM x the largest summed irradiance of a slot; or, on
-    a permissive run with neither the ADC nor spectra, the sum of the unit carriers'
-    coefficients weighted by the pixels, plus those of the slot's noise.  CDMA, band by
+    carriers off the bin grid with neither the ADC nor spectra, the sum of the unit
+    carriers' coefficients weighted by the pixels, plus those of the slot's noise.  CDMA, band by
     band, a band being one noise slot: encode_cdma -> add_noise -> quantize at
     FULL_SCALE_HEADROOM x the band's peak -> decode_cdma.
     """

@@ -89,6 +89,8 @@ def test_bad_plan_settings_exit_without_traceback(argv, code, capsys, tmp_path):
         (["plan", "generate", "--T", "1", "--p", "6", "--m", "2000", "--P", "1"], "fs/4"),
         (["plan", "generate", "--T", "1", "--p", "2000", "--m", "7", "--P", "1"], "p = 2000"),
         (["plan", "validate", "--df", "3", "--fs", "65536", "-f", "3"], "whole number of bins"),
+        (["plan", "slots", "--fa", "64", "--used", "64", "--horizon", "0"], "horizon 0"),
+        (["plan", "slots", "--fa", "64", "--used", "64", "--horizon", "-1"], "horizon -1"),
     ],
 )
 def test_rejected_plan_setting_is_named_on_one_line(argv, words, capsys):

@@ -245,19 +245,31 @@ class TestEncodeBlock:
         for row, slot in zip(block, slots):
             assert row.tobytes() == encode_slot(scene, slot, window).samples.tobytes()
 
-    def test_a_dark_carrier_is_never_synthesised(self):
-        # strict synthesis would reject 3 Hz (fs/f = 16/3); a dark pixel never asks for it
+    def test_a_dark_carrier_is_never_synthesised(self, monkeypatch):
+        # the dark pixels' 3 Hz carrier never reaches the sampler; 4 Hz is bin 4 of the
+        # block's 16-sample period, gcd(16, 4, 3) = 1
+        sampled = []
+
+        def counting(spec, window):
+            sampled.append(spec.frequency)
+            return sample_square_free(spec, window)
+
+        monkeypatch.setattr(caossim.encoder, "sample_square_free", counting)
+        caossim.encoder._carrier_mask.cache_clear()
         window = SamplingWindow.design(1.0, 4)
         scene = Scene(np.array([[1.0, 0.0], [0.5, 0.0]]))
         block = encode_block(scene, [[0, 1], [2, 3]], [4.0, 3.0], window)
+        caossim.encoder._carrier_mask.cache_clear()
         assert np.array_equal(block, np.array([[1.0], [0.5]]) * np.tile([1.0, 1.0, 0.0, 0.0], 4))
+        assert sampled == [4.0]
+        # a strict slot rejects the carrier once it is lit: fs/f = 16/3
         with pytest.raises(ValueError, match="not an integer"):
-            encode_block(Scene(np.ones((1, 2))), [[0, 1]], [4.0, 3.0], window)
+            encode_slot(Scene(np.ones((1, 2))), [(0, 4.0), (1, 3.0)], window)
 
 
 class TestEncodeBlockLength:
-    """A strict block repeats every P = Q / gcd(Q, its bins) samples: its rows of k P
-    samples are the first k P samples of the whole-window encode, bit for bit."""
+    """A block on whole bins repeats every P = Q / gcd(Q, its bins) samples: its rows of
+    k P samples are the first k P samples of the whole-window encode, bit for bit."""
 
     @staticmethod
     def _check_prefixes(freqs, window, rows=3):
@@ -301,20 +313,33 @@ class TestEncodeBlockLength:
                 encode_block(scene, [[0, 1]], [4.0, 8.0], window, length=length)
 
     @pytest.mark.parametrize("length", [32, 128])
-    def test_a_permissive_row_is_the_whole_window(self, length):
+    def test_a_row_off_the_bin_grid_is_the_whole_window(self, length):
+        # 4.5 Hz lies between bins and never repeats inside the window
         window = SamplingWindow.design(1.0, 6)
         with pytest.raises(ValueError, match="64-sample periods up to Q = 64"):
-            encode_block(Scene(np.ones((1, 1))), [[0]], [4.0], window, False, length)
+            encode_block(Scene(np.ones((1, 2))), [[0, 1]], [4.0, 4.5], window, length)
 
     def test_an_off_grid_strict_carrier_keeps_its_rejection(self):
-        # 64/6 Hz has whole 6-sample periods but 10.67 cycles in the window: the whole
-        # window's synthesis rejects it, with the whole window's delta_f
+        # 64/6 Hz has whole 6-sample periods but 10.67 cycles in the window: a strict slot
+        # rejects it, with the whole window's delta_f
         window = SamplingWindow.design(1.0, 6)
         scene = Scene(np.ones((1, 2)))
         with pytest.raises(ValueError, match=r"not an integer multiple of delta_f = 1\.0 Hz"):
-            encode_block(scene, [[0, 1]], [4.0, 64 / 6], window)
+            encode_slot(scene, [(0, 4.0), (1, 64 / 6)], window)
         with pytest.raises(ValueError, match="fs/f = 6.4 is not an integer"):
-            encode_block(scene, [[0, 1]], [4.0, 10.0], window)
+            encode_slot(scene, [(0, 4.0), (1, 10.0)], window)
+
+    def test_a_carrier_near_a_bin_is_sampled_from_the_bin(self):
+        # 853.333333 Hz is within whole_number's tolerance of bin 256 of a 0.3 s window,
+        # fs / 4; its rounded f/fs puts sample 2 of each period just below half a cycle.
+        # Sampled from its bin it is the exact 4-sample square wave, with or without strict.
+        window = SamplingWindow.design(0.3, 10)
+        spec = SquareWaveSpec(853.333333)
+        want = synth_square(spec, window).samples
+        assert not np.array_equal(sample_square_free(spec, window).samples, want)
+        for strict in (True, False):
+            got = encode_slot(Scene(np.ones((1, 1))), [(0, spec.frequency)], window, strict)
+            assert got.samples.tobytes() == want.tobytes()
 
 
 class TestEncodeFmTdma:
@@ -395,6 +420,7 @@ class TestCarrierMaskCache:
                 return fn(spec, window)
             return wrapper
 
+        # synth_square stays importable from encoder only for the tracer; it is never called
         monkeypatch.setattr(caossim.encoder, "synth_square", counting(synth_square))
         monkeypatch.setattr(caossim.encoder, "sample_square_free", counting(sample_square_free))
         # a warm unit-response cache would spare fig9-invalid its free-sampled carriers
@@ -407,13 +433,17 @@ class TestCarrierMaskCache:
         finally:
             for cache in caches:
                 cache.cache_clear()
-        assert {fn for _, _, fn in calls} == {"synth_square", "sample_square_free"}
+        assert {fn for _, _, fn in calls} == {"sample_square_free"}
         assert len(calls) == len(set(calls)) <= 7 + 7
+        # fig9-valid's 7 ladder carriers are bins 1..64 of its 512-sample period; of
+        # fig9-invalid's, only the four off the grid are sampled over the whole window
+        whole = [f for f, window, _ in calls if window.Q == 16384]
+        assert sorted(whole) == [1170.3, 1368.3, 1638.4, 2730.6]
 
     def test_cached_mask_is_read_only(self):
         window = SamplingWindow.design(T=1.0, p=8)
-        mask = caossim.encoder._carrier_mask(16.0, window, True)
+        mask = caossim.encoder._carrier_mask(16.0, window)
         assert mask.dtype == bool and mask.shape == (window.Q,) and mask.sum() == window.Q // 2
-        assert caossim.encoder._carrier_mask(16.0, window, True) is mask
+        assert caossim.encoder._carrier_mask(16.0, window) is mask
         with pytest.raises(ValueError, match="read-only"):
             mask[0] = False

@@ -107,6 +107,8 @@ CHECKS = [
     ("validate frequency", lambda: validate_plan([32.0, 0.0], 1.0, 1024.0), ValueError,
      "frequencies must be positive"),
     ("slots used", lambda: available_slots(2.0, []), ValueError, "used list must be nonempty"),
+    ("slots horizon", lambda: available_slots(2.0, [2.0], horizon=1), ValueError,
+     "horizon 1 holds no even multiple of f_a; it must be >= 2"),
     # metrics
     ("dr order", lambda: dynamic_range_db(1.0, 2.0), ValueError, "i_max must be >= i_min"),
     ("snr masks", lambda: measure_snr(np.ones((1, 2)), ONE, ONE & False), ValueError,

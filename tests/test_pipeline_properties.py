@@ -12,7 +12,8 @@ With the ADC off and no spectra, a strict TDMA run reads each slot from its
 average over one carrier period; ``write_spectra`` makes the same scenario
 read the raw Q-sample slot when its channel varies in time (an AWGN, pink
 or mains term).  On a time-invariant channel a slot repeats every period,
-so spectra too are read from one period.  A permissive run with the ADC
+so spectra too are read from one period.  A permissive run on a passing plan
+is routed as the strict run; one with a carrier off the bin grid and the ADC
 off forms no slot stream: it sums unit carrier responses.  These properties
 also hold the averaged readout to the raw one, and to itself across modes
 and draw-ahead pool sizes.  A scenario's resolved config, here and for
@@ -232,9 +233,9 @@ def block_docs(draw):
     One in four is cdma (``cdma_frames``).  The rest are fdma-tdma on up to 11 carriers,
     Q = 2**p <= 2**12, with a block budget of 1-3 rows or the default: strict on a designed
     ladder, or permissive on explicit carriers, each on a power-of-two bin (whole periods),
-    on another whole bin or between bins.  A third kind is permissive with neither the ADC
-    nor spectra, which reads no slot stream; the other two draw both.  The channel draws any
-    of its terms, or only a dark offset.
+    on another whole bin or between bins.  A third kind is permissive with at least one
+    carrier between bins and neither the ADC nor spectra, which reads no slot stream; the
+    other two draw both.  The channel draws any of its terms, or only a dark offset.
 
     Hypothesis leans to the first value of a range or a list, so some draws start at the
     value a rare case needs: the highest ladder (the shortest period to average), 11 columns
@@ -256,9 +257,12 @@ def block_docs(draw):
         on = st.one_of(st.integers(0, p - 2).map(lambda k: float(2**k)),
                        st.integers(1, q // 2).map(float))
         off = st.tuples(st.integers(1, q // 2 - 1), st.floats(0.01, 0.99)).map(sum)
-        bins = draw(st.sampled_from([st.one_of(on, off), off, on]))
-        plan = {"T": T, "p": p, "frequencies": [
-            b / T for b in draw(st.lists(bins, min_size=P, max_size=P, unique=True))]}
+        # the superposed kind has a carrier between bins, which never repeats in the window
+        grids = [off, st.one_of(on, off)] if kind == "superposed" else [st.one_of(on, off), off, on]
+        bins = st.lists(draw(st.sampled_from(grids)), min_size=P, max_size=P, unique=True)
+        if kind == "superposed":
+            bins = bins.filter(lambda bins: any(b != int(b) for b in bins))
+        plan = {"T": T, "p": p, "frequencies": [b / T for b in draw(bins)]}
     rows, cols = draw(st.integers(1, 3)), draw(st.sampled_from(range(11, 0, -1)))
     values = draw(st.lists(st.lists(levels, min_size=cols, max_size=cols),
                            min_size=rows, max_size=rows))
@@ -348,22 +352,29 @@ MAINS_ON_A_CARRIER = {
 }
 
 # a permissive, superposed run whose short last slot has another gcd of Q and its bins: a full
-# slot on 64 and 96 Hz (gcd 32) and a short one on 64 Hz (gcd 64), under LADDER's noise
+# slot on 64 and 96.25 Hz (nearest bins 64 and 96, gcd 32) and a short one on 64 Hz, bin 64
+# (gcd 64), whose unit carrier is synthesised over its 16-sample period, under LADDER's noise
 SHORT_SLOT_OTHER_GCD = {
     "mode": "fdma-tdma", "grid": {"rows": 1, "cols": 3},
     "target": {"kind": "explicit", "values": [[1.0, 0.5, 0.25]]},
-    "plan": {"T": 1.0, "p": 10, "frequencies": [64.0, 96.0]},
+    "plan": {"T": 1.0, "p": 10, "frequencies": [64.0, 96.25]},
     "noise": LADDER["noise"], "permissive": True,
 }
+
+# LADDER's plan with its top carrier off the bin grid, between bins 512 and 513: the slots no
+# longer repeat inside the window, which only a permissive run lets through
+OFF_GRID_LADDER = dict(LADDER, plan={"T": 1.0, "p": 12, "frequencies": [64.0, 128.0, 256.0,
+                                                                          512.5]},
+                       permissive=True)
 
 
 @settings(PROPERTY, max_examples=200)
 @given(block_docs())
 @example((dict(LADDER, write_spectra=True), 1, None))
 @example((dict(LADDER, write_spectra=True, permissive=True), 2, None))
-@example((dict(LADDER, permissive=True, noise={}), 1, 1))
+@example((dict(OFF_GRID_LADDER, noise={}), 1, 1))
 @example((CLIPPING, 2, None))
-@example((dict(CLIPPING, permissive=True), 1, None))
+@example((dict(CLIPPING, plan=OFF_GRID_LADDER["plan"], permissive=True), 1, None))
 @example((NOISY_BANDS, 2, None))
 @example((CDMA_AUTO_SCALE, 1, None))
 @example((OFF_GRID_EVEN_BINS, 1, None))
@@ -409,7 +420,6 @@ def _reached(doc, width, block_rows) -> set:
         first, last = ([plan.bins[plan.channels.index(f)] for _, f in slot]
                        for slot in (schedule[0], schedule[-1]))
         superposed = {
-            "on the bin grid": all(whole),
             "off the bin grid": not any(whole),
             "short last slot, other gcd": math.gcd(plan.Q, *first) != math.gcd(plan.Q, *last),
             "pink": noise.pink_enabled,
@@ -420,6 +430,8 @@ def _reached(doc, width, block_rows) -> set:
         cases = {
             "strict": not sc.permissive,
             "permissive, stream": sc.permissive and stream,
+            # a passing or failing plan on whole bins, read from one period as a strict run
+            "permissive, on the bin grid": sc.permissive and all(whole) and averaged,
             "averaged": averaged,
             "spectra": sc.write_spectra,
             # strict, ADC off, and a channel without a time-varying term
@@ -451,13 +463,14 @@ def test_block_strategy_reaches_every_case():
     reached = set()
     collect()
     superposed = {f"permissive, superposed, {case}" for case in (
-        "on the bin grid", "off the bin grid", "short last slot, other gcd", "pink", "mains",
-        "dark offset", "silent")}
+        "off the bin grid", "short last slot, other gcd", "pink", "mains", "dark offset",
+        "silent")}
     assert reached == {
-        "strict", "permissive, stream", "averaged", "spectra", "time-invariant spectra", "adc",
-        "short last slot", "more than 8 carriers, adc", "more than 8 carriers, superposed",
-        *superposed, "cdma", "cdma, adc", "cdma, two or more bands", "noise", "one worker",
-        "two workers", "block boundary mid-schedule"}
+        "strict", "permissive, stream", "permissive, on the bin grid", "averaged", "spectra",
+        "time-invariant spectra", "adc", "short last slot", "more than 8 carriers, adc",
+        "more than 8 carriers, superposed", *superposed, "cdma", "cdma, adc",
+        "cdma, two or more bands", "noise", "one worker", "two workers",
+        "block boundary mid-schedule"}
 
 
 ADC12 = {"enabled": True, "bits": 12}
@@ -486,18 +499,24 @@ ROUTES = {
     "time-invariant spectra": (dict(LADDER, write_spectra=True, noise={"dark_offset": 0.05}),
                                AVERAGED, READ_AVERAGED, DRAWN_AVERAGED, [128, 64], 64),
     # no slot is encoded or read: one unit carrier per carrier of each of the two carrier
-    # sets, and one block of noise-only rows per block, read at their carrier bins
-    "permissive, superposed": (dict(LADDER, permissive=True), [(1, 4096, 4096)] * 6, [],
-                               DRAWN_RAW, [8192, 4096], 64),
-    "permissive, adc": (dict(LADDER, permissive=True, adc=ADC12),
-                        [(2, 4096, 4096), (1, 4096, 4096)], READ_RAW, DRAWN_RAW,
-                        [8192, 4096], 64),
+    # sets, each bin-exact one synthesised over its own period, and one block of noise-only
+    # rows per block, read at their carrier bins
+    "permissive, superposed": (OFF_GRID_LADDER, [(1, 4096, 64), (1, 4096, 32), (1, 4096, 16),
+                                                 (1, 4096, 4096), (1, 4096, 64), (1, 4096, 32)],
+                               [], DRAWN_RAW, [8192, 4096], 64),
+    # the full slots sample 512.5 Hz over the whole window; the short slot's 64 and 128 Hz
+    # repeat every 64 samples
+    "permissive, adc": (dict(OFF_GRID_LADDER, adc=ADC12), [(2, 4096, 4096), (1, 4096, 64)],
+                        READ_RAW, DRAWN_RAW, [8192, 4096], 64),
     "silent": (dict(LADDER, noise={}), AVERAGED, READ_AVERAGED, None, [128, 64], 64),
     "cdma band": (BANDS, [(1, 128, 128)] * 2, [(1, 128)] * 2, (128, 128, range(2)),
                   [128, 128], None),
     "cdma band, silent": (dict(BANDS, noise={}), [(1, 128, 128)] * 2, [(1, 128)] * 2, None,
                           [128, 128], None),
 }
+# the flag only lets a failing plan run: on LADDER's passing plan it changes no call
+ROUTES["permissive, passing plan"] = (dict(LADDER, permissive=True),
+                                      *ROUTES["strict averaged"][1:])
 
 
 @pytest.mark.parametrize("name", ROUTES)

@@ -756,7 +756,7 @@ class TestSilentChannel:
 
 
 class TestUnitResponseCache:
-    """A permissive run's unit carrier responses are built once per (carriers, window) and
+    """A superposed run's unit carrier responses are built once per (carriers, window) and
     process."""
 
     def test_warm_runs_give_the_bits_of_a_cold_run(self):
@@ -877,6 +877,20 @@ class TestPresetBehaviors:
         # noiseless decode reproduces the designed patch dynamic range
         for entry in report.patch.entries:
             assert abs(entry.measured_dr_db - entry.designed_dr_db) <= 1e-6
+
+    @pytest.mark.parametrize("name", ["table5", "fig6", "fig9-valid", "hdr66-fdma"])
+    def test_permissive_on_a_passing_plan_writes_the_strict_files(self, name, tmp_path):
+        # the flag only lets a failing plan run; on a passing one only the config records it
+        scenario = load_preset(name)
+        run(scenario, outdir=tmp_path / "strict")
+        run(scenario_from_dict(dict(scenario.to_dict(), permissive=True)),
+            outdir=tmp_path / "permissive")
+        names = sorted(path.name for path in (tmp_path / "strict").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "permissive").iterdir())
+        for file in names:
+            same = (tmp_path / "strict" / file).read_bytes() == (
+                tmp_path / "permissive" / file).read_bytes()
+            assert same == (file != "resolved_config.json"), file
 
     def test_spectral_line_stripes_follow_commanded_rows(self):
         report = run(load_preset("spectral-line"))

@@ -22,6 +22,7 @@ from caossim.waveform import (
     fourier_coeff_direct,
     fundamental_coefficient,
     nearest_bin,
+    repeat_period,
     sample_square_free,
     synth_square,
     whole_number,
@@ -101,6 +102,36 @@ class TestWholeNumber:
         got = whole_number(x)
         assert got == expected
         assert expected is None or type(got) is int
+
+
+class TestRepeatPeriod:
+    """Q / gcd(Q, bins) for carriers on whole bins 1..Q/2 (Q = 64 here), else None."""
+
+    W64 = SamplingWindow.design(T=1.0, p=6)
+
+    @pytest.mark.parametrize(
+        "freqs, expected",
+        [
+            ([4.0, 8.0, 16.0], 16),  # a ladder: its slowest carrier's period
+            ([8.0, 16.0], 8),  # a short last slot's subset repeats sooner
+            ([16.0], 4),
+            ([4.0, 12.0], 16),  # 12 Hz (16/3 samples per period) still repeats on bin 12
+            ([3.0, 32.0], 64),  # gcd 1: the whole window
+            ([4.0, 4.5], None),  # between bins 4 and 5
+            ([4.0 + 2e-9], 16),  # within whole_number's tolerance of bin 4
+            ([0.0, 4.0], None),  # bin 0 is DC, no carrier
+            ([4.0, 40.0], None),  # bin 40 lies above Q/2 = 32
+            ([32.0], 2),  # Nyquist is the top bin
+            ([], None),
+        ],
+    )
+    def test_cases(self, freqs, expected):
+        assert repeat_period(freqs, self.W64) == expected
+
+    def test_bins_count_in_the_windows_own_delta_f(self):
+        # 4 Hz in a 0.25 s window is bin 1 of 16: the whole window
+        assert repeat_period([4.0, 8.0], SamplingWindow.design(T=0.25, p=4)) == 16
+        assert repeat_period([4.0, 8.0], SamplingWindow.design(T=1.0, p=4)) == 4
 
 
 class TestSynthSquare:
