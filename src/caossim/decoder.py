@@ -20,10 +20,10 @@ gives each row the bits of its own transform.  It has two steps:
 ``block_coefficients`` returns the complex carrier-bin values, which are
 linear in the rows, and ``block_estimates`` scales their magnitudes.
 ``decode_block`` is the two in turn, and ``decode_slot_free`` is its
-one-row case.  A run on carriers off the bin grid, with neither the ADC
-nor spectra, uses the linearity: it sums each carrier's unit response,
-weighted by the pixel irradiances, plus the coefficients of the slots'
-noise, and forms no slot stream (``runner``).
+one-row case.  A silent run on carriers off the bin grid, with neither
+the ADC nor spectra, uses the linearity: it sums each carrier's unit
+response, weighted by the pixel irradiances, and forms no slot stream
+(``runner``).
 CDMA streams are decoded by bipolar Walsh correlation of the per-bit
 means; the zero-mean code rows annihilate the DC term introduced by on/off
 optical modulation.  One fast Walsh-Hadamard transform of the L means

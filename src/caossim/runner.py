@@ -23,10 +23,10 @@ a block to that length.  ``spectra.csv`` needs the raw stream only on a
 channel with an AWGN, pink or mains term: without them a slot repeats
 every L samples, so its Q-point spectrum is its period's, times Q / L, at
 every (Q / L)-th bin and zero between.  A carrier off the bin grid has no
-period; without the ADC or spectra its run forms no slot stream: the
+period, so its rows hold Q samples, unless the run has nothing to read but
+its pixels (no ADC, spectra or noise): then it forms no slot stream.  The
 readout is linear, so a block's carrier coefficients are its carriers'
-unit responses, read once per process, weighted by its pixel
-irradiances, plus the readout of its slots' noise-only rows
+unit responses, read once per process, weighted by its pixel irradiances
 (``_superposed``).  Each run loop consumes one ``channel.slot_terms``
 iterator, a block's rows at a time, in slot order (a CDMA band is one
 slot).  Only the noise draw runs ahead: the iterator's small thread pool
@@ -75,8 +75,8 @@ from .freq_plan import (
     FrequencyPlan,
     MainsGuardWarning,
     ValidationReport,
-    design_plan,
-    plan_from_frequencies,
+    design_plan,  # traced
+    plan_from_frequencies,  # traced
     validate_plan,
 )
 from .scenario import Scenario, ScenarioError, TargetSpec
@@ -186,13 +186,6 @@ def build_scene(target: TargetSpec, grid: CaosGrid) -> Scene:
     raise ScenarioError(f"target kind {target.kind!r} has no direct scene form")
 
 
-def _build_plan(scenario: Scenario) -> FrequencyPlan:
-    spec = scenario.plan
-    if spec.frequencies:
-        return plan_from_frequencies(spec.frequencies, spec.T, spec.p)
-    return design_plan(spec.T, spec.p, spec.m, spec.P)
-
-
 def _stream_peak(flat: np.ndarray, blocks) -> float:
     """Noiseless peak over slots: carriers share phase, so the first sample
     of a slot is the sum of its pixel irradiances, added in carrier order."""
@@ -216,26 +209,20 @@ def _attach_patch_report(run: RunReport, grid: CaosGrid) -> None:
     run.patch = metrics.patch_report(run.image.estimates, masks, designed, irradiance == 0.0)
 
 
-def _row_length(scenario: Scenario, plan: FrequencyPlan) -> int:
+def _row_length(scenario: Scenario, plan: FrequencyPlan) -> int | None:
     """The samples a slot row holds: Q when the ADC needs the raw window, or
     ``spectra.csv`` does on a channel that varies in time; else ``repeat_period``, one
     period of every carrier, over which the readout reads the same bins and whose
-    spectrum is every (Q / period)-th bin of the slot's, or Q off the bin grid."""
-    varying = not scenario.noise_config().is_time_invariant
-    if scenario.adc_enabled or (scenario.write_spectra and varying):
+    spectrum is every (Q / period)-th bin of the slot's.  Off the bin grid a row holds
+    Q samples, or None when the run has nothing to read but its pixels (no ADC, spectra
+    or noise): such a slot is superposed (``_superposed``) and forms no row."""
+    noise = scenario.noise_config()
+    if scenario.adc_enabled or (scenario.write_spectra and not noise.is_time_invariant):
         return plan.Q
-    return repeat_period(plan.channels, plan.window()) or plan.Q
-
-
-def _slot_layout(scenario: Scenario, plan: FrequencyPlan) -> tuple[bool, int]:
-    """(superposed, bytes a slot takes in a block).  With the ADC off and no spectra, a slot
-    off the bin grid is superposed: it needs only its carrier bins.  A slot takes a row of
-    ``_row_length`` samples or, superposed on a silent channel, its carrier coefficients."""
-    superposed = (repeat_period(plan.channels, plan.window()) is None
-                  and not (scenario.adc_enabled or scenario.write_spectra))
-    if superposed and scenario.noise_config().is_silent:
-        return True, 16 * plan.num_channels
-    return superposed, 8 * _row_length(scenario, plan)
+    period = repeat_period(plan.channels, plan.window())
+    if period is None and noise.is_silent and not scenario.write_spectra:
+        return None
+    return period or plan.Q
 
 
 @functools.lru_cache(maxsize=64)
@@ -253,8 +240,8 @@ def _unit_responses(freqs: tuple[float, ...], window: SamplingWindow) -> np.ndar
 
 
 def _superposed(amps: np.ndarray, freqs: tuple[float, ...], window: SamplingWindow) -> np.ndarray:
-    """The carrier coefficients of a block of superposed slots (``_slot_layout``)
-    without their streams, noise left out.
+    """The carrier coefficients of a block of superposed slots (``_row_length`` None),
+    formed without their streams: a silent channel adds nothing to them.
 
     The carrier-bin readout is linear, so row s's coefficients are
     sum_p a_sp R_p over its pixels' irradiances a_sp (``amps``, S x k) and
@@ -283,7 +270,7 @@ def _impair(
 
 
 def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
-    plan = _build_plan(scenario)
+    plan = scenario.plan.build()
     noise_cfg = scenario.noise_config()
     # a mains tone on a carrier's bin adds to its reading
     mains_hz = noise_cfg.mains_freq if noise_cfg.mains_amplitude else None
@@ -296,11 +283,11 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     _warn_if_rectified(scenario)
 
     window = plan.window()
-    # a row holds `period` samples, the average of `windows` windows of them
+    # a row holds `period` samples, the average of `windows` windows of them; a superposed
+    # slot (None) holds its carrier coefficients instead
     period = _row_length(scenario, plan)
-    windows = window.Q // period
-    superposed, slot_bytes = _slot_layout(scenario, plan)
-    rows = max(1, BLOCK_BYTES // slot_bytes)
+    windows = window.Q // (period or window.Q)
+    rows = max(1, BLOCK_BYTES // (8 * period if period else 16 * plan.num_channels))
     blocks = [(first + s, freqs, pixels[s : s + rows])
               for first, freqs, pixels in schedule_runs(grid.num_pixels, plan)
               for s in range(0, len(pixels), rows)]
@@ -317,13 +304,9 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     with closing(slot_terms(noise_cfg, window.Q, window.fs, period, range(nslots))) as noise:
         for first, freqs, pixels in blocks:
             slots = range(first, first + len(pixels))
-            if superposed:
-                coeffs = _superposed(flat[pixels], freqs, window)
-                if not noise_cfg.is_silent:
-                    rows, _ = _impair(np.zeros((len(pixels), window.Q)), noise, noise_cfg,
-                                      adc_cfg, window.fs)
-                    coeffs += block_coefficients(rows, window.fs, freqs)
-                est[pixels] = block_estimates(coeffs, freqs, window.Q, window.fs)
+            if period is None:
+                est[pixels] = block_estimates(_superposed(flat[pixels], freqs, window), freqs,
+                                              window.Q, window.fs)
             else:
                 block = encode_block(scene, pixels, freqs, window, period)
                 block, clipped = _impair(block, noise, noise_cfg, adc_cfg, window.fs, windows)

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .channel import ADC_BITS, NONNEGATIVE, SEED, AdcConfig, NoiseConfig
-from .freq_plan import design_plan, plan_from_frequencies
+from .freq_plan import FrequencyPlan, design_plan, plan_from_frequencies
 from .scene_optics import (
     CaosGrid, OpticsConfig, SpectralAnchor, _anchor_betas, band_columns, hdr_patch_masks,
 )
@@ -99,6 +99,12 @@ class PlanSpec:
                 raise ScenarioError("give either (m, P) or frequencies, not both")
         elif self.m is None or self.P is None:
             raise ScenarioError("plan needs (m, P) or an explicit frequency list")
+
+    def build(self) -> FrequencyPlan:
+        """The carrier plan: the explicit frequencies, or the designed ladder."""
+        if self.frequencies:
+            return plan_from_frequencies(self.frequencies, self.T, self.p)
+        return design_plan(self.T, self.p, self.m, self.P)
 
     def to_dict(self) -> dict[str, Any]:
         return _dump(self, ("T", "p", *(("frequencies",) if self.frequencies else ("m", "P"))))
@@ -173,6 +179,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ScenarioError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if self.noise.seed:  # noise_config() keys the noise by the scenario's seed
+            raise ScenarioError(f"the noise's seed {self.noise.seed} would be ignored:"
+                                " the noise is keyed by the top-level 'seed'")
         for key in ("target", "plan", "cdma"):
             if key in MODE_KEYS[self.mode] and getattr(self, key) is None:
                 raise ScenarioError(f"{self.mode} mode needs a '{key}' section")
@@ -216,10 +225,7 @@ class Scenario:
             raise ScenarioError(f"'plan.T' and 'plan.p' do not make a window: {exc}") from exc
         keys = "'plan.frequencies'" if spec.frequencies else "'plan.p', 'plan.m' and 'plan.P'"
         try:
-            if spec.frequencies:
-                plan_from_frequencies(spec.frequencies, spec.T, spec.p)
-            else:
-                design_plan(spec.T, spec.p, spec.m, spec.P)
+            spec.build()
         except ValueError as exc:
             raise ScenarioError(f"{keys} do not make a carrier plan: {exc}") from exc
 

@@ -58,14 +58,14 @@ def slot_by_slot(scenario):
 
     TDMA: encode_slot -> add_noise -> quantize -> decode_slot_free -> assemble_image, the
     ADC's full scale FULL_SCALE_HEADROOM x the largest summed irradiance of a slot; or, on
-    carriers off the bin grid with neither the ADC nor spectra, the sum of the unit
-    carriers' coefficients weighted by the pixels, plus those of the slot's noise.  CDMA, band by
+    carriers off the bin grid with neither the ADC, spectra nor noise, the sum of the unit
+    carriers' coefficients weighted by the pixels.  CDMA, band by
     band, a band being one noise slot: encode_cdma -> add_noise -> quantize at
     FULL_SCALE_HEADROOM x the band's peak -> decode_cdma.
     """
     if scenario.mode == "cdma":
         return _band_by_band(scenario)
-    plan = caossim.runner._build_plan(scenario)
+    plan = scenario.plan.build()
     window, grid = plan.window(), scenario.grid
     scene = build_scene(scenario.target, grid)
     schedule = schedule_fdma_tdma(grid.num_pixels, plan)
@@ -74,24 +74,17 @@ def slot_by_slot(scenario):
     adc = scenario.adc_config(auto_full_scale=FULL_SCALE_HEADROOM * max(peak, 1e-12))
     noise = scenario.noise_config()
     period = caossim.runner._row_length(scenario, plan)
-    windows = window.Q // period
-    read_window = SamplingWindow(window.fs, window.T / windows, period, window.delta_f * windows)
-    superposed, _ = caossim.runner._slot_layout(scenario, plan)
+    superposed = period is None
+    windows = window.Q // (period or window.Q)
+    read_window = SamplingWindow(window.fs, window.T / windows, window.Q // windows,
+                                 window.delta_f * windows)
     estimates, spectra, clipped = [], [], 0
     for i, slot in enumerate(schedule.slots):
-        freqs = [f for _, f in slot]
-
-        def coefficients(stream):
-            return block_coefficients(stream.samples[None], stream.fs, freqs)[0]
-
         if superposed:
-            unit = Scene([[1.0]])
-            coeffs = 0
+            unit, freqs, coeffs = Scene([[1.0]]), [f for _, f in slot], 0
             for pix, f in slot:
-                carrier = encode_slot(unit, [(0, f)], window, strict=False)
-                coeffs = coeffs + flat[pix] * coefficients(carrier)
-            silence = SampledSignal(np.zeros(window.Q), window.fs)
-            coeffs = coeffs + coefficients(add_noise(silence, noise, i))
+                carrier = encode_slot(unit, [(0, f)], window, strict=False).samples
+                coeffs = coeffs + flat[pix] * block_coefficients(carrier[None], window.fs, freqs)[0]
             estimates.append({
                 pix: abs(c) / (window.Q * fundamental_coefficient(window.fs / f))
                 for (pix, f), c in zip(slot, coeffs)

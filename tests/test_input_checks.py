@@ -131,6 +131,10 @@ CHECKS = [
     ("spectral line mode",
      lambda: Scenario(mode="fdma-tdma", target=LINE, plan=PlanSpec(T=1.0, p=4, m=1, P=1)),
      ScenarioError, "the spectral-line target runs in cdma mode"),
+    ("noise seed", lambda: Scenario(mode="fdma-tdma", target=TargetSpec(kind="uniform"),
+                                    plan=PlanSpec(T=1.0, p=4, m=1, P=1),
+                                    noise=NoiseConfig(awgn_sigma=0.01, seed=5)),
+     ScenarioError, "noise's seed 5 would be ignored: the noise is keyed by the top-level 'seed'"),
     # scene_optics
     ("grid size", lambda: CaosGrid(0, 2), ValueError, "grid dimensions must be >= 1"),
     ("scene 1-d", lambda: Scene(np.ones(3)), ValueError, "irradiance must be a 2-D matrix"),

@@ -101,7 +101,7 @@ class TestNoiseEquivalentIrradiance:
     def test_hdr66_fm(self):
         # sigma 0.021 on Q = 2^16 samples, one carrier at fs / 8
         scenario = load_preset("hdr66-fm")
-        plan = caossim.runner._build_plan(scenario)
+        plan = scenario.plan.build()
         (carrier,) = plan.channels
         nei = noise_equivalent_irradiance(scenario.noise.awgn_sigma, plan.Q, plan.fs / carrier)
         assert nei == pytest.approx(1.8e-4, rel=0.02)

@@ -13,8 +13,10 @@ average over one carrier period; ``write_spectra`` makes the same scenario
 read the raw Q-sample slot when its channel varies in time (an AWGN, pink
 or mains term).  On a time-invariant channel a slot repeats every period,
 so spectra too are read from one period.  A permissive run on a passing plan
-is routed as the strict run; one with a carrier off the bin grid and the ADC
-off forms no slot stream: it sums unit carrier responses.  These properties
+is routed as the strict run; one with a carrier off the bin grid reads its
+raw Q-sample slots, unless it has nothing to read but its pixels (no ADC,
+spectra or noise): then it forms no slot stream and sums unit carrier
+responses.  These properties
 also hold the averaged readout to the raw one, and to itself across modes
 and draw-ahead pool sizes.  A scenario's resolved config, here and for
 every preset, parses back to the same config and the same run.  In every
@@ -90,7 +92,7 @@ def _mains_on_a_carrier(scenario) -> bool:
     """The drawn mains tone sits on a whole bin that folds onto a bin-exact carrier's bin."""
     if scenario.mode == "cdma":
         return False
-    plan = caossim.runner._build_plan(scenario)
+    plan = scenario.plan.build()
     tone = whole_number(scenario.noise.mains_freq / plan.delta_f)
     carriers = {whole_number(f / plan.delta_f) for f in plan.channels}
     return (scenario.noise.mains_amplitude > 0 and tone is not None
@@ -179,7 +181,7 @@ def test_noiseless_averaged_readout_is_the_raw_readout_bit_for_bit(doc):
     # readout's 1/L against 1/Q is a power of two
     scenario = scenario_from_dict(dict(doc, noise={}))
     averaged = run(scenario).image.estimates
-    plan = caossim.runner._build_plan(scenario)
+    plan = scenario.plan.build()
     scene = caossim.runner.build_scene(scenario.target, scenario.grid)
     schedule = schedule_fdma_tdma(scenario.grid.num_pixels, plan)
     raw = [decode_slot_free(encode_slot(scene, slot, plan.window()), slot)
@@ -234,8 +236,9 @@ def block_docs(draw):
     Q = 2**p <= 2**12, with a block budget of 1-3 rows or the default: strict on a designed
     ladder, or permissive on explicit carriers, each on a power-of-two bin (whole periods),
     on another whole bin or between bins.  A third kind is permissive with at least one
-    carrier between bins and neither the ADC nor spectra, which reads no slot stream; the
-    other two draw both.  The channel draws any of its terms, or only a dark offset.
+    carrier between bins, a silent channel and neither the ADC nor spectra, which reads no
+    slot stream.  The other two draw the ADC and spectra, and a channel with any of its
+    terms or only a dark offset.
 
     Hypothesis leans to the first value of a range or a list, so some draws start at the
     value a rare case needs: the highest ladder (the shortest period to average), 11 columns
@@ -246,8 +249,7 @@ def block_docs(draw):
                    adc=draw(adcs), seed=seed)
         return doc, width, None
     kind = draw(st.sampled_from(["strict", "superposed", "permissive"]))
-    # the superposed readout adds its noise apart from the pixels: every term for it
-    noise = draw(noises() if kind == "superposed" else st.one_of(noises(), steady))
+    noise = {} if kind == "superposed" else draw(st.one_of(noises(), steady))
     P = draw(st.one_of(st.integers(1, 4), st.integers(9, 11)))
     p = draw(st.integers(max(4, P + 1), 12))
     q, T = 2**p, draw(st.sampled_from([0.25, 1.0]))
@@ -288,8 +290,9 @@ def _block_run(scenario, width, block_rows):
         warnings.simplefilter("ignore", UserWarning)  # an ADC below 4 sigma of dark offset
         mp.setattr(caossim.channel, "_draw_workers", lambda: width)
         if block_rows is not None:
-            plan = caossim.runner._build_plan(scenario)
-            _, slot_bytes = caossim.runner._slot_layout(scenario, plan)
+            plan = scenario.plan.build()
+            period = caossim.runner._row_length(scenario, plan)
+            slot_bytes = 8 * period if period else 16 * plan.num_channels
             mp.setattr(caossim.runner, "BLOCK_BYTES", block_rows * slot_bytes)
         return run(scenario)
 
@@ -353,12 +356,12 @@ MAINS_ON_A_CARRIER = {
 
 # a permissive, superposed run whose short last slot has another gcd of Q and its bins: a full
 # slot on 64 and 96.25 Hz (nearest bins 64 and 96, gcd 32) and a short one on 64 Hz, bin 64
-# (gcd 64), whose unit carrier is synthesised over its 16-sample period, under LADDER's noise
+# (gcd 64), whose unit carrier is synthesised over its 16-sample period
 SHORT_SLOT_OTHER_GCD = {
     "mode": "fdma-tdma", "grid": {"rows": 1, "cols": 3},
     "target": {"kind": "explicit", "values": [[1.0, 0.5, 0.25]]},
     "plan": {"T": 1.0, "p": 10, "frequencies": [64.0, 96.25]},
-    "noise": LADDER["noise"], "permissive": True,
+    "permissive": True,
 }
 
 # LADDER's plan with its top carrier off the bin grid, between bins 512 and 513: the slots no
@@ -368,22 +371,37 @@ OFF_GRID_LADDER = dict(LADDER, plan={"T": 1.0, "p": 12, "frequencies": [64.0, 12
                        permissive=True)
 
 
+# the block property's explicit cases, which the reach test counts with its draws
+BLOCK_EXAMPLES = [
+    (dict(LADDER, write_spectra=True), 1, None),
+    (dict(LADDER, write_spectra=True, permissive=True), 2, None),
+    (dict(LADDER, permissive=True), 1, None),
+    (dict(OFF_GRID_LADDER, noise={}), 1, 1),
+    (OFF_GRID_LADDER, 2, 1),
+    (CLIPPING, 2, None),
+    (dict(CLIPPING, plan=OFF_GRID_LADDER["plan"], permissive=True), 1, None),
+    (NOISY_BANDS, 2, None),
+    (CDMA_AUTO_SCALE, 1, None),
+    (OFF_GRID_EVEN_BINS, 1, None),
+    (NOISELESS_SPECTRA, 1, 2),
+    (dict(NOISELESS_SPECTRA, noise={"dark_offset": 0.05}), 2, 2),
+    (MAINS_ON_A_CARRIER, 1, None),
+    (dict(MAINS_ON_A_CARRIER, plan={"T": 1.0, "p": 10, "frequencies": [128.0]},
+          permissive=True), 2, None),
+    (SHORT_SLOT_OTHER_GCD, 2, None),
+]
+
+
+def _block_examples(test):
+    """``test`` with every case of BLOCK_EXAMPLES as an ``@example``."""
+    for case in BLOCK_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
 @settings(PROPERTY, max_examples=200)
 @given(block_docs())
-@example((dict(LADDER, write_spectra=True), 1, None))
-@example((dict(LADDER, write_spectra=True, permissive=True), 2, None))
-@example((dict(OFF_GRID_LADDER, noise={}), 1, 1))
-@example((CLIPPING, 2, None))
-@example((dict(CLIPPING, plan=OFF_GRID_LADDER["plan"], permissive=True), 1, None))
-@example((NOISY_BANDS, 2, None))
-@example((CDMA_AUTO_SCALE, 1, None))
-@example((OFF_GRID_EVEN_BINS, 1, None))
-@example((NOISELESS_SPECTRA, 1, 2))
-@example((dict(NOISELESS_SPECTRA, noise={"dark_offset": 0.05}), 2, 2))
-@example((MAINS_ON_A_CARRIER, 1, None))
-@example((dict(MAINS_ON_A_CARRIER, plan={"T": 1.0, "p": 10, "frequencies": [128.0]},
-               permissive=True), 2, None))
-@example((SHORT_SLOT_OTHER_GCD, 2, None))
+@_block_examples
 def test_block_run_is_the_slot_by_slot_pipeline_bit_for_bit(case):
     doc, width, block_rows = case
     scenario = scenario_from_dict(doc)
@@ -411,27 +429,28 @@ def _reached(doc, width, block_rows) -> set:
         slots = len(sc.target.bands) if sc.target.kind == "spectral-line" else 1
         cases = {"cdma": True, "cdma, adc": sc.adc_enabled, "cdma, two or more bands": slots > 1}
     else:
-        plan = caossim.runner._build_plan(sc)
+        plan = sc.plan.build()
         schedule = schedule_fdma_tdma(sc.grid.num_pixels, plan).slots
         slots = len(schedule)
-        stream = not caossim.runner._slot_layout(sc, plan)[0]
-        averaged = caossim.runner._row_length(sc, plan) < plan.Q
+        period = caossim.runner._row_length(sc, plan)
+        stream = period is not None
+        averaged = stream and period < plan.Q
         whole = [whole_number(f / plan.delta_f) is not None for f in plan.channels]
         first, last = ([plan.bins[plan.channels.index(f)] for _, f in slot]
                        for slot in (schedule[0], schedule[-1]))
         superposed = {
             "off the bin grid": not any(whole),
             "short last slot, other gcd": math.gcd(plan.Q, *first) != math.gcd(plan.Q, *last),
-            "pink": noise.pink_enabled,
-            "mains": noise.mains_amplitude > 0,
-            "dark offset": noise.dark_offset > 0,
-            "silent": noise.is_silent,
         }
         cases = {
             "strict": not sc.permissive,
             "permissive, stream": sc.permissive and stream,
             # a passing or failing plan on whole bins, read from one period as a strict run
             "permissive, on the bin grid": sc.permissive and all(whole) and averaged,
+            # the raw slots of a noisy channel off the bin grid, neither ADC nor spectra
+            "permissive, noisy, off the bin grid": (
+                not all(whole) and not noise.is_silent
+                and not (sc.adc_enabled or sc.write_spectra)),
             "averaged": averaged,
             "spectra": sc.write_spectra,
             # strict, ADC off, and a channel without a time-varying term
@@ -460,13 +479,13 @@ def test_block_strategy_reaches_every_case():
     def collect(case):
         reached.update(_reached(*case))
 
-    reached = set()
+    reached = set().union(*(_reached(*case) for case in BLOCK_EXAMPLES))
     collect()
     superposed = {f"permissive, superposed, {case}" for case in (
-        "off the bin grid", "short last slot, other gcd", "pink", "mains", "dark offset",
-        "silent")}
+        "off the bin grid", "short last slot, other gcd")}
     assert reached == {
-        "strict", "permissive, stream", "permissive, on the bin grid", "averaged", "spectra",
+        "strict", "permissive, stream", "permissive, on the bin grid",
+        "permissive, noisy, off the bin grid", "averaged", "spectra",
         "time-invariant spectra", "adc", "short last slot", "more than 8 carriers, adc",
         "more than 8 carriers, superposed", *superposed, "cdma", "cdma, adc",
         "cdma, two or more bands", "noise", "one worker", "two workers",
@@ -498,12 +517,11 @@ ROUTES = {
                       [8192, 4096], 4096),
     "time-invariant spectra": (dict(LADDER, write_spectra=True, noise={"dark_offset": 0.05}),
                                AVERAGED, READ_AVERAGED, DRAWN_AVERAGED, [128, 64], 64),
-    # no slot is encoded or read: one unit carrier per carrier of each of the two carrier
-    # sets, each bin-exact one synthesised over its own period, and one block of noise-only
-    # rows per block, read at their carrier bins
-    "permissive, superposed": (OFF_GRID_LADDER, [(1, 4096, 64), (1, 4096, 32), (1, 4096, 16),
-                                                 (1, 4096, 4096), (1, 4096, 64), (1, 4096, 32)],
-                               [], DRAWN_RAW, [8192, 4096], 64),
+    # no slot is encoded, drawn or read: one unit carrier per carrier of each of the two
+    # carrier sets, each bin-exact one synthesised over its own period
+    "permissive, superposed": (dict(OFF_GRID_LADDER, noise={}),
+                               [(1, 4096, 64), (1, 4096, 32), (1, 4096, 16), (1, 4096, 4096),
+                                (1, 4096, 64), (1, 4096, 32)], [], None, [], 64),
     # the full slots sample 512.5 Hz over the whole window; the short slot's 64 and 128 Hz
     # repeat every 64 samples
     "permissive, adc": (dict(OFF_GRID_LADDER, adc=ADC12), [(2, 4096, 4096), (1, 4096, 64)],
@@ -517,6 +535,9 @@ ROUTES = {
 # the flag only lets a failing plan run: on LADDER's passing plan it changes no call
 ROUTES["permissive, passing plan"] = (dict(LADDER, permissive=True),
                                       *ROUTES["strict averaged"][1:])
+# a noisy channel off the bin grid: its slots' raw rows are encoded, drawn and read as with
+# the ADC on
+ROUTES["permissive, noisy, off the grid"] = (OFF_GRID_LADDER, *ROUTES["permissive, adc"][1:])
 
 
 @pytest.mark.parametrize("name", ROUTES)
@@ -544,8 +565,8 @@ def test_every_preset_is_routed_by_the_rules_of_the_table(name):
         assert route == Route()
         return
     slots = len(report.images) if scenario.mode == "cdma" else int(report.image.slot_map.max()) + 1
-    if scenario.mode != "cdma" and caossim.runner._slot_layout(
-            scenario, caossim.runner._build_plan(scenario))[0]:
+    if scenario.mode != "cdma" and caossim.runner._row_length(
+            scenario, scenario.plan.build()) is None:
         # superposed: unit carriers, one row each, and no slot stream to read
         assert {rows for rows, _, _ in route.encoded} == {1}
         assert route.decoded == []
@@ -688,7 +709,7 @@ def test_dark_scene_noise_floor_is_the_rayleigh_scale(mode, P, m):
     power = []
     for seed in range(40):
         report = run(scenario_from_dict(dict(doc, seed=seed)))
-        fs = caossim.runner._build_plan(report.scenario).fs
+        fs = report.scenario.plan.build().fs
         nei = np.vectorize(lambda f: noise_equivalent_irradiance(sigma, 2**p, fs / f))(
             report.image.channel_map)
         power.extend(((report.image.estimates / nei) ** 2).ravel())
