@@ -20,8 +20,13 @@ thread.  ``add_noise`` is the one-row form.
 A stream may be a synchronous average (``SampledSignal.windows`` > 1):
 the mean of the q = windows * L samples of a slot over its windows of L
 samples.  ``_slot_terms`` still draws every term at q samples from the
-slot's key and reduces it to its own L-sample mean (``_window_mean``), on
-the workers when drawn ahead, so the draw and its bits do not depend on L.
+slot's key and reduces it to its own L-sample mean, on the workers when
+drawn ahead, so the draw and its bits do not depend on L.  The AWGN term
+of such a row is drawn C = ``_chunk_length`` samples at a time into one
+C-sample buffer, at most DRAW_CHUNK samples unless one window is longer,
+and its chunks' window sums add pairwise (``_window_sum``), so a slot holds
+O(C + L log(q / C)) samples of it instead of q.  A raw row (L = q) and the
+pink term, whose spectral shaping needs all q samples, are drawn whole.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ from .waveform import SampledSignal, fold_windows
 __all__ = ["NoiseConfig", "AdcConfig", "add_noise", "add_terms", "quantize", "slot_terms"]
 
 MAX_DRAW_WORKERS = 4
+# the most samples of an averaged row's AWGN term drawn at once, unless one window is longer
+DRAW_CHUNK = 1 << 15
 # the ADC resolutions AdcConfig accepts, and a scenario's adc.bits
 ADC_BITS = range(2, 25)
 # the scenario rules (see caossim.scenario) of a noise magnitude and of the 1/f slope, white (0)
@@ -115,11 +122,6 @@ def _pink_noise(rng: np.random.Generator, q: int, fs: float, exponent: float) ->
     return out / std if std > 0 else out
 
 
-def _term_count(cfg: NoiseConfig) -> int:
-    """How many stochastic terms a slot draws: AWGN, pink, both or none."""
-    return bool(cfg.awgn_sigma) + cfg.pink_enabled
-
-
 def _window_mean(x: np.ndarray, period: int) -> np.ndarray:
     """The mean of x's windows of ``period`` samples, written over x[:period].
 
@@ -133,37 +135,82 @@ def _window_mean(x: np.ndarray, period: int) -> np.ndarray:
     return mean
 
 
+def _chunk_length(q: int, period: int) -> int:
+    """C, the samples of a slot's AWGN term drawn at a time: all q of a raw row
+    (period == q); for an averaged row, the most windows that fit in DRAW_CHUNK, at
+    least one, in a power-of-two count that divides q's.  For a power-of-two period
+    that is max(period, min(q, DRAW_CHUNK)).  A count of windows that ``fold_windows``
+    refuses is drawn whole, so that the fold raises as it would on one draw."""
+    windows, fit = q // period, max(1, DRAW_CHUNK // period)
+    if windows * period != q or windows & (windows - 1):
+        return q
+    return period * min(windows, 1 << (fit.bit_length() - 1))
+
+
+def _term_lengths(cfg: NoiseConfig, q: int, period: int) -> list[int]:
+    """The samples of each buffer ``_slot_terms`` fills, in draw order: C for AWGN
+    (``_chunk_length``), q for pink."""
+    return [_chunk_length(q, period)] * bool(cfg.awgn_sigma) + [q] * cfg.pink_enabled
+
+
+def _window_sum(
+    rng: np.random.Generator, sigma: float, n: int, period: int, buf: np.ndarray
+) -> np.ndarray:
+    """The window sum of the next n samples of AWGN at ``sigma``, n a power-of-two count
+    of C = len(buf)-sample chunks, drawn in the order of one n-sample draw.
+
+    A chunk is drawn into ``buf`` and folds there (``fold_windows``), so one chunk's
+    sum is a view of buf.  Two halves add pairwise, the earlier half's sum plus the
+    later half's, into a copy of the earlier one, so at most log2(n / C) partial sums
+    are held.  With C == n this is the fold of one draw.
+    """
+    if n > len(buf):
+        earlier = _window_sum(rng, sigma, n // 2, period, buf)
+        if n // 2 == len(buf):  # a view of buf, which the later half draws over
+            earlier = earlier.copy()
+        return np.add(earlier, _window_sum(rng, sigma, n // 2, period, buf), out=earlier)
+    rng.standard_normal(out=buf)
+    buf *= sigma
+    return fold_windows(buf, period, out=buf)
+
+
 def _slot_terms(
     cfg: NoiseConfig, q: int, fs: float, slot_index: int, period: int, out: list | None = None
 ) -> list[np.ndarray]:
     """A slot's scaled stochastic terms, each reduced to its period-sample mean.
 
     The terms are drawn at q samples in draw order, AWGN first, then pink, so
-    disabling one never shifts the other.  ``out`` holds one length-q float64
-    buffer per term (``_term_count``) to fill; without it the buffers are
-    allocated here.
+    disabling one never shifts the other.  ``out`` holds one float64 buffer
+    per term to fill, of ``_term_lengths`` samples; without it the buffers
+    are allocated here.  Each term is returned as a view of its buffer.
     """
     if out is None:
-        out = [np.empty(q) for _ in range(_term_count(cfg))]
+        out = [np.empty(n) for n in _term_lengths(cfg, q, period)]
     if not out:
         return out
     rng = _slot_rng(cfg.seed, slot_index)
+    terms = []
     if cfg.awgn_sigma:
-        rng.standard_normal(q, out=out[0])
-        out[0] *= cfg.awgn_sigma
+        mean = _window_sum(rng, cfg.awgn_sigma, q, period, out[0])
+        if period < q:  # the exact period / q scale, over out[0][:period]
+            mean = np.multiply(mean, period / q, out=out[0][:period])
+        terms.append(mean)
     if cfg.pink_enabled:
         np.multiply(_pink_noise(rng, q, fs, cfg.pink_exponent), cfg.pink_sigma, out=out[-1])
-    return [_window_mean(term, period) for term in out]
+        terms.append(_window_mean(out[-1], period))
+    return terms
 
 
 def add_terms(
     rows: np.ndarray, terms: Iterable[list[np.ndarray]], cfg: NoiseConfig, fs: float,
-    windows: int = 1,
+    windows: int = 1, start: int = 0,
 ) -> None:
     """Add noise to a block of slot rows in place, row s from slot s's ``terms``.
 
     The dark offset and the mains tone's mean over the slot's ``windows``
-    are added to the whole block, since neither depends on the slot.  Then
+    are added to the whole block, since neither depends on the slot; the
+    tone is taken at the samples from ``start`` on, so a row may be a later
+    stretch of its slot (a chunk of a CDMA band, with slices of its terms).  Then
     each row takes its stochastic terms (``_slot_terms``) in place, in draw
     order: (((row + dark) + mains) + awgn) + pink.  The terms are only read,
     and IEEE addition commutes (row + term == term + row bit for bit), so
@@ -173,7 +220,7 @@ def add_terms(
     if cfg.dark_offset:
         rows += cfg.dark_offset
     if cfg.mains_amplitude:
-        n = np.arange(period * windows)
+        n = np.arange(start, start + period * windows)
         tone = cfg.mains_amplitude * np.sin(
             2.0 * np.pi * cfg.mains_freq * n / fs + cfg.mains_phase
         )
@@ -213,15 +260,16 @@ def slot_terms(
 
     With W = ``_draw_workers()`` >= 2, two or more slots and a stochastic
     term, a pool of W threads draws up to W slots ahead of the slot last
-    yielded, into buffers allocated on the calling thread: at most
-    W * terms * 8 * q bytes in flight.  A worker's exception is raised at
+    yielded, into buffers allocated on the calling thread: at most W slots
+    of 8 * C bytes of AWGN (``_chunk_length``; C = q for a raw row) and
+    8 * q of pink in flight.  A worker's exception is raised at
     its slot.  When the generator ends or is closed, the draws in flight
     finish and the pool is joined.  Otherwise each slot is drawn inline
     and no thread starts.  Draws are keyed by (seed, slot), so the terms
     are bit-identical either way.
     """
-    width, count = _draw_workers(), _term_count(cfg)
-    if width < 2 or len(slots) < 2 or not count:
+    width, lengths = _draw_workers(), _term_lengths(cfg, q, period)
+    if width < 2 or len(slots) < 2 or not lengths:
         for i in slots:
             yield _slot_terms(cfg, q, fs, i, period)
         return
@@ -232,7 +280,7 @@ def slot_terms(
 
         def submit(i: int):
             # buffers come from this thread's heap, not from a worker's arena
-            buffers = [np.empty(q) for _ in range(count)]
+            buffers = [np.empty(n) for n in lengths]
             return pool.submit(_slot_terms, cfg, q, fs, i, period, buffers)
 
         ahead = deque(submit(i) for i in islice(todo, width))

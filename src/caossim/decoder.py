@@ -70,6 +70,8 @@ __all__ = [
     "block_estimates",
     "decode_block",
     "decode_cdma",
+    "bit_means",
+    "decode_bit_means",
     "assemble_image",
 ]
 
@@ -188,17 +190,29 @@ def decode_cdma(
     cfg: CdmaConfig,
     grid: CaosGrid,
 ) -> DecodedImage:
-    """Bipolar Walsh correlation of the per-bit sample means.
-
-    Pixel estimate = (2/L) sum_b mean_b * c_k[b]; exact for a noiseless
-    round trip.  The correlations with all L code rows are fwht(means), so
-    the L x L code matrix is never built.
-    """
+    """Bipolar Walsh correlation of the per-bit sample means (``bit_means``,
+    ``decode_bit_means``); exact for a noiseless round trip."""
     L = assignment.code_length
     expected = L * cfg.samples_per_bit
     if len(stream) != expected:
         raise ValueError(f"stream length {len(stream)} != L*samples_per_bit = {expected}")
-    means = stream.samples.reshape(L, cfg.samples_per_bit).mean(axis=1)
+    return decode_bit_means(bit_means(stream.samples, cfg.samples_per_bit), assignment, grid)
+
+
+def bit_means(samples: np.ndarray, samples_per_bit: int) -> np.ndarray:
+    """The mean of each bit's samples, for a stretch of a frame in whole bits."""
+    return samples.reshape(-1, samples_per_bit).mean(axis=1)
+
+
+def decode_bit_means(
+    means: np.ndarray, assignment: WalshAssignment, grid: CaosGrid
+) -> DecodedImage:
+    """The image from a frame's L per-bit means.
+
+    Pixel estimate = (2/L) sum_b mean_b * c_k[b].  The correlations with all
+    L code rows are fwht(means), so the L x L code matrix is never built.
+    """
+    L = assignment.code_length
     rows = _code_rows(assignment, grid.num_pixels)
     estimates = (2.0 / L) * fwht(means)[rows]
     return DecodedImage(

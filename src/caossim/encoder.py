@@ -56,6 +56,7 @@ __all__ = [
     "SampledSignal",
     "walsh_matrix",
     "fwht",
+    "cdma_levels",
     "encode_cdma",
     "schedule_fdma_tdma",
     "schedule_runs",
@@ -157,10 +158,9 @@ class CdmaConfig:
         return self.bit_rate * self.samples_per_bit
 
 
-def encode_cdma(
-    scene: Scene, assignment: WalshAssignment, cfg: CdmaConfig
-) -> SampledSignal:
-    """Sum of code-gated pixel irradiances, held samples_per_bit per bit.
+def cdma_levels(scene: Scene, assignment: WalshAssignment) -> np.ndarray:
+    """The detector level of each of the L code bits: the sum of code-gated pixel
+    irradiances.
 
     Level of bit b = sum_i I_i (H[r_i, b] + 1) / 2 = (sum I + (H c)[b]) / 2,
     where c holds each pixel's irradiance at its code row r_i; H c is one
@@ -173,6 +173,14 @@ def encode_cdma(
     levels = fwht(coded)
     levels += flat.sum()
     levels *= 0.5
+    return levels
+
+
+def encode_cdma(
+    scene: Scene, assignment: WalshAssignment, cfg: CdmaConfig
+) -> SampledSignal:
+    """The frame: each bit's level (``cdma_levels``) held samples_per_bit samples."""
+    levels = cdma_levels(scene, assignment)
     return SampledSignal(np.repeat(levels, cfg.samples_per_bit), cfg.fs)
 
 

@@ -33,12 +33,13 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray, header: str | None = 
     optional header line.
 
     A row of exact +0.0 (no set bit) is the cached string "0.0,...,0.0\\n", repeated for
-    a run of such rows; every other row is ",".join(map(repr, row)).  repr(+0.0) is
-    "0.0", so the two agree, and -0.0, nan, +-inf and subnormals go through repr.  A
-    spectrum of 50%-duty carriers is mostly zero rows (its even harmonics), so only its
-    set rows pay for repr.  Memory bound: one write holds the whole rows of one block,
-    max(1, CSV_BLOCK_CELLS // columns) of them, zero runs included; that is about
-    CSV_BLOCK_CELLS cells, or one row when a row is wider.
+    a run of such rows; in every other row an exact +0.0 cell is the constant "0.0" and
+    each other cell its repr.  repr(+0.0) is "0.0", so every row reads as
+    ",".join(map(repr, row)), -0.0, nan, +-inf and subnormals included.  A spectrum of
+    50%-duty carriers is mostly zero rows (its even harmonics) and a scene mostly zero
+    cells, so only set cells pay for repr.  Memory bound: one write holds the whole rows
+    of one block, max(1, CSV_BLOCK_CELLS // columns) of them, zero runs included; that is
+    about CSV_BLOCK_CELLS cells, or one row when a row is wider.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     nrows, cols = m.shape
@@ -52,7 +53,12 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray, header: str | None = 
             fh.write(header + "\n")
         for k, start in enumerate(range(0, nrows, block)):
             rows = set_rows[bounds[k] : bounds[k + 1]]
-            cells = map(repr, m.take(rows, axis=0).ravel().tolist())
+            values = m.take(rows, axis=0).ravel()
+            texts = ["0.0"] * values.size
+            set_cells = values.view(np.uint64).nonzero()[0]
+            for i, text in zip(set_cells.tolist(), map(repr, values[set_cells].tolist())):
+                texts[i] = text
+            cells = iter(texts)
             pieces, row = [], start
             # zip(*[cells] * cols) deals the cells out in rows of `cols`
             for r, text in zip(rows.tolist(), map(",".join, zip(*[cells] * cols))):

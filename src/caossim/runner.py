@@ -7,13 +7,19 @@ carrier coefficients, where a run forms no rows), so long acquisitions never
 hold every stream in memory.  It is encoded as one array
 (``encoder.encode_block``) and read by one fold and one batched real
 FFT along its rows (``decoder.decode_block``), whose estimates go straight
-into the image.  Between them every frame, a TDMA block or a CDMA band's
-stream as a one-row block, passes one step (``_impair``): ``add_terms``
+into the image.  Between them every frame, a TDMA block or a chunk of a
+CDMA band as a one-row block, passes one step (``_impair``): ``add_terms``
 adds the block's noise in place, each row its own slot's terms, then one
-``quantize`` reads the block.  The ADC acts sample by sample and a batched
+``quantize`` reads the block.  A CDMA band is one slot, read in chunks of
+whole bits of at most BLOCK_BYTES: each chunk holds its bits' levels
+(``encoder.cdma_levels``), takes its slices of the band's terms and the
+mains tone at its own samples, and leaves its per-bit means
+(``decoder.bit_means``) for the band's one Walsh transform
+(``decoder.decode_bit_means``).  The ADC acts sample by sample and a batched
 FFT gives each row the bits of its own transform, so a run is the
 slot-by-slot pipeline encode_slot -> add_noise -> quantize ->
-decode_slot_free bit for bit, wherever the block boundaries fall.  A slot is read from its carrier
+decode_slot_free (encode_cdma -> add_noise -> quantize -> decode_cdma) bit
+for bit, wherever the block and chunk boundaries fall.  A slot is read from its carrier
 bins, which depend on the Q-sample stream only through its average over
 windows of L = ``repeat_period`` samples, one period of every carrier on
 whole bins.  So unless the ADC needs the raw samples, a row holds one
@@ -55,10 +61,12 @@ from .channel import add_noise, add_terms, quantize, slot_terms  # add_noise: tr
 from .decoder import (
     DecodedImage,
     assemble_image,  # traced
+    bit_means,
     block_coefficients,
     block_estimates,
+    decode_bit_means,
     decode_block,
-    decode_cdma,
+    decode_cdma,  # traced
     decode_slot,  # traced
     decode_slot_free,  # traced
     fft_radix2,  # traced
@@ -66,8 +74,9 @@ from .decoder import (
 from .encoder import (
     CdmaConfig,
     WalshAssignment,
+    cdma_levels,
     encode_block,
-    encode_cdma,
+    encode_cdma,  # traced
     encode_slot,  # traced
     schedule_runs,
 )
@@ -99,8 +108,8 @@ __all__ = ["PlanRejectedError", "StripeReport", "RunReport", "run"]
 
 OUTDIR_ENV = "CAOSSIM_OUTDIR"
 FULL_SCALE_HEADROOM = 1.25
-# the most bytes of slot rows a TDMA block holds
-BLOCK_BYTES = 1 << 20
+# the most bytes of slot rows a TDMA block holds, or of samples a chunk of a CDMA band holds
+BLOCK_BYTES = 1 << 18
 
 
 class PlanRejectedError(ScenarioError):
@@ -257,14 +266,14 @@ def _superposed(amps: np.ndarray, freqs: tuple[float, ...], window: SamplingWind
 
 
 def _impair(
-    rows: np.ndarray, noise, noise_cfg, adc_cfg, fs: float, windows: int = 1
+    rows: np.ndarray, terms, noise_cfg, adc_cfg, fs: float, windows: int = 1, start: int = 0
 ) -> tuple[np.ndarray, int]:
-    """Noise, then the ADC, for a block of frames: the block takes the next
-    len(rows) slots' terms from the run's ``slot_terms`` iterator ``noise`` and
-    ``add_terms`` adds them in place (a silent channel takes and adds nothing),
-    then one ``quantize`` reads the block.  Returns it and its clips."""
+    """Noise, then the ADC, for a block of frames: ``add_terms`` adds row s's
+    stochastic ``terms`` in place, with the mains tone from sample ``start`` on (a
+    silent channel takes no terms from the iterable and adds nothing), then one
+    ``quantize`` reads the block.  Returns it and its clips."""
     if not noise_cfg.is_silent:
-        add_terms(rows, islice(noise, len(rows)), noise_cfg, fs, windows)
+        add_terms(rows, terms, noise_cfg, fs, windows, start)
     stream, clipped = quantize(SampledSignal(rows.ravel(), fs, windows), adc_cfg)
     return stream.samples.reshape(rows.shape), clipped
 
@@ -309,7 +318,8 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
                                               window.Q, window.fs)
             else:
                 block = encode_block(scene, pixels, freqs, window, period)
-                block, clipped = _impair(block, noise, noise_cfg, adc_cfg, window.fs, windows)
+                block, clipped = _impair(block, islice(noise, len(block)), noise_cfg, adc_cfg,
+                                         window.fs, windows)
                 clip_total += clipped
                 if spectra is not None:
                     # a repeating slot: its period's spectrum x windows, every windows-th bin
@@ -369,16 +379,29 @@ def _run_cdma(scenario: Scenario, grid: CaosGrid) -> RunReport:
 
     run_report = RunReport(scenario=scenario)
     _warn_if_rectified(scenario)
-    q = spec.code_length * spec.samples_per_bit
+    spb = spec.samples_per_bit
+    q = spec.code_length * spb
+    # a band's frame is read in chunks of whole bits, each at most BLOCK_BYTES of samples
+    bits = max(1, BLOCK_BYTES // (8 * spb))
     with closing(slot_terms(noise_cfg, q, cfg.fs, q, range(len(band_scenes)))) as noise:
         for band, scene in band_scenes:
-            frame = encode_cdma(scene, assignment, cfg).samples
-            peak = max(float(frame.max()), 1e-12)
+            levels = cdma_levels(scene, assignment)
+            peak = max(float(levels.max()), 1e-12)
             adc_cfg = scenario.adc_config(auto_full_scale=FULL_SCALE_HEADROOM * peak)
-            # a one-row block: band i's frame is noise slot i
-            (frame,), clipped = _impair(frame[None], noise, noise_cfg, adc_cfg, cfg.fs)
-            run_report.clip_count += clipped
-            image = decode_cdma(SampledSignal(frame, cfg.fs), assignment, cfg, grid)
+            # band i's frame is noise slot i; each chunk is a one-row block, with the
+            # samples of those terms it covers
+            terms = [] if noise_cfg.is_silent else next(noise)
+            means = np.empty(spec.code_length)
+            for first in range(0, spec.code_length, bits):
+                chunk = slice(first, first + bits)
+                frame = np.repeat(levels[chunk], spb)
+                start = first * spb
+                (frame,), clipped = _impair(
+                    frame[None], [[t[start : start + len(frame)] for t in terms]],
+                    noise_cfg, adc_cfg, cfg.fs, start=start)
+                run_report.clip_count += clipped
+                means[chunk] = bit_means(frame, spb)
+            image = decode_bit_means(means, assignment, grid)
             run_report.scenes.append(scene)
             run_report.images.append(image)
             if band is not None:

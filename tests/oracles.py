@@ -20,6 +20,7 @@ from caossim.channel import add_noise, quantize, slot_terms
 from caossim.decoder import (
     assemble_image,
     block_coefficients,
+    decode_bit_means,
     decode_block,
     decode_cdma,
     decode_slot_free,
@@ -27,6 +28,7 @@ from caossim.decoder import (
 from caossim.encoder import (
     CdmaConfig,
     WalshAssignment,
+    cdma_levels,
     encode_block,
     encode_cdma,
     encode_slot,
@@ -127,10 +129,11 @@ def _band_by_band(scenario):
 class Route:
     """What the runs inside ``recording`` handed the library, call by call."""
 
-    encoded: list = field(default_factory=list)  # (rows, row length, synthesised period)
+    # (rows, row length, synthesised period); a CDMA band's levels are (1, L, L)
+    encoded: list = field(default_factory=list)
     drawn: list = field(default_factory=list)  # per slot taken: its iterator's (q, period, slots)
     quantized: list = field(default_factory=list)  # the stream each quantize call returned
-    decoded: list = field(default_factory=list)  # (rows, row length)
+    decoded: list = field(default_factory=list)  # (rows, row length); a band's L bit means
     transforms: list = field(default_factory=list)  # the length of each FFT but the noise draw's
 
 
@@ -139,12 +142,12 @@ class Route:
 _SEAMS = {
     encode_block.__code__:
         lambda route, v, out: route.encoded.append((len(out), out.shape[-1], v["synth"].Q)),
-    encode_cdma.__code__: lambda route, v, out: route.encoded.append((1, len(out), len(out))),
+    cdma_levels.__code__: lambda route, v, out: route.encoded.append((1, len(out), len(out))),
     slot_terms.__code__:
         lambda route, v, out: route.drawn.append((v["q"], v["period"], v["slots"])),
     quantize.__code__: lambda route, v, out: route.quantized.append(out[0]),
     decode_block.__code__: lambda route, v, out: route.decoded.append(v["rows"].shape),
-    decode_cdma.__code__: lambda route, v, out: route.decoded.append((1, len(v["stream"]))),
+    decode_bit_means.__code__: lambda route, v, out: route.decoded.append((1, len(v["means"]))),
 }
 _FFTS = {inspect.unwrap(np.fft.rfft).__code__, inspect.unwrap(np.fft.fft).__code__}
 

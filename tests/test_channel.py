@@ -1,5 +1,6 @@
 """Noise injection determinism and ADC quantization bounds."""
 
+import gc
 import math
 import tracemalloc
 
@@ -13,7 +14,7 @@ from caossim.channel import AdcConfig, NoiseConfig, add_noise, quantize
 from caossim.encoder import encode_slot, schedule_fdma_tdma
 from caossim.freq_plan import design_plan
 from caossim.scene_optics import Scene
-from caossim.waveform import SampledSignal, fundamental_coefficient
+from caossim.waveform import SampledSignal, fold_windows, fundamental_coefficient
 from oracles import full_fft_estimate
 
 
@@ -112,6 +113,50 @@ class TestAveragedNoise:
         got = add_noise(SampledSignal(x, self.FS, w), self.CFG, self.SLOT)
         np.testing.assert_allclose(got.samples, self._mean(raw.samples, self.PERIOD),
                                    rtol=0, atol=1e-15)
+
+    def test_a_long_slot_sums_its_chunks_pairwise(self):
+        # past DRAW_CHUNK samples the AWGN term is drawn and folded C samples at a time, and
+        # the chunks' window sums add pairwise, earlier + later; pink is drawn whole after it
+        cfg, period, fs = self.CFG, self.PERIOD, self.FS
+        c = caossim.channel.DRAW_CHUNK
+        q = 8 * c
+        assert caossim.channel._chunk_length(q, period) == c
+        awgn, pink = caossim.channel._slot_terms(cfg, q, fs, self.SLOT, period)
+        rng = caossim.channel._slot_rng(cfg.seed, self.SLOT)
+        draw = rng.standard_normal(q) * cfg.awgn_sigma
+        s = [fold_windows(chunk, period) for chunk in draw.reshape(8, c)]
+        total = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+        assert awgn.tobytes() == (total * (period / q)).tobytes()
+        one_shot = self._mean(draw, period)
+        assert awgn.tobytes() != one_shot.tobytes()
+        np.testing.assert_allclose(awgn, one_shot, rtol=0, atol=1e-15)
+        shaped = cfg.pink_sigma * caossim.channel._pink_noise(rng, q, fs, cfg.pink_exponent)
+        assert pink.tobytes() == self._mean(shaped, period).tobytes()
+
+    def test_a_long_averaged_slot_holds_a_chunk_not_its_draw(self):
+        # one averaged slot at q = 2**20 holds its C-sample buffer and at most log2(q / C)
+        # partial window sums of L samples, not the 8 q bytes of one draw; slots drawn in
+        # turn, with the cyclic collector off, free each buffer when its terms are dropped
+        cfg, q, period = NoiseConfig(awgn_sigma=0.05, seed=3), 1 << 20, self.PERIOD
+        c = caossim.channel._chunk_length(q, period)
+        caossim.channel._slot_terms(cfg, q, self.FS, self.SLOT, period)  # warm numpy's caches
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for slot in range(4):
+                caossim.channel._slot_terms(cfg, q, self.FS, slot, period)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # two chunks' worth of slack for the generator and Python's own objects
+        assert peak <= 8 * (3 * c + period * (q // c).bit_length()) < 8 * q // 8
+
+    def test_a_long_stream_needs_a_power_of_two_count_of_windows(self):
+        # past DRAW_CHUNK samples too, the AWGN term is then drawn whole and its fold refuses
+        stream = SampledSignal(np.zeros(2**14), self.FS, windows=3)
+        with pytest.raises(ValueError, match="power-of-two count"):
+            add_noise(stream, NoiseConfig(awgn_sigma=0.1), self.SLOT)
 
     @pytest.mark.parametrize("q, period", [(96, 32), (100, 32), (64, 128)])
     def test_window_mean_needs_a_power_of_two_count_of_windows(self, q, period):

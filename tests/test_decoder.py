@@ -245,11 +245,12 @@ class TestCarrierReadout:
         with pytest.raises(ValueError, match="outside the spectrum"):
             decode_slot_free(stream, ((0, plan.fs),))
 
-    # table5 and fig6 read one slot; fig9-valid's 83 slots come as one block of 82 one-period
-    # rows and one short slot when noiseless, and in blocks of 8 raw 2^14-sample rows when noisy
+    # table5 and fig6 read one slot; fig9-valid's 83 slots come in 256 KiB blocks, of 64
+    # one-period rows (then 18 and the short slot) when noiseless, and of 2 raw 2^14-sample rows
+    # when noisy
     @pytest.mark.parametrize("preset, noisy, rows_per_block", [
-        ("table5", False, 1), ("fig6", False, 1), ("fig9-valid", True, 8),
-        ("fig9-valid", False, 82),
+        ("table5", False, 1), ("fig6", False, 1), ("fig9-valid", True, 2),
+        ("fig9-valid", False, 64),
     ], ids=["table5-False", "fig6-False", "fig9-valid-True", "fig9-valid-False"])
     def test_spectra_columns_are_the_full_fft_magnitudes(self, preset, noisy, rows_per_block):
         scenario = dataclasses.replace(load_preset(preset), write_spectra=True)

@@ -147,9 +147,11 @@ def test_draws_run_on_the_pool_and_the_rest_on_the_caller(name, monkeypatch):
 
     monkeypatch.setattr(caossim.channel, "_slot_terms", recording_terms)
     monkeypatch.setattr(caossim.runner, "add_terms", recording_add)
-    _run(SCENARIOS[name]())
-    slots = sum(rows for rows, _ in added)
+    report = _run(SCENARIOS[name]())
+    # a TDMA row is one slot; a CDMA band is one slot, whose chunks are one-row blocks
+    slots = len(report.images) if name.startswith("cdma") else report.image.slot_map.max() + 1
     assert all(on_caller for _, on_caller in added) and slots > 1
+    assert sum(rows for rows, _ in added) >= slots
     assert sorted(i for i, _ in draws) == list(range(slots))
     assert all(thread.startswith("caossim-noise") for _, thread in draws)
 

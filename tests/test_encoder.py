@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import caossim.encoder
@@ -25,7 +25,14 @@ from caossim.encoder import (
 )
 from caossim.freq_plan import design_plan
 from caossim.scene_optics import CaosGrid, Scene
-from caossim.waveform import SamplingWindow, SquareWaveSpec, sample_square_free, synth_square
+from caossim.waveform import (
+    SamplingWindow,
+    SquareWaveSpec,
+    repeat_period,
+    sample_square_free,
+    synth_square,
+    whole_number,
+)
 
 
 class TestWalshMatrix:
@@ -402,13 +409,25 @@ class TestCarrierMaskCache:
         freqs=st.lists(st.floats(0.5, 512.0), min_size=1, max_size=4, unique=True),
         amps=st.lists(AMPLITUDES, min_size=4, max_size=4),
     )
+    # within whole_number's tolerance of bin 1, so sampled from the bin, not at 4 - 6e-14 Hz
+    @example(freqs=[3.999999999999943], amps=[5e-324, 0.0, 0.0, 0.0])
     @settings(max_examples=150, deadline=None)
     def test_permissive_slot_equals_summed_synthesis(self, freqs, amps):
         window = SamplingWindow.design(T=0.25, p=10)  # fs = 4096, Nyquist 2048 Hz
         amps = amps[: len(freqs)]
         slot = list(enumerate(freqs))
         stream = encode_slot(Scene(np.array([amps])), slot, window, strict=False)
-        expected = _summed_carriers(amps, freqs, window, sample_square_free)
+        period = repeat_period(freqs, window)
+        if period is None:
+            expected = _summed_carriers(amps, freqs, window, sample_square_free)
+        else:
+            # every carrier within whole_number's tolerance of a bin is sampled from its bin,
+            # b P / Q of a unit-rate P-sample period (test_a_carrier_near_a_bin_is_sampled_from
+            # _the_bin), tiled to Q
+            unit = SamplingWindow(float(period), 1.0, period, 1.0)
+            bins = [float(whole_number(f / window.delta_f) * period // window.Q) for f in freqs]
+            expected = np.tile(_summed_carriers(amps, bins, unit, sample_square_free),
+                               window.Q // period)
         assert np.array_equal(stream.samples, expected)
 
     def test_each_carrier_synthesised_once_per_window(self, monkeypatch):

@@ -159,6 +159,24 @@ def test_sparse_column_csv_is_repr_of_every_cell(tmp_path_factory, col):
     assert path.read_text(encoding="ascii") == want
 
 
+def test_a_set_row_writes_its_exact_zeros_without_repr(tmp_path, monkeypatch):
+    # +0.0 cells beside -0.0, a subnormal, nan and +-inf: only the set cells take repr
+    row = np.array([[0.0, -0.0, 5e-324, 0.0, np.nan, np.inf, -np.inf, 0.0, 1.5]])
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(caossim.fileio, "repr", counting_repr, raising=False)
+    write_matrix_csv(tmp_path / "m.csv", row)
+    text = (tmp_path / "m.csv").read_text(encoding="ascii")
+    assert text == "0.0,-0.0,5e-324,0.0,nan,inf,-inf,0.0,1.5\n"
+    assert text == ",".join(map(repr, row[0].tolist())) + "\n"
+    assert len(calls) == 6
+    assert read_matrix_csv(tmp_path / "m.csv").tobytes() == row.tobytes()
+
+
 @pytest.mark.parametrize(
     "shape", [(CSV_BLOCK_CELLS + 3, len(NONZERO_SPECIALS)), (3, CSV_BLOCK_CELLS + 7)]
 )

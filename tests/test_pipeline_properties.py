@@ -198,7 +198,7 @@ def test_strategies_reach_the_averaged_pool_path():
         sc = scenario_from_dict(doc)
         noise = sc.noise_config()
         slots = math.ceil(sc.rows * sc.cols / sc.plan.P)
-        found.append(sc.plan.m > 1 and slots > 1 and caossim.channel._term_count(noise) > 0)
+        found.append(sc.plan.m > 1 and slots > 1 and (noise.awgn_sigma > 0 or noise.pink_enabled))
 
     found = []
     collect()
@@ -232,13 +232,13 @@ def cdma_frames(draw):
 def block_docs(draw):
     """A scenario for the block path, with its draw-ahead width and block size.
 
-    One in four is cdma (``cdma_frames``).  The rest are fdma-tdma on up to 11 carriers,
-    Q = 2**p <= 2**12, with a block budget of 1-3 rows or the default: strict on a designed
-    ladder, or permissive on explicit carriers, each on a power-of-two bin (whole periods),
-    on another whole bin or between bins.  A third kind is permissive with at least one
-    carrier between bins, a silent channel and neither the ADC nor spectra, which reads no
-    slot stream.  The other two draw the ADC and spectra, and a channel with any of its
-    terms or only a dark offset.
+    One in four is cdma (``cdma_frames``), read in chunks of 1-3 bits or of the default size.
+    The rest are fdma-tdma on up to 11 carriers, Q = 2**p <= 2**12, with a block budget of
+    1-3 rows or the default: strict on a designed ladder, or permissive on explicit carriers,
+    each on a power-of-two bin (whole periods), on another whole bin or between bins.  A
+    third kind is permissive with at least one carrier between bins, a silent channel and
+    neither the ADC nor spectra, which reads no slot stream.  The other two draw the ADC and
+    spectra, and a channel with any of its terms or only a dark offset.
 
     Hypothesis leans to the first value of a range or a list, so some draws start at the
     value a rare case needs: the highest ladder (the shortest period to average), 11 columns
@@ -247,7 +247,7 @@ def block_docs(draw):
     if draw(st.integers(0, 3)) == 3:
         doc = dict(draw(cdma_frames()), mode="cdma", noise=draw(st.one_of(noises(), steady)),
                    adc=draw(adcs), seed=seed)
-        return doc, width, None
+        return doc, width, draw(st.one_of(st.none(), st.integers(1, 3)))
     kind = draw(st.sampled_from(["strict", "superposed", "permissive"]))
     noise = {} if kind == "superposed" else draw(st.one_of(noises(), steady))
     P = draw(st.one_of(st.integers(1, 4), st.integers(9, 11)))
@@ -283,17 +283,23 @@ def block_docs(draw):
     return doc, width, draw(st.one_of(st.none(), st.integers(1, 3)))
 
 
+def _row_bytes(scenario) -> int:
+    """The bytes of one row of a block: a slot's row or carrier coefficients, or a CDMA bit."""
+    if scenario.mode == "cdma":
+        return 8 * scenario.cdma.samples_per_bit
+    plan = scenario.plan.build()
+    period = caossim.runner._row_length(scenario, plan)
+    return 8 * period if period else 16 * plan.num_channels
+
+
 def _block_run(scenario, width, block_rows):
     """run(scenario) with ``width`` draw-ahead workers and, unless None, ``block_rows`` slots
-    per block."""
+    per block (bits per chunk of a CDMA band)."""
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an ADC below 4 sigma of dark offset
         mp.setattr(caossim.channel, "_draw_workers", lambda: width)
         if block_rows is not None:
-            plan = scenario.plan.build()
-            period = caossim.runner._row_length(scenario, plan)
-            slot_bytes = 8 * period if period else 16 * plan.num_channels
-            mp.setattr(caossim.runner, "BLOCK_BYTES", block_rows * slot_bytes)
+            mp.setattr(caossim.runner, "BLOCK_BYTES", block_rows * _row_bytes(scenario))
         return run(scenario)
 
 
@@ -325,6 +331,13 @@ CDMA_AUTO_SCALE = {
     "adc": {"enabled": True, "bits": 8},
     "seed": 1,
 }
+
+# a CDMA frame of 256 bits of 300 samples under every noise term, with a 10-bit ADC and a dark
+# offset above 4 sigma: at the default size it is read in chunks of 109, 109 and 38 bits, each
+# with its slices of the band's terms and the mains tone at its own samples
+CHUNKED_FRAME = dict(CDMA_AUTO_SCALE, cdma={"code_length": 256, "samples_per_bit": 300},
+                     noise={"awgn_sigma": 0.01, "pink_sigma": 0.004, "mains_amplitude": 0.003,
+                            "dark_offset": 0.1}, adc={"enabled": True, "bits": 10}, seed=2)
 
 # off the bin grid on even nearest bins (gcd 2): a free-sampled slot does not repeat every Q/2
 OFF_GRID_EVEN_BINS = {
@@ -382,6 +395,7 @@ BLOCK_EXAMPLES = [
     (dict(CLIPPING, plan=OFF_GRID_LADDER["plan"], permissive=True), 1, None),
     (NOISY_BANDS, 2, None),
     (CDMA_AUTO_SCALE, 1, None),
+    (CHUNKED_FRAME, 2, None),
     (OFF_GRID_EVEN_BINS, 1, None),
     (NOISELESS_SPECTRA, 1, 2),
     (dict(NOISELESS_SPECTRA, noise={"dark_offset": 0.05}), 2, 2),
@@ -427,7 +441,10 @@ def _reached(doc, width, block_rows) -> set:
     noise = sc.noise_config()
     if sc.mode == "cdma":
         slots = len(sc.target.bands) if sc.target.kind == "spectral-line" else 1
-        cases = {"cdma": True, "cdma, adc": sc.adc_enabled, "cdma, two or more bands": slots > 1}
+        bits = block_rows or caossim.runner.BLOCK_BYTES // _row_bytes(sc)
+        cases = {"cdma": True, "cdma, adc": sc.adc_enabled, "cdma, two or more bands": slots > 1,
+                 "cdma, two or more chunks": sc.cdma.code_length > bits,
+                 "cdma, noise in chunks": sc.cdma.code_length > bits and not noise.is_silent}
     else:
         plan = sc.plan.build()
         schedule = schedule_fdma_tdma(sc.grid.num_pixels, plan).slots
@@ -463,12 +480,12 @@ def _reached(doc, width, block_rows) -> set:
             "more than 8 carriers, superposed": plan.num_channels > 8 and not stream,
             **{f"permissive, superposed, {case}": hit and not stream
                for case, hit in superposed.items()},
+            "block boundary mid-schedule": block_rows is not None and slots > block_rows,
         }
     cases.update({
-        "noise": caossim.channel._term_count(noise) > 0,
+        "noise": noise.awgn_sigma > 0 or noise.pink_enabled,
         "one worker": width == 1,
         "two workers": width == 2,
-        "block boundary mid-schedule": block_rows is not None and slots > block_rows,
     })
     return {case for case, hit in cases.items() if hit}
 
@@ -488,8 +505,8 @@ def test_block_strategy_reaches_every_case():
         "permissive, noisy, off the bin grid", "averaged", "spectra",
         "time-invariant spectra", "adc", "short last slot", "more than 8 carriers, adc",
         "more than 8 carriers, superposed", *superposed, "cdma", "cdma, adc",
-        "cdma, two or more bands", "noise", "one worker", "two workers",
-        "block boundary mid-schedule"}
+        "cdma, two or more bands", "cdma, two or more chunks", "cdma, noise in chunks", "noise",
+        "one worker", "two workers", "block boundary mid-schedule"}
 
 
 ADC12 = {"enabled": True, "bits": 12}
@@ -505,9 +522,10 @@ READ_AVERAGED, READ_RAW = [(2, 64), (1, 64)], [(2, 4096), (1, 4096)]
 DRAWN_AVERAGED, DRAWN_RAW = (4096, 64, range(3)), (4096, 4096, range(3))
 
 # How each kind of run is routed through the library (``oracles.recording``).  Per case: the
-# scenario; what it encodes, (rows, row length, synthesised period) per call; what it reads,
-# (rows, row length) per call; the slot_terms iterator it draws from, (q, period, slots), or
-# None; the samples of each quantize call; and its longest FFT, which on these carriers is Q
+# scenario; what it encodes, (rows, row length, synthesised period) per call, or a CDMA band's
+# L bit levels; what it reads, (rows, row length) per call, or a band's L bit means; the
+# slot_terms iterator it draws from, (q, period, slots), or None; the samples of each quantize
+# call, one per block or per chunk of a band; and its longest FFT, which on these carriers is Q
 # only where spectra need the raw slot.  The block property checks the bits of each case.
 ROUTES = {
     "strict averaged": (LADDER, AVERAGED, READ_AVERAGED, DRAWN_AVERAGED, [128, 64], 64),
@@ -527,10 +545,15 @@ ROUTES = {
     "permissive, adc": (dict(OFF_GRID_LADDER, adc=ADC12), [(2, 4096, 4096), (1, 4096, 64)],
                         READ_RAW, DRAWN_RAW, [8192, 4096], 64),
     "silent": (dict(LADDER, noise={}), AVERAGED, READ_AVERAGED, None, [128, 64], 64),
-    "cdma band": (BANDS, [(1, 128, 128)] * 2, [(1, 128)] * 2, (128, 128, range(2)),
+    "cdma band": (BANDS, [(1, 64, 64)] * 2, [(1, 64)] * 2, (128, 128, range(2)),
                   [128, 128], None),
-    "cdma band, silent": (dict(BANDS, noise={}), [(1, 128, 128)] * 2, [(1, 128)] * 2, None,
+    "cdma band, silent": (dict(BANDS, noise={}), [(1, 64, 64)] * 2, [(1, 64)] * 2, None,
                           [128, 128], None),
+    # 1024 bits of 40 samples: each band is quantized in a chunk of the 819 whole bits that fit
+    # in 256 KiB, then one of the other 205, but drawn whole and read once
+    "cdma band in chunks": (dict(BANDS, cdma={"code_length": 1024, "samples_per_bit": 40}),
+                            [(1, 1024, 1024)] * 2, [(1, 1024)] * 2, (40960, 40960, range(2)),
+                            [32760, 8200] * 2, None),
 }
 # the flag only lets a failing plan run: on LADDER's passing plan it changes no call
 ROUTES["permissive, passing plan"] = (dict(LADDER, permissive=True),
@@ -556,8 +579,9 @@ def test_each_kind_of_run_is_routed_as_its_table_row(name):
 @pytest.mark.parametrize("name", preset_names())
 def test_every_preset_is_routed_by_the_rules_of_the_table(name):
     # the table's rules at a preset's size: each slot (each CDMA band) is read once from rows
-    # of one length, its noise terms taken once from one iterator, and no transform is
-    # longer than a row the run reads
+    # of one length (a band's bit means), its noise terms taken once from one iterator, no
+    # transform is longer than a row the run reads, and no quantize call holds more than
+    # BLOCK_BYTES of samples unless one row (one bit) does
     scenario = load_preset(name)
     with recording() as route:
         report = run(scenario)
@@ -573,14 +597,18 @@ def test_every_preset_is_routed_by_the_rules_of_the_table(name):
         assert max(route.transforms) <= max(length for _, length, _ in route.encoded)
         return
     (length,) = {length for _, length in route.decoded}
+    # a band holds each bit's level for samples_per_bit samples
+    held = scenario.cdma.samples_per_bit if scenario.mode == "cdma" else 1
     assert sum(rows for rows, _ in route.decoded) == slots
-    assert sum(len(stream) for stream in route.quantized) == slots * length
+    assert sum(len(stream) for stream in route.quantized) == slots * length * held
+    assert max(len(stream) for stream in route.quantized) <= max(
+        caossim.runner.BLOCK_BYTES // 8, held if scenario.mode == "cdma" else length)
     assert max(route.transforms, default=0) <= length
     if scenario.noise_config().is_silent:
         assert route.drawn == []
     else:
         q = route.drawn[0][0]
-        assert route.drawn == [(q, length, range(slots))] * slots
+        assert route.drawn == [(q, length * held, range(slots))] * slots
 
 
 @pytest.mark.parametrize("length", [2**k for k in range(1, 17)])

@@ -749,8 +749,8 @@ class TestSilentChannel:
         with recording() as route:
             run(load_preset("fig9-valid"))
         # 576 pixels, 7 per slot: a run of 82 full slots, then one short slot, each read over
-        # one 512-sample carrier period
-        rows = block_rows or 82
+        # one 512-sample carrier period; a 256 KiB block holds 64 such rows
+        rows = block_rows or 64
         assert [len(stream) for stream in route.quantized] == [
             min(rows, 82 - s) * 512 for s in range(0, 82, rows)] + [512]
 
