@@ -21,12 +21,12 @@ A stream may be a synchronous average (``SampledSignal.windows`` > 1):
 the mean of the q = windows * L samples of a slot over its windows of L
 samples.  ``_slot_terms`` still draws every term at q samples from the
 slot's key and reduces it to its own L-sample mean, on the workers when
-drawn ahead, so the draw and its bits do not depend on L.  The AWGN term
-of such a row is drawn C = ``_chunk_length`` samples at a time into one
-C-sample buffer, at most DRAW_CHUNK samples unless one window is longer,
-and its chunks' window sums add pairwise (``_window_sum``), so a slot holds
-O(C + L log(q / C)) samples of it instead of q.  A raw row (L = q) and the
-pink term, whose spectral shaping needs all q samples, are drawn whole.
+drawn ahead, so the draw and its bits do not depend on L.  Every term, the
+mains tone too, reaches its mean through ``_window_mean``: it is written
+C = ``_chunk_length`` samples at a time into one buffer, at most DRAW_CHUNK
+unless one window is longer, and the chunks' window sums add pairwise, so an
+averaged row holds O(C + L log(q / C)) samples of AWGN or of the tone, not q.
+Pink, whose spectral shaping needs all q samples, and a raw row are one chunk.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .waveform import SampledSignal, fold_windows
 __all__ = ["NoiseConfig", "AdcConfig", "add_noise", "add_terms", "quantize", "slot_terms"]
 
 MAX_DRAW_WORKERS = 4
-# the most samples of an averaged row's AWGN term drawn at once, unless one window is longer
+# the most samples of an averaged AWGN or mains term held at once, unless one window is longer
 DRAW_CHUNK = 1 << 15
 # the ADC resolutions AdcConfig accepts, and a scenario's adc.bits
 ADC_BITS = range(2, 25)
@@ -101,8 +101,8 @@ class AdcConfig:
     def __post_init__(self) -> None:
         if self.bits not in ADC_BITS:
             raise ValueError(f"bits must lie in {ADC_BITS[0]}..{ADC_BITS[-1]}")
-        if self.full_scale <= 0:
-            raise ValueError("full_scale must be positive")
+        if not 0 < self.full_scale < math.inf:
+            raise ValueError(f"full_scale must be positive and finite, got {self.full_scale}")
 
 
 def _slot_rng(seed: int, slot_index: int) -> np.random.Generator:
@@ -122,25 +122,12 @@ def _pink_noise(rng: np.random.Generator, q: int, fs: float, exponent: float) ->
     return out / std if std > 0 else out
 
 
-def _window_mean(x: np.ndarray, period: int) -> np.ndarray:
-    """The mean of x's windows of ``period`` samples, written over x[:period].
-
-    x is folded in place (``fold_windows``, the readout's order) and then
-    scaled by period / len(x), a power of two, which is exact.  Returns the
-    view x[:period]; with period == len(x), x itself, untouched.
-    """
-    mean = fold_windows(x, period, out=x)
-    if len(mean) < len(x):
-        mean *= period / len(x)
-    return mean
-
-
 def _chunk_length(q: int, period: int) -> int:
-    """C, the samples of a slot's AWGN term drawn at a time: all q of a raw row
+    """C, the samples of a slot's averaged term filled at a time: all q of a raw row
     (period == q); for an averaged row, the most windows that fit in DRAW_CHUNK, at
     least one, in a power-of-two count that divides q's.  For a power-of-two period
     that is max(period, min(q, DRAW_CHUNK)).  A count of windows that ``fold_windows``
-    refuses is drawn whole, so that the fold raises as it would on one draw."""
+    refuses is filled whole, so that the fold raises as it would on one array."""
     windows, fit = q // period, max(1, DRAW_CHUNK // period)
     if windows * period != q or windows & (windows - 1):
         return q
@@ -148,30 +135,36 @@ def _chunk_length(q: int, period: int) -> int:
 
 
 def _term_lengths(cfg: NoiseConfig, q: int, period: int) -> list[int]:
-    """The samples of each buffer ``_slot_terms`` fills, in draw order: C for AWGN
-    (``_chunk_length``), q for pink."""
+    """The samples of each buffer ``_slot_terms`` fills, in draw order: C for AWGN, q for pink."""
     return [_chunk_length(q, period)] * bool(cfg.awgn_sigma) + [q] * cfg.pink_enabled
 
 
-def _window_sum(
-    rng: np.random.Generator, sigma: float, n: int, period: int, buf: np.ndarray
-) -> np.ndarray:
-    """The window sum of the next n samples of AWGN at ``sigma``, n a power-of-two count
-    of C = len(buf)-sample chunks, drawn in the order of one n-sample draw.
+def _window_sum(fill, first: int, n: int, period: int, buf: np.ndarray) -> np.ndarray:
+    """The window sum of a term's n samples from sample ``first`` on, n a power-of-two
+    count of C = len(buf)-sample chunks, filled in sample order.
 
-    A chunk is drawn into ``buf`` and folds there (``fold_windows``), so one chunk's
-    sum is a view of buf.  Two halves add pairwise, the earlier half's sum plus the
-    later half's, into a copy of the earlier one, so at most log2(n / C) partial sums
-    are held.  With C == n this is the fold of one draw.
+    ``fill(buf, i)`` writes the term's samples i..i + C - 1 into buf, where they fold
+    (``fold_windows``), so one chunk's sum is a view of buf.  Two halves add pairwise,
+    the earlier half's sum plus the later half's, into a copy of the earlier one, so
+    at most log2(n / C) partial sums are held.  With C == n this is one fill's fold.
     """
     if n > len(buf):
-        earlier = _window_sum(rng, sigma, n // 2, period, buf)
-        if n // 2 == len(buf):  # a view of buf, which the later half draws over
+        earlier = _window_sum(fill, first, n // 2, period, buf)
+        if n // 2 == len(buf):  # a view of buf, which the later half fills over
             earlier = earlier.copy()
-        return np.add(earlier, _window_sum(rng, sigma, n // 2, period, buf), out=earlier)
-    rng.standard_normal(out=buf)
-    buf *= sigma
+        return np.add(earlier, _window_sum(fill, first + n // 2, n // 2, period, buf), out=earlier)
+    fill(buf, first)
     return fold_windows(buf, period, out=buf)
+
+
+def _window_mean(fill, n: int, period: int, buf: np.ndarray) -> np.ndarray:
+    """The mean of a term's n samples over its windows of ``period`` samples:
+    ``_window_sum`` from sample 0, scaled by period / n, a power of two, which is
+    exact, over buf[:period].  With period == n, buf itself as ``fill`` wrote it."""
+    mean = _window_sum(fill, 0, n, period, buf)
+    if period < n:
+        mean = np.multiply(mean, period / n, out=buf[:period])
+    return mean
 
 
 def _slot_terms(
@@ -180,25 +173,24 @@ def _slot_terms(
     """A slot's scaled stochastic terms, each reduced to its period-sample mean.
 
     The terms are drawn at q samples in draw order, AWGN first, then pink, so
-    disabling one never shifts the other.  ``out`` holds one float64 buffer
-    per term to fill, of ``_term_lengths`` samples; without it the buffers
-    are allocated here.  Each term is returned as a view of its buffer.
+    disabling one never shifts the other.  ``out`` holds one float64 buffer per
+    term to fill (``_window_mean``), of ``_term_lengths`` samples; without it the
+    buffers are allocated here.  A term past one chunk is returned as its own array.
     """
     if out is None:
         out = [np.empty(n) for n in _term_lengths(cfg, q, period)]
     if not out:
         return out
     rng = _slot_rng(cfg.seed, slot_index)
-    terms = []
-    if cfg.awgn_sigma:
-        mean = _window_sum(rng, cfg.awgn_sigma, q, period, out[0])
-        if period < q:  # the exact period / q scale, over out[0][:period]
-            mean = np.multiply(mean, period / q, out=out[0][:period])
-        terms.append(mean)
-    if cfg.pink_enabled:
-        np.multiply(_pink_noise(rng, q, fs, cfg.pink_exponent), cfg.pink_sigma, out=out[-1])
-        terms.append(_window_mean(out[-1], period))
-    return terms
+
+    def awgn(buf: np.ndarray, first: int) -> None:
+        np.multiply(rng.standard_normal(out=buf), cfg.awgn_sigma, out=buf)
+
+    def pink(buf: np.ndarray, first: int) -> None:
+        np.multiply(_pink_noise(rng, q, fs, cfg.pink_exponent), cfg.pink_sigma, out=buf)
+
+    fills = [awgn] * bool(cfg.awgn_sigma) + [pink] * cfg.pink_enabled
+    return [_window_mean(fill, q, period, buf) for fill, buf in zip(fills, out, strict=True)]
 
 
 def add_terms(
@@ -207,24 +199,27 @@ def add_terms(
 ) -> None:
     """Add noise to a block of slot rows in place, row s from slot s's ``terms``.
 
-    The dark offset and the mains tone's mean over the slot's ``windows``
-    are added to the whole block, since neither depends on the slot; the
-    tone is taken at the samples from ``start`` on, so a row may be a later
-    stretch of its slot (a chunk of a CDMA band, with slices of its terms).  Then
-    each row takes its stochastic terms (``_slot_terms``) in place, in draw
-    order: (((row + dark) + mains) + awgn) + pink.  The terms are only read,
-    and IEEE addition commutes (row + term == term + row bit for bit), so
-    adding into the row gives the bits of adding into the term.
+    The dark offset and the mains tone's mean over the slot's ``windows``, built in
+    chunks (``_window_mean``), are added to the whole block, since neither depends on
+    the slot; the tone is taken at the samples from ``start`` on, so a row may be a
+    later stretch of its slot (a chunk of a CDMA band, with slices of its terms).
+    Then each row takes its stochastic terms (``_slot_terms``) in place, in draw
+    order: (((row + dark) + mains) + awgn) + pink.  The terms are only read, and IEEE
+    addition commutes (row + term == term + row bit for bit), so adding into the row
+    gives the bits of adding into the term.
     """
     period = rows.shape[-1]
     if cfg.dark_offset:
         rows += cfg.dark_offset
     if cfg.mains_amplitude:
-        n = np.arange(start, start + period * windows)
-        tone = cfg.mains_amplitude * np.sin(
-            2.0 * np.pi * cfg.mains_freq * n / fs + cfg.mains_phase
-        )
-        rows += _window_mean(tone, period)
+        q = period * windows
+
+        def mains(buf: np.ndarray, first: int) -> None:
+            buf[:] = np.arange(start + first, start + first + len(buf))  # n, exact in float64
+            np.sin(2.0 * np.pi * cfg.mains_freq * buf / fs + cfg.mains_phase, out=buf)
+            buf *= cfg.mains_amplitude
+
+        rows += _window_mean(mains, q, period, np.empty(_chunk_length(q, period)))
     for row, slot in zip(rows, terms, strict=True):
         for term in slot:
             row += term

@@ -31,6 +31,7 @@ detector and contribute nothing to the primary stream.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -150,8 +151,8 @@ class CdmaConfig:
     samples_per_bit: int
 
     def __post_init__(self) -> None:
-        if self.bit_rate <= 0 or self.samples_per_bit < 1:
-            raise ValueError("bit_rate must be positive and samples_per_bit >= 1")
+        if not 0 < self.bit_rate < math.inf or self.samples_per_bit < 1:
+            raise ValueError("bit_rate must be positive and finite, and samples_per_bit >= 1")
 
     @property
     def fs(self) -> float:

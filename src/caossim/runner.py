@@ -57,7 +57,7 @@ import numpy as np
 
 from . import fileio, metrics
 # names marked "traced" are not called here; perfbench/tracing.py wraps them
-from .channel import add_noise, add_terms, quantize, slot_terms  # add_noise: traced
+from .channel import DRAW_CHUNK, add_noise, add_terms, quantize, slot_terms  # add_noise: traced
 from .decoder import (
     DecodedImage,
     assemble_image,  # traced
@@ -108,8 +108,8 @@ __all__ = ["PlanRejectedError", "StripeReport", "RunReport", "run"]
 
 OUTDIR_ENV = "CAOSSIM_OUTDIR"
 FULL_SCALE_HEADROOM = 1.25
-# the most bytes of slot rows a TDMA block holds, or of samples a chunk of a CDMA band holds
-BLOCK_BYTES = 1 << 18
+# the most bytes of a TDMA block's slot rows or a CDMA chunk's samples: one noise chunk's 256 KiB
+BLOCK_BYTES = 8 * DRAW_CHUNK
 
 
 class PlanRejectedError(ScenarioError):

@@ -109,6 +109,9 @@ class OpticsConfig:
     diffraction_order: int = 1
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.grating_freq <= 0:
             raise ValueError("grating_freq must be positive")
         if min(self.cyl_focal_1, self.cyl_focal_2, self.cyl_focal_3) <= 0:

@@ -257,7 +257,7 @@ def fold_windows(x: np.ndarray, period: int, out: np.ndarray | None = None) -> n
     Sums by repeated halving, x[..., :h] + x[..., h:2h]: the pairwise order of
     the first decimation-in-frequency stages of an FFT of the row.  The
     carrier-bin readout and the averaged noise terms both fold here (a long
-    AWGN term chunk by chunk, ``channel._window_sum``).  The partial sums go
+    AWGN or mains term chunk by chunk, ``channel._window_sum``).  The partial sums go
     to ``out`` (x's shape; x itself folds in place) or, by default, to fresh
     arrays.  With period equal to the row length, returns x untouched.
     """

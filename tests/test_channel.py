@@ -160,14 +160,53 @@ class TestAveragedNoise:
 
     @pytest.mark.parametrize("q, period", [(96, 32), (100, 32), (64, 128)])
     def test_window_mean_needs_a_power_of_two_count_of_windows(self, q, period):
+        buf = np.empty(caossim.channel._chunk_length(q, period))
         with pytest.raises(ValueError, match="power-of-two count"):
-            caossim.channel._window_mean(np.zeros(q), period)
+            caossim.channel._window_mean(lambda b, first: b.fill(0.0), q, period, buf)
 
     def test_one_window_is_left_untouched(self):
         x = np.random.default_rng(4).random(64)
-        kept = x.copy()
-        assert caossim.channel._window_mean(x, 64) is x
-        assert x.tobytes() == kept.tobytes()
+        buf = np.empty(64)
+        assert caossim.channel._window_mean(lambda b, first: np.copyto(b, x), 64, 64, buf) is buf
+        assert buf.tobytes() == x.tobytes()
+
+    def test_a_long_tone_sums_its_chunks_pairwise(self):
+        # past DRAW_CHUNK samples the mains tone is built and folded C samples at a time,
+        # and the chunks' window sums add pairwise, earlier + later, as AWGN's do
+        cfg = NoiseConfig(mains_amplitude=0.02, mains_freq=37.3, mains_phase=0.3)
+        period, fs = self.PERIOD, self.FS
+        c = caossim.channel.DRAW_CHUNK
+        q = 8 * c
+        assert caossim.channel._chunk_length(q, period) == c
+        row = np.zeros((1, period))
+        caossim.channel.add_terms(row, [[]], cfg, fs, q // period)
+        tone = cfg.mains_amplitude * np.sin(
+            2.0 * np.pi * cfg.mains_freq * np.arange(q) / fs + cfg.mains_phase
+        )
+        s = [fold_windows(chunk, period) for chunk in tone.reshape(8, c)]
+        total = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+        assert row[0].tobytes() == (total * (period / q)).tobytes()
+        one_shot = self._mean(tone, period)
+        assert row[0].tobytes() != one_shot.tobytes()
+        np.testing.assert_allclose(row[0], one_shot, rtol=0, atol=1e-15 * cfg.mains_amplitude)
+
+    def test_a_long_averaged_tone_holds_a_chunk_not_its_samples(self):
+        # one averaged, mains-only row at q = 2**20 holds a C-sample buffer, the chunk's
+        # sample indices and at most log2(q / C) partial window sums of L samples, not
+        # Q-sample arrays of the tone
+        cfg, q, period = NoiseConfig(mains_amplitude=0.02, mains_freq=37.3), 1 << 20, self.PERIOD
+        c = caossim.channel._chunk_length(q, period)
+        stream = SampledSignal(np.zeros(period), self.FS, q // period)
+        add_noise(stream, cfg, self.SLOT)  # warm numpy's caches
+        gc.disable()
+        tracemalloc.start()
+        try:
+            add_noise(stream, cfg, self.SLOT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak <= 8 * (3 * c + period * (q // c).bit_length()) < 8 * q // 8
 
 
 class TestNoiseConfig:

@@ -68,6 +68,8 @@ CHECKS = [
     ("adc bits", lambda: AdcConfig(bits=1), ValueError, "bits must lie in 2..24"),
     ("adc full scale", lambda: AdcConfig(full_scale=0.0), ValueError,
      "full_scale must be positive"),
+    ("adc full scale finite", lambda: AdcConfig(full_scale=math.nan), ValueError,
+     "full_scale must be positive and finite"),
     ("noise finite", lambda: NoiseConfig(awgn_sigma=math.inf), ValueError,
      "noise awgn_sigma must be finite"),
     # encoder
@@ -77,6 +79,8 @@ CHECKS = [
      "code rows must be unique"),
     ("cdma bit rate", lambda: CdmaConfig(bit_rate=0.0, samples_per_bit=2), ValueError,
      "bit_rate must be positive"),
+    ("cdma bit rate finite", lambda: CdmaConfig(bit_rate=math.inf, samples_per_bit=2),
+     ValueError, "bit_rate must be positive and finite"),
     ("cdma samples per bit", lambda: CdmaConfig(bit_rate=1.0, samples_per_bit=0), ValueError,
      "samples_per_bit >= 1"),
     ("tdma duplicate carrier", lambda: TdmaSchedule((((0, 1.0), (1, 1.0)),)), ValueError,
@@ -140,6 +144,8 @@ CHECKS = [
     ("scene 1-d", lambda: Scene(np.ones(3)), ValueError, "irradiance must be a 2-D matrix"),
     ("grating", lambda: OpticsConfig(grating_freq=0.0), ValueError,
      "grating_freq must be positive"),
+    ("grating finite", lambda: OpticsConfig(grating_freq=math.nan), ValueError,
+     "grating_freq must be finite"),
     ("focal length", lambda: OpticsConfig(cyl_focal_2=-1.0), ValueError,
      "focal lengths must be positive"),
     ("columns", lambda: spectral_width_per_column(412.0, 732.0, 0), ValueError,
