@@ -4,8 +4,9 @@
 that share their carriers, and a CDMA run's bands one frame at a time; it
 must give the bits of the slot-by-slot pipeline of the one-row library calls
 (``oracles.slot_by_slot``), wherever the block boundaries fall.  Every such
-bit-for-bit check is a draw or an ``@example`` of
-``test_block_run_is_the_slot_by_slot_pipeline_bit_for_bit``, and what each
+bit-for-bit check is a case of ``BLOCK_CASES``, which
+``test_block_run_is_the_slot_by_slot_pipeline_bit_for_bit`` runs: 200 built at import
+from one seeded ``random.Random``, then the listed ``BLOCK_EXAMPLES``; and what each
 kind of run encodes, draws, quantizes and reads is one row of ``ROUTES``,
 whose rules every preset obeys at its own size.
 With the ADC off and no spectra, a strict TDMA run reads each slot from its
@@ -19,7 +20,7 @@ spectra or noise): then it forms no slot stream and sums unit carrier
 responses.  These properties
 also hold the averaged readout to the raw one, and to itself across modes
 and draw-ahead pool sizes.  A scenario's resolved config, here and for
-every preset, parses back to the same config and the same run.  In every
+every preset, parses back to the same scenario, so to the same run.  In every
 mode the noiseless decode is linear in the scene and one lit pixel leaks
 into no other, and a dark scene's estimates sit on the Rayleigh noise floor
 of their AWGN.
@@ -27,11 +28,12 @@ of their AWGN.
 
 import json
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caossim.channel
@@ -205,82 +207,93 @@ def test_strategies_reach_the_averaged_pool_path():
     assert any(found) and not all(found)
 
 
-# a channel whose slots repeat every carrier period: at most a dark offset
-steady = st.fixed_dictionaries({"dark_offset": st.one_of(st.just(0.0), st.floats(1e-3, 0.2))})
-adcs = st.one_of(st.just({"enabled": False}),
-                 st.integers(4, 12).map(lambda bits: {"enabled": True, "bits": bits}))
+def _explicit(rng, cols) -> dict:
+    """The grid and target of 1-3 rows of ``cols`` pixels, each dark or lit, as ``levels``."""
+    rows = rng.randint(1, 3)
+    values = [[rng.choice([0.0, rng.uniform(1e-3, 1.0)]) for _ in range(cols)]
+              for _ in range(rows)]
+    return {"grid": {"rows": rows, "cols": cols}, "target": {"kind": "explicit", "values": values}}
 
 
-@st.composite
-def cdma_frames(draw):
+def _block_noise(rng) -> dict:
+    """Any of the terms of ``noises``, the mains tone on or off a whole Hz; or a channel whose
+    slots repeat every carrier period, with at most a dark offset."""
+    def sigma():
+        return rng.choice([0.0, rng.uniform(1e-4, 0.05)])
+
+    dark = rng.choice([0.0, rng.uniform(1e-3, 0.2)])
+    if rng.random() < 0.5:
+        return {"dark_offset": dark}
+    return {"awgn_sigma": sigma(), "pink_sigma": sigma(), "pink_exponent": rng.uniform(0.0, 2.0),
+            "dark_offset": dark, "mains_amplitude": sigma(),
+            "mains_freq": rng.choice([float(rng.randint(1, 200)), rng.uniform(1.0, 200.0)]),
+            "mains_phase": rng.uniform(0.0, 2 * math.pi)}
+
+
+def _block_adc(rng) -> dict:
+    return rng.choice([{"enabled": False}, {"enabled": True, "bits": rng.randint(4, 12)}])
+
+
+def _cdma_frames(rng) -> dict:
     """The grid, target and code of a cdma scenario: one explicit frame, or 1-3 spectral-line
     bands on one row of 52 pixels, each band a frame of its own."""
-    cdma = {"code_length": 64, "samples_per_bit": draw(st.integers(1, 4))}
-    if draw(st.booleans()):
-        bands = draw(st.lists(st.tuples(st.floats(420.0, 700.0), st.floats(15.0, 40.0)),
-                              min_size=1, max_size=3))
-        target = {"kind": "spectral-line", "bands": [list(b) for b in bands], "row_step": 0}
-        return {"grid": {"rows": 1, "cols": 52}, "target": target, "cdma": cdma}
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 5))
-    values = draw(st.lists(st.lists(levels, min_size=cols, max_size=cols),
-                           min_size=rows, max_size=rows))
-    return {"grid": {"rows": rows, "cols": cols}, "target": {"kind": "explicit", "values": values},
-            "cdma": dict(cdma, code_length=16)}
+    cdma = {"code_length": 64, "samples_per_bit": rng.randint(1, 4)}
+    if rng.random() < 0.5:
+        return dict(_explicit(rng, rng.randint(1, 5)), cdma=dict(cdma, code_length=16))
+    bands = [[rng.uniform(420.0, 700.0), rng.uniform(15.0, 40.0)]
+             for _ in range(rng.randint(1, 3))]
+    return {"grid": {"rows": 1, "cols": 52}, "cdma": cdma,
+            "target": {"kind": "spectral-line", "bands": bands, "row_step": 0}}
 
 
-@st.composite
-def block_docs(draw):
-    """A scenario for the block path, with its draw-ahead width and block size.
+def _bins(rng, kind, P, p) -> list:
+    """P distinct carrier bins of a permissive plan, drawn from one grid: on a power-of-two
+    bin (whole periods), on another whole bin or between bins.  A superposed plan's first
+    carrier is between bins, so its slots never repeat in the window."""
+    def on():
+        return float(rng.choice([2 ** rng.randint(0, p - 2), rng.randint(1, 2**p // 2)]))
 
-    One in four is cdma (``cdma_frames``), read in chunks of 1-3 bits or of the default size.
-    The rest are fdma-tdma on up to 11 carriers, Q = 2**p <= 2**12, with a block budget of
-    1-3 rows or the default: strict on a designed ladder, or permissive on explicit carriers,
-    each on a power-of-two bin (whole periods), on another whole bin or between bins.  A
-    third kind is permissive with at least one carrier between bins, a silent channel and
-    neither the ADC nor spectra, which reads no slot stream.  The other two draw the ADC and
-    spectra, and a channel with any of its terms or only a dark offset.
+    def off():
+        return rng.randint(1, 2**p // 2 - 1) + rng.uniform(0.01, 0.99)
 
-    Hypothesis leans to the first value of a range or a list, so some draws start at the
-    value a rare case needs: the highest ladder (the shortest period to average), 11 columns
-    (a short last slot on 2-4 or 9-10 carriers) and spectra on."""
-    seed, width = draw(st.integers(0, 2**63 - 1)), draw(st.sampled_from([1, 2]))
-    if draw(st.integers(0, 3)) == 3:
-        doc = dict(draw(cdma_frames()), mode="cdma", noise=draw(st.one_of(noises(), steady)),
-                   adc=draw(adcs), seed=seed)
-        return doc, width, draw(st.one_of(st.none(), st.integers(1, 3)))
-    kind = draw(st.sampled_from(["strict", "superposed", "permissive"]))
-    noise = {} if kind == "superposed" else draw(st.one_of(noises(), steady))
-    P = draw(st.one_of(st.integers(1, 4), st.integers(9, 11)))
-    p = draw(st.integers(max(4, P + 1), 12))
-    q, T = 2**p, draw(st.sampled_from([0.25, 1.0]))
-    if kind == "strict":
-        plan = {"T": T, "p": p, "m": draw(st.sampled_from(range(p - P, 0, -1))), "P": P}
-    else:
-        on = st.one_of(st.integers(0, p - 2).map(lambda k: float(2**k)),
-                       st.integers(1, q // 2).map(float))
-        off = st.tuples(st.integers(1, q // 2 - 1), st.floats(0.01, 0.99)).map(sum)
-        # the superposed kind has a carrier between bins, which never repeats in the window
-        grids = [off, st.one_of(on, off)] if kind == "superposed" else [st.one_of(on, off), off, on]
-        bins = st.lists(draw(st.sampled_from(grids)), min_size=P, max_size=P, unique=True)
-        if kind == "superposed":
-            bins = bins.filter(lambda bins: any(b != int(b) for b in bins))
-        plan = {"T": T, "p": p, "frequencies": [b / T for b in draw(bins)]}
-    rows, cols = draw(st.integers(1, 3)), draw(st.sampled_from(range(11, 0, -1)))
-    values = draw(st.lists(st.lists(levels, min_size=cols, max_size=cols),
-                           min_size=rows, max_size=rows))
+    grid = rng.choice([[off], [on, off]] if kind == "superposed" else [[on, off], [off], [on]])
+    bins = [off()] if kind == "superposed" else []
+    while len(bins) < P:
+        if (b := rng.choice(grid)()) not in bins:
+            bins.append(b)
+    return bins
+
+
+def _block_case(rng, cdma: bool) -> tuple:
+    """A scenario for the block path, its draw-ahead width and block size: 1-3 rows (bits of
+    a cdma band) or the default.  The tdma cases are fdma-tdma on up to 11 carriers, Q = 2**p
+    <= 2**12, on up to 3 x 11 pixels: strict on a designed ladder, permissive on explicit
+    carriers (``_bins``), or superposed: permissive with a carrier between bins, a silent
+    channel and neither the ADC nor spectra, which reads no slot stream.  The others draw the
+    ADC (tdma: and spectra) and a channel with any of its terms or only a dark offset."""
+    seed, width, block_rows = rng.randrange(2**63), rng.choice([1, 2]), rng.choice([None, 1, 2, 3])
+    if cdma:
+        return dict(_cdma_frames(rng), mode="cdma", noise=_block_noise(rng),
+                    adc=_block_adc(rng), seed=seed), width, block_rows
+    kind = rng.choice(["strict", "superposed", "permissive"])
+    P = rng.choice([1, 2, 3, 4, 9, 10, 11])
+    p, T = rng.randint(max(4, P + 1), 12), rng.choice([0.25, 1.0])
+    plan = ({"T": T, "p": p, "m": rng.randint(1, p - P), "P": P} if kind == "strict" else
+            {"T": T, "p": p, "frequencies": [b / T for b in _bins(rng, kind, P, p)]})
     superposed = kind == "superposed"
-    doc = {
-        "mode": "fdma-tdma",
-        "grid": {"rows": rows, "cols": cols},
-        "target": {"kind": "explicit", "values": values},
-        "plan": plan,
-        "noise": noise,
-        "adc": {"enabled": False} if superposed else draw(adcs),
-        "write_spectra": not superposed and draw(st.sampled_from([True, False])),
-        "permissive": kind != "strict",
-        "seed": seed,
-    }
-    return doc, width, draw(st.one_of(st.none(), st.integers(1, 3)))
+    doc = dict(_explicit(rng, rng.randint(1, 11)), mode="fdma-tdma", plan=plan,
+               noise={} if superposed else _block_noise(rng),
+               adc={"enabled": False} if superposed else _block_adc(rng),
+               write_spectra=not superposed and rng.random() < 0.5,
+               permissive=kind != "strict", seed=seed)
+    return doc, width, block_rows
+
+
+def _block_cases() -> list:
+    """The block property's 200 generated cases, one in four cdma.  Stdlib ``random`` makes
+    the same list on every Python and numpy."""
+    rng = random.Random(0)
+    return [_block_case(rng, cdma=i % 4 == 3) for i in range(200)]
 
 
 def _row_bytes(scenario) -> int:
@@ -384,38 +397,37 @@ OFF_GRID_LADDER = dict(LADDER, plan={"T": 1.0, "p": 12, "frequencies": [64.0, 12
                        permissive=True)
 
 
-# the block property's explicit cases, which the reach test counts with its draws
-BLOCK_EXAMPLES = [
-    (dict(LADDER, write_spectra=True), 1, None),
-    (dict(LADDER, write_spectra=True, permissive=True), 2, None),
-    (dict(LADDER, permissive=True), 1, None),
-    (dict(OFF_GRID_LADDER, noise={}), 1, 1),
-    (OFF_GRID_LADDER, 2, 1),
-    (CLIPPING, 2, None),
-    (dict(CLIPPING, plan=OFF_GRID_LADDER["plan"], permissive=True), 1, None),
-    (NOISY_BANDS, 2, None),
-    (CDMA_AUTO_SCALE, 1, None),
-    (CHUNKED_FRAME, 2, None),
-    (OFF_GRID_EVEN_BINS, 1, None),
-    (NOISELESS_SPECTRA, 1, 2),
-    (dict(NOISELESS_SPECTRA, noise={"dark_offset": 0.05}), 2, 2),
-    (MAINS_ON_A_CARRIER, 1, None),
-    (dict(MAINS_ON_A_CARRIER, plan={"T": 1.0, "p": 10, "frequencies": [128.0]},
-          permissive=True), 2, None),
-    (SHORT_SLOT_OTHER_GCD, 2, None),
-]
+# the block property's listed cases, which follow its generated ones: the rare paths
+BLOCK_EXAMPLES = {
+    "ladder, spectra": (dict(LADDER, write_spectra=True), 1, None),
+    "ladder, spectra, permissive": (dict(LADDER, write_spectra=True, permissive=True), 2, None),
+    "ladder, permissive": (dict(LADDER, permissive=True), 1, None),
+    "off-grid ladder, silent": (dict(OFF_GRID_LADDER, noise={}), 1, 1),
+    "off-grid ladder": (OFF_GRID_LADDER, 2, 1),
+    "clipping": (CLIPPING, 2, None),
+    "clipping, off the grid": (dict(CLIPPING, plan=OFF_GRID_LADDER["plan"], permissive=True),
+                               1, None),
+    "noisy bands": (NOISY_BANDS, 2, None),
+    "cdma auto scale": (CDMA_AUTO_SCALE, 1, None),
+    "chunked frame": (CHUNKED_FRAME, 2, None),
+    "off-grid even bins": (OFF_GRID_EVEN_BINS, 1, None),
+    "noiseless spectra": (NOISELESS_SPECTRA, 1, 2),
+    "dark spectra": (dict(NOISELESS_SPECTRA, noise={"dark_offset": 0.05}), 2, 2),
+    "mains on a carrier": (MAINS_ON_A_CARRIER, 1, None),
+    "mains on a carrier, permissive": (
+        dict(MAINS_ON_A_CARRIER, plan={"T": 1.0, "p": 10, "frequencies": [128.0]},
+             permissive=True), 2, None),
+    "short slot, other gcd": (SHORT_SLOT_OTHER_GCD, 2, None),
+}
+
+# every case of the block property by its id: the generated ones, then the listed ones
+BLOCK_CASES = {**{f"{i:03d} {doc['mode']}{', permissive' if doc.get('permissive') else ''}, "
+                  f"width {width}, block {rows}": (doc, width, rows)
+                  for i, (doc, width, rows) in enumerate(_block_cases())},
+               **BLOCK_EXAMPLES}
 
 
-def _block_examples(test):
-    """``test`` with every case of BLOCK_EXAMPLES as an ``@example``."""
-    for case in BLOCK_EXAMPLES:
-        test = example(case)(test)
-    return test
-
-
-@settings(PROPERTY, max_examples=200)
-@given(block_docs())
-@_block_examples
+@pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES)
 def test_block_run_is_the_slot_by_slot_pipeline_bit_for_bit(case):
     doc, width, block_rows = case
     scenario = scenario_from_dict(doc)
@@ -436,7 +448,7 @@ def test_block_run_is_the_slot_by_slot_pipeline_bit_for_bit(case):
 
 
 def _reached(doc, width, block_rows) -> set:
-    """The cases of test_block_strategy_reaches_every_case that one block_docs draw reaches."""
+    """The cases of test_block_cases_reach_every_case that one block case reaches."""
     sc = scenario_from_dict(doc)
     noise = sc.noise_config()
     if sc.mode == "cdma":
@@ -490,14 +502,16 @@ def _reached(doc, width, block_rows) -> set:
     return {case for case, hit in cases.items() if hit}
 
 
-def test_block_strategy_reaches_every_case():
-    @settings(PROPERTY, max_examples=200)
-    @given(block_docs())
-    def collect(case):
-        reached.update(_reached(*case))
+def test_block_cases_are_one_seeded_table_of_valid_scenarios():
+    generated = _block_cases()
+    assert generated == _block_cases() == list(BLOCK_CASES.values())[:200]
+    for doc, _, _ in generated:
+        scenario_from_dict(doc)
+    assert sum(doc["mode"] == "cdma" for doc, _, _ in generated) == 50
 
-    reached = set().union(*(_reached(*case) for case in BLOCK_EXAMPLES))
-    collect()
+
+def test_block_cases_reach_every_case():
+    reached = set().union(*(_reached(*case) for case in BLOCK_CASES.values()))
     superposed = {f"permissive, superposed, {case}" for case in (
         "off the bin grid", "short last slot, other gcd")}
     assert reached == {
@@ -625,29 +639,25 @@ def test_batched_rfft_gives_each_row_the_bits_of_its_own_rfft(length):
         assert np.abs(spectrum).tobytes() == want.tobytes()
 
 
-def _rerun_of_resolved_config(scenario) -> None:
-    """to_json -> parse -> to_json gives the same bytes, and the same run."""
+def _parses_back_to_the_same_scenario(scenario) -> None:
+    """The resolved config, as a dict and as JSON text, parses back to the same scenario and
+    text; ``run`` is a pure function of the scenario (CI reruns each resolved config)."""
     text = scenario.to_json()
-    again = scenario_from_dict(json.loads(text))
-    assert again.to_json() == text
-    first, second = run(scenario), run(again)
-    assert [i.estimates.tobytes() for i in second.images] == [
-        i.estimates.tobytes() for i in first.images
-    ]
-    assert second.metrics_text == first.metrics_text
+    for resolved in (scenario.to_dict(), json.loads(text)):
+        again = scenario_from_dict(resolved)
+        assert again == scenario
+        assert again.to_json() == text
 
 
 @PROPERTY
 @given(tdma_docs())
-def test_resolved_config_reruns_the_same(doc):
-    scenario = scenario_from_dict(doc)
-    if not _rejected_for_mains(scenario):
-        _rerun_of_resolved_config(scenario)
+def test_resolved_config_parses_back_to_the_same_scenario(doc):
+    _parses_back_to_the_same_scenario(scenario_from_dict(doc))
 
 
 @pytest.mark.parametrize("name", preset_names())
-def test_preset_resolved_config_reruns_the_same(name):
-    _rerun_of_resolved_config(load_preset(name))
+def test_preset_resolved_config_parses_back_to_the_same_scenario(name):
+    _parses_back_to_the_same_scenario(load_preset(name))
 
 
 @st.composite
