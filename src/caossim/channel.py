@@ -42,7 +42,9 @@ import numpy as np
 
 from .waveform import SampledSignal, fold_windows
 
-__all__ = ["NoiseConfig", "AdcConfig", "add_noise", "add_terms", "quantize", "slot_terms"]
+__all__ = [
+    "NoiseConfig", "AdcConfig", "add_noise", "add_terms", "mains_mean", "quantize", "slot_terms",
+]
 
 MAX_DRAW_WORKERS = 4
 # the most samples of an averaged AWGN or mains term held at once, unless one window is longer
@@ -193,33 +195,43 @@ def _slot_terms(
     return [_window_mean(fill, q, period, buf) for fill, buf in zip(fills, out, strict=True)]
 
 
+def mains_mean(
+    cfg: NoiseConfig, fs: float, period: int, windows: int = 1, start: int = 0
+) -> np.ndarray | None:
+    """The mains tone's mean over a row's ``windows`` windows of ``period`` samples, taken
+    at the samples from ``start`` on, built in chunks (``_window_mean``); None without a
+    tone.  It does not depend on the slot, so a run builds it once for all its rows, and a
+    chunk of a CDMA band at its own ``start``."""
+    if not cfg.mains_amplitude:
+        return None
+    q = period * windows
+
+    def mains(buf: np.ndarray, first: int) -> None:
+        buf[:] = np.arange(start + first, start + first + len(buf))  # n, exact in float64
+        np.sin(2.0 * np.pi * cfg.mains_freq * buf / fs + cfg.mains_phase, out=buf)
+        buf *= cfg.mains_amplitude
+
+    return _window_mean(mains, q, period, np.empty(_chunk_length(q, period)))
+
+
 def add_terms(
-    rows: np.ndarray, terms: Iterable[list[np.ndarray]], cfg: NoiseConfig, fs: float,
-    windows: int = 1, start: int = 0,
+    rows: np.ndarray, terms: Iterable[list[np.ndarray]], cfg: NoiseConfig,
+    tone: np.ndarray | None,
 ) -> None:
     """Add noise to a block of slot rows in place, row s from slot s's ``terms``.
 
-    The dark offset and the mains tone's mean over the slot's ``windows``, built in
-    chunks (``_window_mean``), are added to the whole block, since neither depends on
-    the slot; the tone is taken at the samples from ``start`` on, so a row may be a
-    later stretch of its slot (a chunk of a CDMA band, with slices of its terms).
-    Then each row takes its stochastic terms (``_slot_terms``) in place, in draw
-    order: (((row + dark) + mains) + awgn) + pink.  The terms are only read, and IEEE
-    addition commutes (row + term == term + row bit for bit), so adding into the row
-    gives the bits of adding into the term.
+    The dark offset and ``tone``, the mains tone's mean over the rows' samples
+    (``mains_mean``), are added to the whole block, since neither depends on the slot;
+    a row may be a later stretch of its slot (a chunk of a CDMA band, with slices of its
+    terms and the tone at its own samples).  Then each row takes its stochastic terms
+    (``_slot_terms``) in place, in draw order: (((row + dark) + mains) + awgn) + pink.
+    The terms are only read, and IEEE addition commutes (row + term == term + row bit
+    for bit), so adding into the row gives the bits of adding into the term.
     """
-    period = rows.shape[-1]
     if cfg.dark_offset:
         rows += cfg.dark_offset
-    if cfg.mains_amplitude:
-        q = period * windows
-
-        def mains(buf: np.ndarray, first: int) -> None:
-            buf[:] = np.arange(start + first, start + first + len(buf))  # n, exact in float64
-            np.sin(2.0 * np.pi * cfg.mains_freq * buf / fs + cfg.mains_phase, out=buf)
-            buf *= cfg.mains_amplitude
-
-        rows += _window_mean(mains, q, period, np.empty(_chunk_length(q, period)))
+    if tone is not None:
+        rows += tone
     for row, slot in zip(rows, terms, strict=True):
         for term in slot:
             row += term
@@ -235,7 +247,7 @@ def add_noise(stream: SampledSignal, cfg: NoiseConfig, slot_index: int) -> Sampl
     x = stream.samples.copy()
     q = x.shape[0] * stream.windows
     terms = _slot_terms(cfg, q, stream.fs, slot_index, x.shape[0])
-    add_terms(x[None], [terms], cfg, stream.fs, stream.windows)
+    add_terms(x[None], [terms], cfg, mains_mean(cfg, stream.fs, x.shape[0], stream.windows))
     return SampledSignal(x, stream.fs, stream.windows)
 
 

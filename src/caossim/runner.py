@@ -57,7 +57,8 @@ import numpy as np
 
 from . import fileio, metrics
 # names marked "traced" are not called here; perfbench/tracing.py wraps them
-from .channel import DRAW_CHUNK, add_noise, add_terms, quantize, slot_terms  # add_noise: traced
+from .channel import DRAW_CHUNK, add_terms, mains_mean, quantize, slot_terms
+from .channel import add_noise  # traced
 from .decoder import (
     DecodedImage,
     assemble_image,  # traced
@@ -266,14 +267,14 @@ def _superposed(amps: np.ndarray, freqs: tuple[float, ...], window: SamplingWind
 
 
 def _impair(
-    rows: np.ndarray, terms, noise_cfg, adc_cfg, fs: float, windows: int = 1, start: int = 0
+    rows: np.ndarray, terms, noise_cfg, adc_cfg, fs: float, windows: int = 1, tone=None
 ) -> tuple[np.ndarray, int]:
     """Noise, then the ADC, for a block of frames: ``add_terms`` adds row s's
-    stochastic ``terms`` in place, with the mains tone from sample ``start`` on (a
-    silent channel takes no terms from the iterable and adds nothing), then one
-    ``quantize`` reads the block.  Returns it and its clips."""
+    stochastic ``terms`` in place, with the mains ``tone`` (``channel.mains_mean``) of
+    the rows' samples (a silent channel takes no terms from the iterable and adds
+    nothing), then one ``quantize`` reads the block.  Returns it and its clips."""
     if not noise_cfg.is_silent:
-        add_terms(rows, terms, noise_cfg, fs, windows, start)
+        add_terms(rows, terms, noise_cfg, tone)
     stream, clipped = quantize(SampledSignal(rows.ravel(), fs, windows), adc_cfg)
     return stream.samples.reshape(rows.shape), clipped
 
@@ -310,6 +311,8 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
     slot_of = np.empty(grid.num_pixels, dtype=np.intp)
     spectra = np.zeros((window.Q // 2 + 1, nslots)) if scenario.write_spectra else None
     clip_total = 0
+    # every block's rows hold the same samples of their slots, so one tone serves them all
+    tone = mains_mean(noise_cfg, window.fs, period, windows)
     with closing(slot_terms(noise_cfg, window.Q, window.fs, period, range(nslots))) as noise:
         for first, freqs, pixels in blocks:
             slots = range(first, first + len(pixels))
@@ -319,7 +322,7 @@ def _run_tdma(scenario: Scenario, grid: CaosGrid, scene: Scene) -> RunReport:
             else:
                 block = encode_block(scene, pixels, freqs, window, period)
                 block, clipped = _impair(block, islice(noise, len(block)), noise_cfg, adc_cfg,
-                                         window.fs, windows)
+                                         window.fs, windows, tone)
                 clip_total += clipped
                 if spectra is not None:
                     # a repeating slot: its period's spectrum x windows, every windows-th bin
@@ -398,7 +401,8 @@ def _run_cdma(scenario: Scenario, grid: CaosGrid) -> RunReport:
                 start = first * spb
                 (frame,), clipped = _impair(
                     frame[None], [[t[start : start + len(frame)] for t in terms]],
-                    noise_cfg, adc_cfg, cfg.fs, start=start)
+                    noise_cfg, adc_cfg, cfg.fs,
+                    tone=mains_mean(noise_cfg, cfg.fs, len(frame), start=start))
                 run_report.clip_count += clipped
                 means[chunk] = bit_means(frame, spb)
             image = decode_bit_means(means, assignment, grid)

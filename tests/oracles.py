@@ -4,7 +4,8 @@
 ``slot_by_slot`` is the one-row library chain that a run must give bit for
 bit: it calls the library's one-row functions, and none of the runner's
 block path.  ``recording`` notes which library calls a run makes, so that
-one table can say how each kind of run is routed.
+one table can say how each kind of run is routed.  ``ALL_NOISE_TDMA`` and
+``reduced`` are the scenario documents that more than one file runs.
 """
 
 import inspect
@@ -35,8 +36,28 @@ from caossim.encoder import (
     schedule_fdma_tdma,
 )
 from caossim.runner import FULL_SCALE_HEADROOM, build_scene
+from caossim.scenario import load_preset
 from caossim.scene_optics import Scene
 from caossim.waveform import SampledSignal, SamplingWindow, fundamental_coefficient
+
+ALL_NOISE = {"dark_offset": 0.01, "mains_amplitude": 0.003, "awgn_sigma": 0.021,
+             "pink_sigma": 0.004}
+
+# 24 pixels on 3 carriers under every noise term, with a 6-bit ADC below the slot peak that
+# clips, and spectra: 8 slots' raw rows.  Its dark offset lies below 4 sigma of its noise, so
+# its run warns that the ADC clips the negative swings
+ALL_NOISE_TDMA = {
+    "mode": "fdma-tdma", "grid": {"rows": 4, "cols": 6},
+    "target": {"kind": "uniform", "level": 0.5},
+    "plan": {"T": 1.0, "p": 10, "m": 5, "P": 3}, "noise": ALL_NOISE,
+    "adc": {"enabled": True, "bits": 6, "full_scale": 1.6}, "write_spectra": True, "seed": 3,
+}
+
+
+def reduced(preset, **noise) -> dict:
+    """A preset's document on a 10 x 15 grid, with ``noise`` changed."""
+    doc = load_preset(preset).to_dict()
+    return dict(doc, grid=dict(doc["grid"], rows=10, cols=15), noise=dict(doc["noise"], **noise))
 
 
 def full_fft_estimate(stream, f):
@@ -104,6 +125,20 @@ def slot_by_slot(scenario):
         estimates.append(decode_slot_free(stream, slot))
     image = assemble_image(estimates, schedule, grid, scenario.mode)
     return [image], clipped, np.column_stack(spectra) if spectra else None
+
+
+def assert_slot_by_slot(report, scenario) -> None:
+    """``report``, the RunReport of ``run(scenario)``, holds the images (estimates, slot and
+    channel maps), clip count and spectra of ``slot_by_slot(scenario)``, bit for bit."""
+    images, clipped, spectra = slot_by_slot(scenario)
+    for got, want in zip(report.images, images, strict=True):
+        assert got.estimates.tobytes() == want.estimates.tobytes()
+        assert got.slot_map.tobytes() == want.slot_map.tobytes()
+        assert got.channel_map.tobytes() == want.channel_map.tobytes()
+    assert report.clip_count == clipped
+    assert (report.spectra is None) == (spectra is None)
+    if spectra is not None:
+        assert report.spectra.tobytes() == spectra.tobytes()
 
 
 def _band_by_band(scenario):

@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caossim.channel
+import caossim.runner
 from caossim.channel import AdcConfig, NoiseConfig, add_noise, quantize
 from caossim.encoder import encode_slot, schedule_fdma_tdma
 from caossim.freq_plan import design_plan
+from caossim.runner import run
+from caossim.scenario import scenario_from_dict
 from caossim.scene_optics import Scene
 from caossim.waveform import SampledSignal, fold_windows, fundamental_coefficient
 from oracles import full_fft_estimate
@@ -178,17 +181,16 @@ class TestAveragedNoise:
         c = caossim.channel.DRAW_CHUNK
         q = 8 * c
         assert caossim.channel._chunk_length(q, period) == c
-        row = np.zeros((1, period))
-        caossim.channel.add_terms(row, [[]], cfg, fs, q // period)
+        row = caossim.channel.mains_mean(cfg, fs, period, q // period)
         tone = cfg.mains_amplitude * np.sin(
             2.0 * np.pi * cfg.mains_freq * np.arange(q) / fs + cfg.mains_phase
         )
         s = [fold_windows(chunk, period) for chunk in tone.reshape(8, c)]
         total = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
-        assert row[0].tobytes() == (total * (period / q)).tobytes()
+        assert row.tobytes() == (total * (period / q)).tobytes()
         one_shot = self._mean(tone, period)
-        assert row[0].tobytes() != one_shot.tobytes()
-        np.testing.assert_allclose(row[0], one_shot, rtol=0, atol=1e-15 * cfg.mains_amplitude)
+        assert row.tobytes() != one_shot.tobytes()
+        np.testing.assert_allclose(row, one_shot, rtol=0, atol=1e-15 * cfg.mains_amplitude)
 
     def test_a_long_averaged_tone_holds_a_chunk_not_its_samples(self):
         # one averaged, mains-only row at q = 2**20 holds a C-sample buffer, the chunk's
@@ -207,6 +209,42 @@ class TestAveragedNoise:
             tracemalloc.stop()
             gc.enable()
         assert peak <= 8 * (3 * c + period * (q // c).bit_length()) < 8 * q // 8
+
+    MAINS = {"mains_amplitude": 0.01, "mains_freq": 50.3}
+    LADDER = {"mode": "fdma-tdma", "grid": {"rows": 2, "cols": 5}, "noise": MAINS,
+              "target": {"kind": "uniform", "level": 0.5},
+              "plan": {"T": 1.0, "p": 12, "m": 7, "P": 4}}
+    FRAME = {"mode": "cdma", "grid": {"rows": 2, "cols": 3}, "noise": MAINS,
+             "target": {"kind": "uniform", "level": 0.5},
+             "cdma": {"code_length": 256, "samples_per_bit": 300}}
+    BANDS = dict(FRAME, grid={"rows": 1, "cols": 52}, target={
+        "kind": "spectral-line", "bands": [[600.0, 40.0], [450.0, 20.0]], "row_step": 0})
+    CHUNKS = [(n, n) for n in (32700, 32700, 11400)]  # 109, 109 and 38 bits of 300 samples
+
+    # per run: its document, the samples of a one-row block (None: the run's own blocks) and
+    # the (samples, period) of each tone built.  A TDMA run's 3 one-row blocks share one tone,
+    # whether read from a period or, as spectra read a time-varying tone, raw; each chunk of a
+    # CDMA band builds its own, at its own samples
+    @pytest.mark.parametrize("doc, row, want", [
+        (LADDER, 64, [(4096, 64)]), (dict(LADDER, write_spectra=True), 4096, [(4096, 4096)]),
+        (FRAME, None, CHUNKS), (BANDS, None, CHUNKS * 2),
+    ], ids=["averaged slots", "raw slots", "cdma frame", "cdma bands"])
+    def test_a_run_builds_its_tone_once_and_a_cdma_chunk_at_its_own_samples(
+            self, doc, row, want, monkeypatch):
+        # a mains-only channel folds nothing but the tone, so each (samples, period) noted
+        # is one build
+        builds = []
+        window_mean = caossim.channel._window_mean
+
+        def counting(fill, n, period, buf):
+            builds.append((n, period))
+            return window_mean(fill, n, period, buf)
+
+        monkeypatch.setattr(caossim.channel, "_window_mean", counting)
+        if row is not None:
+            monkeypatch.setattr(caossim.runner, "BLOCK_BYTES", 8 * row)  # one row a block
+        run(scenario_from_dict(doc))
+        assert builds == want
 
 
 class TestNoiseConfig:

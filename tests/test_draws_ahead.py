@@ -3,13 +3,17 @@
 ``channel.slot_terms`` yields a run's slot terms in slot order, its pool
 drawing up to W slots ahead of the slot last yielded while the calling
 thread processes the current block.  The draws are keyed by (seed, slot),
-so every run here must equal the run that draws every slot inline, at any
-pool size, and a failing or abandoned iterator must leave no worker thread
-behind.  The all-noise scenarios' ADC sits below 4 sigma of their dark
-offset, so each of their runs asserts the warning that says so.
+so a run at any pool size equals the run that draws every slot inline: the
+block property (``test_pipeline_properties``) holds runs at 1, 2 and 5
+workers to ``oracles.slot_by_slot``, which draws inline.  This file checks
+the pool itself: which thread draws and which adds, how far ahead it draws,
+reproduced files at any pool size against one worker, two runs at once,
+more workers than CPUs under rapid thread switches, and that a failing or
+abandoned iterator leaves no worker thread behind.  The all-noise
+scenarios' ADC sits below 4 sigma of their dark offset, so each of their
+runs asserts the warning that says so.
 """
 
-import dataclasses
 import filecmp
 import os
 import subprocess
@@ -24,64 +28,21 @@ import pytest
 
 import caossim.channel
 import caossim.runner
-from caossim.channel import NoiseConfig, add_noise, add_terms, slot_terms
+from caossim.channel import NoiseConfig, add_noise, add_terms, mains_mean, slot_terms
 from caossim.cli import main
 from caossim.runner import run
 from caossim.scenario import load_preset, scenario_from_dict
 from caossim.waveform import SampledSignal
-
-ALL_NOISE = {
-    "dark_offset": 0.01,
-    "mains_amplitude": 0.003,
-    "awgn_sigma": 0.021,
-    "pink_sigma": 0.004,
-}
-
-
-def _with_noise(doc, adc=None):
-    doc = dict(doc, noise=dict(doc.get("noise", {}), **ALL_NOISE))
-    if adc is not None:
-        doc["adc"] = adc
-    return scenario_from_dict(doc)
-
-
-def _noisy_tdma():
-    return _with_noise(
-        {
-            "mode": "fdma-tdma",
-            "grid": {"rows": 4, "cols": 6},
-            "plan": {"T": 1.0, "p": 10, "m": 5, "P": 3},
-            "target": {"kind": "uniform", "level": 0.5},
-            "write_spectra": True,
-            "seed": 3,
-        },
-        adc={"enabled": True, "bits": 6, "full_scale": 1.6},
-    )
-
-
-def _noisy_cdma():
-    # spectral-line decodes seven frames, each one noise slot
-    return _with_noise(load_preset("spectral-line").to_dict(), adc={"enabled": True, "bits": 10})
-
-
-def _reduced(preset):
-    return dataclasses.replace(load_preset(preset), rows=10, cols=15)
-
+from oracles import ALL_NOISE, ALL_NOISE_TDMA, assert_slot_by_slot, reduced
 
 SCENARIOS = {
-    "hdr66-fm": lambda: _reduced("hdr66-fm"),
-    "hdr66-fdma": lambda: _reduced("hdr66-fdma"),
-    "tdma-all-noise": _noisy_tdma,
-    "cdma-all-noise": _noisy_cdma,
+    "hdr66-fm": lambda: scenario_from_dict(reduced("hdr66-fm")),
+    "tdma-all-noise": lambda: scenario_from_dict(ALL_NOISE_TDMA),
+    # spectral-line decodes seven frames, each one noise slot
+    "cdma-all-noise": lambda: scenario_from_dict(dict(load_preset("spectral-line").to_dict(),
+                                                      noise=ALL_NOISE,
+                                                      adc={"enabled": True, "bits": 10})),
 }
-
-
-def _inline_terms(cfg, q, fs, period, slots):
-    return (caossim.channel._slot_terms(cfg, q, fs, i, period) for i in slots)
-
-
-def _inline(monkeypatch):
-    monkeypatch.setattr(caossim.runner, "slot_terms", _inline_terms)
 
 
 def _workers(monkeypatch, w):
@@ -107,28 +68,6 @@ def _assert_same_run(got, want):
     assert (got.spectra is None) == (want.spectra is None)
     if want.spectra is not None:
         assert np.array_equal(got.spectra, want.spectra)
-
-
-@pytest.fixture(scope="module")
-def inline_runs():
-    with pytest.MonkeyPatch.context() as mp:
-        _inline(mp)
-        return {name: _run(make()) for name, make in SCENARIOS.items()}
-
-
-@pytest.mark.parametrize("workers", [1, 2, 5])
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_run_is_bit_identical_at_any_pool_size(name, workers, inline_runs, monkeypatch):
-    _workers(monkeypatch, workers)
-    _assert_same_run(_run(SCENARIOS[name]()), inline_runs[name])
-
-
-def test_noisy_scenarios_clip_and_write_spectra(inline_runs):
-    # the comparisons above cover clip counts and spectra only if they exist
-    assert inline_runs["tdma-all-noise"].clip_count > 0
-    assert inline_runs["tdma-all-noise"].spectra is not None
-    assert inline_runs["cdma-all-noise"].clip_count > 0
-    assert len(inline_runs["cdma-all-noise"].images) == 7
 
 
 @pytest.mark.parametrize("name", ["hdr66-fm", "cdma-all-noise"])
@@ -163,7 +102,7 @@ def test_reproduce_outdir_files_identical_at_any_pool_size(tmp_path, monkeypatch
         return out, capsys.readouterr().out
 
     with monkeypatch.context() as mp:
-        _inline(mp)
+        _workers(mp, 1)  # below two workers, slot_terms draws every slot inline
         want, want_stdout = reproduce("inline")
     names = sorted(p.name for p in want.iterdir())
     assert "decoded.csv" in names and "patch_report.csv" in names
@@ -178,7 +117,8 @@ def test_reproduce_outdir_files_identical_at_any_pool_size(tmp_path, monkeypatch
 
 def test_two_runs_in_two_threads_equal_their_serial_runs(monkeypatch):
     _workers(monkeypatch, 2)
-    a, b = _reduced("hdr66-fdma"), dataclasses.replace(_noisy_tdma(), seed=11)
+    a = scenario_from_dict(reduced("hdr66-fdma"))
+    b = scenario_from_dict(dict(ALL_NOISE_TDMA, seed=11))
     serial = [_run(a), _run(b)]
     results = [None, None]
     start = threading.Barrier(2)
@@ -199,20 +139,21 @@ def test_two_runs_in_two_threads_equal_their_serial_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["hdr66-fm", "tdma-all-noise"])
-def test_more_workers_than_cpus_with_rapid_thread_switches(name, inline_runs, monkeypatch):
+def test_more_workers_than_cpus_with_rapid_thread_switches(name, monkeypatch):
+    scenario = SCENARIOS[name]()
     _workers(monkeypatch, 2 * (os.cpu_count() or 1) + 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        got = _run(SCENARIOS[name]())
+        got = _run(scenario)
     finally:
         sys.setswitchinterval(interval)
-    _assert_same_run(got, inline_runs[name])
+    assert_slot_by_slot(got, scenario)
 
 
 def test_failing_run_propagates_and_joins_its_workers(monkeypatch):
     _workers(monkeypatch, 2)
-    scenario = _reduced("hdr66-fm")
+    scenario = SCENARIOS["hdr66-fm"]()
     want = run(scenario)
     baseline = threading.active_count()
     original = caossim.runner.decode_block
@@ -273,7 +214,7 @@ def test_a_block_gets_each_rows_add_noise(name, workers, windows, monkeypatch):
     want = [add_noise(SampledSignal(row, fs, windows), cfg, i).samples
             for i, row in enumerate(block)]
     with closing(slot_terms(cfg, q, fs, period, range(n))) as terms:
-        add_terms(block, terms, cfg, fs, windows)
+        add_terms(block, terms, cfg, mains_mean(cfg, fs, period, windows))
     assert block.tobytes() == np.array(want).tobytes()
 
 
